@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -23,15 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (
-    BellClass,
+    ANGLE_COUNT,
     ProtocolRun,
     Transcript,
     analytic_phi_probability,
     derive_run_id,
     run_protocol,
 )
-from .qnd import DeviceParams
-from .states import FidelityVector, PolarizationBell, bell_vector
+from .qnd import OUTCOME_PAIRS, DeviceParams, readout_tables
+from .states import ENSEMBLE_ORDER, FidelityVector, PolarizationBell, bell_vector
 
 DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)
@@ -108,6 +109,11 @@ class RunConfig:
                 raise ValueError(f"{name} {value!r} outside [0, 1]")
         if self.sweep is not None and self.sweep < 1:
             raise ValueError(f"sweep {self.sweep} must be >= 1")
+        if self.sweep is not None and self.seed + self.sweep - 1 >= 2**64:
+            raise ValueError(
+                f"sweep of {self.sweep} seeds from {self.seed} runs past the "
+                "unsigned 64-bit seed range"
+            )
         # theta/alpha/homodyne_error ranges are enforced by DeviceParams.
         DeviceParams(self.theta, self.alpha, self.homodyne_error)
 
@@ -201,11 +207,31 @@ _BELL_AMPS = {
 }
 
 
-def _mean_or_none(values) -> float | None:
-    values = list(values)
-    if not values:
+@functools.lru_cache(maxsize=None)
+def _fidelity_table() -> np.ndarray:
+    """Fidelity of each (case, readout) surviving state with each Bell state.
+
+    An (8, 4, 4) array, last axis in ENSEMBLE_ORDER; NaN where the readout
+    cannot occur.
+    """
+    _, states = readout_tables()
+    table = np.full((len(states), len(OUTCOME_PAIRS), len(ENSEMBLE_ORDER)), np.nan)
+    for c, row in enumerate(states):
+        for r, state in enumerate(row):
+            if state is not None:
+                table[c, r] = [
+                    abs(np.vdot(_BELL_AMPS[kind], state.amplitudes)) ** 2
+                    for kind in ENSEMBLE_ORDER
+                ]
+    table.setflags(write=False)
+    return table
+
+
+def _mean_or_none(values: np.ndarray) -> float | None:
+    """Mean of the values added one by one in pair order, or None if empty."""
+    if not values.size:
         return None
-    return float(sum(values) / len(values))
+    return float(np.cumsum(values)[-1] / values.size)
 
 
 def execute_run(cfg: RunConfig) -> tuple[RunReport, Transcript]:
@@ -220,47 +246,28 @@ def execute_run(cfg: RunConfig) -> tuple[RunReport, Transcript]:
         seed=cfg.seed,
         run_id=cfg.run_id(),
     )
-    phi_fid_plus, phi_fid_minus, psi_fid_plus, psi_fid_minus = [], [], [], []
-    inferred_phi = 0
-    mismatches = 0
-    for record in run.records:
-        if record.inferred_class is BellClass.PHI:
-            inferred_phi += 1
-        if record.inferred_class is not record.true_class:
-            mismatches += 1
-        amps = record.pair.pol_state.amplitudes
-        if record.true_class is BellClass.PHI:
-            phi_fid_plus.append(
-                abs(np.vdot(_BELL_AMPS[PolarizationBell.PHI_PLUS], amps)) ** 2
-            )
-            phi_fid_minus.append(
-                abs(np.vdot(_BELL_AMPS[PolarizationBell.PHI_MINUS], amps)) ** 2
-            )
-        else:
-            psi_fid_plus.append(
-                abs(np.vdot(_BELL_AMPS[PolarizationBell.PSI_PLUS], amps)) ** 2
-            )
-            psi_fid_minus.append(
-                abs(np.vdot(_BELL_AMPS[PolarizationBell.PSI_MINUS], amps)) ** 2
-            )
-    angle_counts = {str(k): 0 for k in range(8)}
-    for bqc_round in run.rounds:
-        angle_counts[str(bqc_round.theta_index)] += 1
+    inferred_phi = run.inferred_phi
+    true_phi = run.true_phi
+    fidelities = _fidelity_table()[run.case, run.readout]
+    phi_fidelities = fidelities[true_phi]
+    psi_fidelities = fidelities[~true_phi]
+    phi_count = int(np.count_nonzero(inferred_phi))
+    angle_counts = np.bincount(run.theta_index, minlength=ANGLE_COUNT)
     report = RunReport(
         run_id=run.transcript.run_id,
         config=cfg.echo(),
         pair_count=cfg.pairs,
-        phi_class_count=inferred_phi,
-        psi_class_count=cfg.pairs - inferred_phi,
+        phi_class_count=phi_count,
+        psi_class_count=cfg.pairs - phi_count,
         analytic_phi_probability=analytic_phi_probability(
             cfg.fidelities, cfg.dephase_p
         ),
-        class_mismatch_count=mismatches,
-        mean_phi_pair_fidelity_phi_plus=_mean_or_none(phi_fid_plus),
-        mean_phi_pair_fidelity_phi_minus=_mean_or_none(phi_fid_minus),
-        mean_psi_pair_fidelity_psi_plus=_mean_or_none(psi_fid_plus),
-        mean_psi_pair_fidelity_psi_minus=_mean_or_none(psi_fid_minus),
-        angle_counts=angle_counts,
+        class_mismatch_count=int(np.count_nonzero(inferred_phi != true_phi)),
+        mean_phi_pair_fidelity_phi_plus=_mean_or_none(phi_fidelities[:, 0]),
+        mean_phi_pair_fidelity_phi_minus=_mean_or_none(phi_fidelities[:, 1]),
+        mean_psi_pair_fidelity_psi_plus=_mean_or_none(psi_fidelities[:, 2]),
+        mean_psi_pair_fidelity_psi_minus=_mean_or_none(psi_fidelities[:, 3]),
+        angle_counts={str(k): int(n) for k, n in enumerate(angle_counts)},
         audit_passed=run.audit_report.passed,
         audit_violations=[
             {"kind": v.kind, "seq": v.seq, "description": v.description}
@@ -359,7 +366,7 @@ def write_transcript(transcript: Transcript, destination: str) -> None:
 
 def _sweep_single(args: tuple[RunConfig, int]) -> dict:
     cfg, seed = args
-    report, _ = execute_run(dataclasses.replace(cfg, seed=seed))
+    report, _ = execute_run(dataclasses.replace(cfg, seed=seed, sweep=None))
     return report.to_dict()
 
 
@@ -436,6 +443,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: JSON types each config-file key accepts; a bool is not a number here.
+CONFIG_KEY_TYPES = {
+    "pairs": (int,),
+    "fidelities": (list, str),
+    "theta": (int, float),
+    "alpha": (int, float),
+    "dephase_p": (int, float),
+    "homodyne_error": (int, float),
+    "evil_bob_flip_p": (int, float),
+    "seed": (int,),
+    "format": (str,),
+    "out": (str, type(None)),
+    "transcript": (str, type(None)),
+    "allow_audit_fail": (bool,),
+}
+
+
+def _config_problem(file_cfg: dict) -> str | None:
+    """What is wrong with the keys or value types of a config file, if anything."""
+    for key, value in file_cfg.items():
+        types = CONFIG_KEY_TYPES.get(key)
+        if types is None:
+            return f"unknown key {key!r}"
+        if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            return f"key {key!r} must be {names}, got {type(value).__name__}"
+        if key == "fidelities" and isinstance(value, list) and not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            return f"key {key!r} must list numbers, got {value!r}"
+    return None
+
+
 def parse_config(argv=None) -> RunConfig:
     """Resolve the run configuration: flag > config-file key > default."""
     parser = _build_parser()
@@ -446,10 +486,13 @@ def parse_config(argv=None) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"--config: cannot read {args.config!r}: {exc}")
         if not isinstance(file_cfg, dict):
             parser.error("--config: file must hold a JSON object")
+        problem = _config_problem(file_cfg)
+        if problem is not None:
+            parser.error(f"--config: {problem}")
 
     def resolve(flag_value, key, default):
         if flag_value is not None:
@@ -467,7 +510,7 @@ def parse_config(argv=None) -> RunConfig:
             parser.error(f"--fidelities: not numeric: {raw_fidelities!r}")
     try:
         fidelities = FidelityVector.from_components(raw_fidelities)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.error(f"--fidelities: {exc}")
 
     seed = resolve(args.seed, "seed", DEFAULT_SEED)
@@ -475,7 +518,8 @@ def parse_config(argv=None) -> RunConfig:
         seed = secrets.randbits(64)
         print(f"entropy seed: {seed}", file=sys.stderr)
 
-    if args.sweep is not None and args.transcript is not None:
+    transcript_path = resolve(args.transcript, "transcript", None)
+    if args.sweep is not None and transcript_path is not None:
         parser.error("--transcript: not available in --sweep mode")
 
     try:
@@ -494,13 +538,13 @@ def parse_config(argv=None) -> RunConfig:
             seed=int(seed),
             output_format=str(resolve(args.format, "format", DEFAULT_FORMAT)),
             out_path=resolve(args.out, "out", None),
-            transcript_path=resolve(args.transcript, "transcript", None),
+            transcript_path=transcript_path,
             sweep=args.sweep if args.sweep is None else int(args.sweep),
             allow_audit_fail=bool(
                 args.allow_audit_fail or file_cfg.get("allow_audit_fail", False)
             ),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
 
 

@@ -12,31 +12,43 @@ Every classical exchange is appended to a transcript; the auditor
 re-reads it and fails the run if the servers talked to each other, if
 Alice fed anything back during distribution or distillation, if an
 angle went to Bob2, or if Bob2 reported a measured bit.
+
+``run_protocol`` draws each substream as one block and gathers every
+pair's fate from precomputed tables; the per-stage functions are the
+single-pair reference it reproduces draw for draw.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import StateVector, canonical_phase
 from .qnd import (
+    CASES,
+    OUTCOME_PAIRS,
+    OUTCOMES,
     BranchTable,
     DeviceParams,
     DistilledPair,
     QndOutcome,
     build_branch_table,
     measure_probes,
+    output_mode,
+    readout_tables,
     same_outcome_probability,
 )
 from .states import (
     FidelityVector,
     HyperComponent,
+    inverse_cdf,
     mixed_ensemble,
     sample_component,
     spatial_dephase,
@@ -115,17 +127,150 @@ class Message:
         )
 
 
+#: Column codes: a message's phase, sender and recipient are stored as
+#: indices into these tuples.
+PHASES = tuple(Phase)
+PARTIES = tuple(Party)
+_PHASE_CODE = {phase: i for i, phase in enumerate(PHASES)}
+_PARTY_CODE = {party: i for i, party in enumerate(PARTIES)}
+
+#: Wire text between seq and payload for each (phase, sender, recipient).
+_LINE_MIDDLES = np.array(
+    [
+        [
+            [
+                f"{phase.value}|{sender.value}|{recipient.value}"
+                f"|{PAYLOAD_KIND_FOR_PHASE[phase]}"
+                for recipient in PARTIES
+            ]
+            for sender in PARTIES
+        ]
+        for phase in PHASES
+    ],
+    dtype=object,
+)
+
+#: (phase, sender, recipient) codes of each middle a valid message can have.
+_MIDDLE_CODES = {
+    _LINE_MIDDLES[codes]: codes
+    for codes in np.ndindex(_LINE_MIDDLES.shape)
+    if codes[1] != codes[2]
+}
+
+#: Nonblank transcript lines parsed per block.
+_PARSE_BLOCK_LINES = 8192
+
+
+class _Block(NamedTuple):
+    """A run of messages held as columns; the phase fixes the payload kind."""
+
+    seq: Sequence[int]  # a range when the seqs are consecutive
+    phase: np.ndarray  # int8 indices into PHASES
+    sender: np.ndarray  # int8 indices into PARTIES
+    recipient: np.ndarray  # int8 indices into PARTIES
+    payload: list[str]
+
+
+def _seq_column(seqs: list[int]) -> Sequence[int]:
+    """The seqs, as a range when they are consecutive."""
+    if seqs[-1] - seqs[0] == len(seqs) - 1 and all(map(int.__lt__, seqs, seqs[1:])):
+        return range(seqs[0], seqs[-1] + 1)
+    return seqs
+
+
+def _block_of(messages: list[Message]) -> _Block:
+    return _Block(
+        _seq_column([msg.seq for msg in messages]),
+        np.array([_PHASE_CODE[msg.phase] for msg in messages], dtype=np.int8),
+        np.array([_PARTY_CODE[msg.sender] for msg in messages], dtype=np.int8),
+        np.array([_PARTY_CODE[msg.recipient] for msg in messages], dtype=np.int8),
+        [msg.payload for msg in messages],
+    )
+
+
+def _parse_block(lines: list[str], prev: int) -> _Block | None:
+    """Columns of nonblank wire lines that follow seq ``prev``.
+
+    Returns None when any line breaks a rule that ``Message.from_line``
+    or the seq order enforces. The text between seq and payload must be
+    one of the valid middles, which have the right field count, known
+    phase and parties, the phase's payload kind and no self-message.
+    """
+    heads, _, payloads = zip(*(line.rstrip("\n").rpartition("|") for line in lines))
+    seqs, _, middles = zip(*(head.partition("|") for head in heads))
+    try:
+        codes = np.array([_MIDDLE_CODES[middle] for middle in middles], dtype=np.int8)
+        seq = [int(value) for value in seqs]
+    except (KeyError, ValueError):
+        return None
+    if (
+        seq[0] <= prev
+        or not all(map(int.__lt__, seq, seq[1:]))
+        or any("\n" in payload for payload in payloads)
+    ):
+        return None
+    phase, sender, recipient = codes.T
+    return _Block(_seq_column(seq), phase, sender, recipient, list(payloads))
+
+
+def _parse_messages(lines: list[str], prev: int) -> list[Message]:
+    """Parse line by line; raises the error of the first bad line."""
+    messages = []
+    for line in lines:
+        msg = Message.from_line(line)
+        if msg.seq <= prev:
+            raise ValueError(f"seq {msg.seq} not strictly increasing")
+        prev = msg.seq
+        messages.append(msg)
+    return messages
+
+
+def _render(block: _Block) -> list[str]:
+    middles = _LINE_MIDDLES[block.phase, block.sender, block.recipient].tolist()
+    return [
+        f"{seq}|{middle}|{payload}"
+        for seq, middle, payload in zip(block.seq, middles, block.payload)
+    ]
+
+
+def _cycled_codes(parties: tuple[Party, ...], n: int) -> np.ndarray:
+    codes = np.array([_PARTY_CODE[p] for p in parties], dtype=np.int8)
+    return np.tile(codes, -(-n // len(codes)))[:n]
+
+
 class Transcript:
-    """Append-only, strictly sequenced log of classical messages."""
+    """Append-only, strictly sequenced log of classical messages.
+
+    Messages are stored as blocks of columns: phase, sender and recipient
+    codes plus the payload. ``messages``, ``to_lines`` and ``to_bytes``
+    build their output from the columns on each call.
+    """
 
     def __init__(self, run_id: str, seed: int):
         self.run_id = run_id
         self.seed = seed
-        self._messages: list[Message] = []
+        self._blocks: list[_Block] = []
+        self._pending: list[Message] = []
+        self._count = 0
+
+    def _sealed_blocks(self) -> list[_Block]:
+        """All blocks, once the messages appended one by one form one."""
+        if self._pending:
+            self._blocks.append(_block_of(self._pending))
+            self._pending = []
+        return self._blocks
 
     @property
     def messages(self) -> tuple[Message, ...]:
-        return tuple(self._messages)
+        return tuple(
+            Message(seq, PHASES[phase], PARTIES[sender], PARTIES[recipient],
+                    PAYLOAD_KIND_FOR_PHASE[PHASES[phase]], payload)
+            for block in self._sealed_blocks()
+            for seq, phase, sender, recipient, payload in zip(
+                block.seq, block.phase.tolist(), block.sender.tolist(),
+                block.recipient.tolist(), block.payload,
+            )
+        )
 
     def append(
         self,
@@ -136,36 +281,67 @@ class Transcript:
         payload: str,
     ) -> Message:
         msg = Message(
-            seq=len(self._messages) + 1,
+            seq=self._count + 1,
             phase=phase,
             sender=sender,
             recipient=recipient,
             payload_kind=payload_kind,
             payload=payload,
         )
-        self._messages.append(msg)
+        self._pending.append(msg)
+        self._count += 1
         return msg
 
+    def _extend(
+        self,
+        phase: Phase,
+        senders: tuple[Party, ...],
+        recipients: tuple[Party, ...],
+        payloads: list[str],
+    ) -> None:
+        """Append one message per payload, all in ``phase``.
+
+        Senders and recipients repeat the given cycles. The engine builds
+        every block from fixed parties and payload tables, so the checks
+        of ``Message`` are not repeated per message.
+        """
+        n = len(payloads)
+        self._sealed_blocks().append(
+            _Block(
+                range(self._count + 1, self._count + n + 1),
+                np.full(n, _PHASE_CODE[phase], dtype=np.int8),
+                _cycled_codes(senders, n),
+                _cycled_codes(recipients, n),
+                payloads,
+            )
+        )
+        self._count += n
+
     def to_lines(self) -> list[str]:
-        return [msg.to_line() for msg in self._messages]
+        return [line for block in self._sealed_blocks() for line in _render(block)]
 
     def to_bytes(self) -> bytes:
-        return ("\n".join(self.to_lines()) + "\n").encode("utf-8")
+        blocks = self._sealed_blocks()
+        if not blocks:
+            return b"\n"
+        return b"".join(
+            ("\n".join(_render(block)) + "\n").encode("utf-8") for block in blocks
+        )
 
     @classmethod
     def from_lines(
         cls, lines, run_id: str = "", seed: int = 0
     ) -> "Transcript":
         transcript = cls(run_id, seed)
+        nonblank = (line for line in lines if line.strip())
         prev = 0
-        for line in lines:
-            if not line.strip():
-                continue
-            msg = Message.from_line(line)
-            if msg.seq <= prev:
-                raise ValueError(f"seq {msg.seq} not strictly increasing")
-            prev = msg.seq
-            transcript._messages.append(msg)
+        while chunk := list(itertools.islice(nonblank, _PARSE_BLOCK_LINES)):
+            block = _parse_block(chunk, prev)
+            if block is None:
+                block = _block_of(_parse_messages(chunk, prev))
+            transcript._blocks.append(block)
+            transcript._count += len(block.payload)
+            prev = block.seq[-1]
         return transcript
 
 
@@ -357,6 +533,34 @@ def _rotated_basis_projection(
     return probs[0], residuals[0], residuals[1]
 
 
+#: The 16 announced angles: index ANGLE_COUNT*s + k is theta index k sent
+#: for a Phi-class (s = 0) or Psi-class (s = 1) pair.
+SIGNED_ANGLES = tuple(
+    sign * (k * ANGLE_STEP) + 0.0 for sign in (1.0, -1.0) for k in range(ANGLE_COUNT)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def bob1_row(case: int, readout: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bob1's bit-0 probability for one (case, readout), per signed angle.
+
+    Returns the 16 probabilities, in SIGNED_ANGLES order, and a (16, 2)
+    mask of the bits that have no residual state because their Born
+    weight is zero. The readout must be one that can occur.
+    """
+    state = readout_tables()[1][case][readout]
+    if state is None:
+        raise ValueError(f"readout {readout} cannot occur in case {case}")
+    bit0 = np.empty(len(SIGNED_ANGLES))
+    zero_weight = np.empty((len(SIGNED_ANGLES), 2), dtype=bool)
+    for a, angle in enumerate(SIGNED_ANGLES):
+        bit0[a], residual0, residual1 = _rotated_basis_projection(state, angle)
+        zero_weight[a] = (residual0 is None, residual1 is None)
+    bit0.setflags(write=False)
+    zero_weight.setflags(write=False)
+    return bit0, zero_weight
+
+
 def bob1_measure(
     pair: DistilledPair,
     sent_angle: float,
@@ -435,43 +639,44 @@ def audit(transcript: Transcript) -> AuditReport:
     Flags: (a) any server-to-server message; (b) any Alice-to-server
     message during distribution or distillation; (c) any angle
     announcement addressed to Bob2; (d) any result report sent by Bob2.
+    Violations are listed by message, then by rule.
     """
-    bobs = (Party.BOB1, Party.BOB2)
+    alice, bob1, bob2 = (_PARTY_CODE[p] for p in (Party.ALICE, Party.BOB1, Party.BOB2))
     violations = []
-    for msg in transcript.messages:
-        if msg.sender in bobs and msg.recipient in bobs:
-            violations.append(
-                Violation(
-                    VIOLATION_BOB_TO_BOB,
-                    msg.seq,
-                    f"{msg.sender.value} messaged {msg.recipient.value}",
-                )
-            )
-        if (
-            msg.sender is Party.ALICE
-            and msg.recipient in bobs
-            and msg.phase in (Phase.DISTRIBUTION, Phase.DISTILLATION)
-        ):
-            violations.append(
-                Violation(
-                    VIOLATION_ALICE_FEEDBACK,
-                    msg.seq,
-                    f"Alice fed back to {msg.recipient.value} during "
-                    f"{msg.phase.value}",
-                )
-            )
-        if msg.phase is Phase.ANGLE_ANNOUNCEMENT and msg.recipient is Party.BOB2:
-            violations.append(
-                Violation(
-                    VIOLATION_ANGLE_TO_BOB2, msg.seq, "angle announced to Bob2"
-                )
-            )
-        if msg.phase is Phase.RESULT_REPORT and msg.sender is Party.BOB2:
-            violations.append(
-                Violation(
-                    VIOLATION_RESULT_FROM_BOB2, msg.seq, "Bob2 reported a result bit"
-                )
-            )
+    for block in transcript._sealed_blocks():
+        phase, sender, recipient = block.phase, block.sender, block.recipient
+        to_bob = (recipient == bob1) | (recipient == bob2)
+        rules = (
+            ((sender == bob1) | (sender == bob2)) & to_bob,
+            (sender == alice) & to_bob & (
+                (phase == _PHASE_CODE[Phase.DISTRIBUTION])
+                | (phase == _PHASE_CODE[Phase.DISTILLATION])
+            ),
+            (phase == _PHASE_CODE[Phase.ANGLE_ANNOUNCEMENT]) & (recipient == bob2),
+            (phase == _PHASE_CODE[Phase.RESULT_REPORT]) & (sender == bob2),
+        )
+        for i in np.flatnonzero(rules[0] | rules[1] | rules[2] | rules[3]).tolist():
+            seq = block.seq[i]
+            from_party, to_party = PARTIES[sender[i]], PARTIES[recipient[i]]
+            if rules[0][i]:
+                violations.append(Violation(
+                    VIOLATION_BOB_TO_BOB, seq,
+                    f"{from_party.value} messaged {to_party.value}",
+                ))
+            if rules[1][i]:
+                violations.append(Violation(
+                    VIOLATION_ALICE_FEEDBACK, seq,
+                    f"Alice fed back to {to_party.value} during "
+                    f"{PHASES[phase[i]].value}",
+                ))
+            if rules[2][i]:
+                violations.append(Violation(
+                    VIOLATION_ANGLE_TO_BOB2, seq, "angle announced to Bob2"
+                ))
+            if rules[3][i]:
+                violations.append(Violation(
+                    VIOLATION_RESULT_FROM_BOB2, seq, "Bob2 reported a result bit"
+                ))
     return AuditReport(passed=not violations, violations=tuple(violations))
 
 
@@ -502,20 +707,134 @@ def derive_run_id(seed: int, payload: str) -> str:
     return f"run-{digest[:12]}"
 
 
-@dataclass
 class ProtocolRun:
-    """Everything produced by one end-to-end run."""
+    """Everything produced by one end-to-end run.
 
-    components: list[HyperComponent]
-    records: list[DistillationRecord]
-    rounds: list[BqcRound]
-    residuals: list[StateVector]
-    summary: HandoffSummary
-    transcript: Transcript
-    audit_report: AuditReport = field(init=False)
+    Each pair is one row of integer columns over the engine tables:
+    ``case`` indexes CASES (the Bell kind and spatial sign delivered),
+    ``readout`` the true joint readout in OUTCOME_PAIRS, ``recorded`` the
+    readout after homodyne misreads, ``reported`` the one Alice receives
+    after Bob1's misreport, ``theta_index`` the angle drawn and ``a_bit``
+    the bit Bob1 reports. The per-pair objects the stage functions return
+    (``components``, ``records``, ``rounds``, ``residuals``) and the
+    handoff ``summary`` are built from the columns on first access.
+    """
 
-    def __post_init__(self):
-        self.audit_report = audit(self.transcript)
+    def __init__(
+        self, fv: FidelityVector, case, readout, recorded, reported,
+        theta_index, a_bit, transcript: Transcript,
+    ):
+        self.fv = fv
+        self.case = case
+        self.readout = readout
+        self.recorded = recorded
+        self.reported = reported
+        self.theta_index = theta_index
+        self.a_bit = a_bit
+        self.transcript = transcript
+        self.audit_report = audit(transcript)
+
+    @property
+    def inferred_phi(self) -> np.ndarray:
+        """Whether Alice infers a Phi-class pair: the reported readouts agree."""
+        return (self.reported >> 1) == (self.reported & 1)
+
+    @property
+    def true_phi(self) -> np.ndarray:
+        """Whether the surviving state of each pair is Phi-class."""
+        _, states = readout_tables()
+        table = np.array([
+            [state is not None and state_bell_class(state) is BellClass.PHI
+             for state in row]
+            for row in states
+        ])
+        return table[self.case, self.readout]
+
+    @property
+    def signed_angle_index(self) -> np.ndarray:
+        """Index into SIGNED_ANGLES of the angle announced for each pair."""
+        return ANGLE_COUNT * ~self.inferred_phi + self.theta_index
+
+    @functools.cached_property
+    def components(self) -> list[HyperComponent]:
+        weights = self.fv.as_tuple()
+        made = [
+            HyperComponent(kind, weights[c // 2], sign)
+            for c, (kind, sign) in enumerate(CASES)
+        ]
+        return [made[c] for c in self.case.tolist()]
+
+    @functools.cached_property
+    def records(self) -> list[DistillationRecord]:
+        probs, states = readout_tables()
+        records = []
+        for component, c, r, recorded, reported in zip(
+            self.components, self.case.tolist(), self.readout.tolist(),
+            self.recorded.tolist(), self.reported.tolist(),
+        ):
+            recorded_a, recorded_b = OUTCOME_PAIRS[recorded]
+            reported_a, reported_b = OUTCOME_PAIRS[reported]
+            pair = DistilledPair(
+                outcome_a=recorded_a,
+                outcome_b=recorded_b,
+                output_mode_a=output_mode(recorded_a, "a"),
+                output_mode_b=output_mode(recorded_b, "b"),
+                pol_state=states[c][r],
+                probability=float(probs[c, r]),
+            )
+            records.append(DistillationRecord(
+                component=component,
+                pair=pair,
+                reported_a=reported_a,
+                reported_b=reported_b,
+                inferred_class=infer_bell_class(reported_a, reported_b),
+                true_class=state_bell_class(pair.pol_state),
+            ))
+        return records
+
+    @functools.cached_property
+    def rounds(self) -> list[BqcRound]:
+        return [
+            BqcRound(
+                index=j,
+                theta_index=k,
+                theta=k * ANGLE_STEP,
+                bell_class=BellClass.PHI if phi else BellClass.PSI,
+                sent_angle=SIGNED_ANGLES[angle],
+                a_bit=a_bit,
+            )
+            for j, (k, phi, angle, a_bit) in enumerate(zip(
+                self.theta_index.tolist(), self.inferred_phi.tolist(),
+                self.signed_angle_index.tolist(), self.a_bit.tolist(),
+            ), start=1)
+        ]
+
+    @functools.cached_property
+    def residuals(self) -> list[StateVector]:
+        _, states = readout_tables()
+        return [
+            _rotated_basis_projection(states[c][r], SIGNED_ANGLES[angle])[1 + a_bit]
+            for c, r, angle, a_bit in zip(
+                self.case.tolist(), self.readout.tolist(),
+                self.signed_angle_index.tolist(), self.a_bit.tolist(),
+            )
+        ]
+
+    @functools.cached_property
+    def summary(self) -> HandoffSummary:
+        phi = int(np.count_nonzero(self.inferred_phi))
+        return HandoffSummary(
+            pair_count=len(self.case),
+            phi_count=phi,
+            psi_count=len(self.case) - phi,
+            residuals=tuple(self.residuals),
+        )
+
+
+#: Payload text of each outcome code, of each signed angle and of each bit.
+_OUTCOME_PAYLOADS = np.array([outcome.value for outcome in OUTCOMES], dtype=object)
+_ANGLE_PAYLOADS = np.array([repr(angle) for angle in SIGNED_ANGLES], dtype=object)
+_BIT_PAYLOADS = np.array(["0", "1"], dtype=object)
 
 
 def run_protocol(
@@ -527,34 +846,95 @@ def run_protocol(
     seed: int = 0,
     run_id: str | None = None,
 ) -> ProtocolRun:
-    """Execute the full pipeline with four named substreams of ``seed``."""
+    """Execute the full pipeline with four named substreams of ``seed``.
+
+    Gives what the stage functions give when composed, one substream
+    each: ``run_distribution``, ``run_distillation``,
+    ``alice_announce_angles``, ``bob1_measure`` per pair and
+    ``handoff_single_server``. It makes the same draws in the same order,
+    so the pairs and the transcript bytes are the same. Each substream is
+    drawn once as a block, and each pair's fate is gathered from the
+    readout and Bob1 tables.
+    """
+    if m < 1:
+        raise ValueError(f"pair count {m} must be >= 1")
+    if dephase_p > 0.0 and not (math.isfinite(dephase_p) and dephase_p <= 1.0):
+        raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
+    if not (0.0 <= evil_bob_flip_p <= 1.0):
+        raise ValueError(f"evil_bob_flip_p {evil_bob_flip_p!r} outside [0, 1]")
     root = np.random.SeedSequence(seed)
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in root.spawn(4)
     )
+    probs, states = readout_tables()
+    misread_p = params.homodyne_error
+
+    # Distribution, per pair: the component draw, then the dephasing draw.
+    draws = rng_dist.random((1 + (dephase_p > 0.0)) * m).reshape(m, -1)
+    case = 2 * inverse_cdf(fv.as_tuple(), draws[:, 0])
+    if dephase_p > 0.0:
+        case += draws[:, 1] < dephase_p
+
+    # Distillation, per pair: the joint readout, each server's misread,
+    # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
+    width = 1 + 2 * (misread_p > 0.0) + (evil_bob_flip_p > 0.0)
+    draws = rng_qnd.random(width * m).reshape(m, width)
+    readout = inverse_cdf(probs[case], draws[:, 0])
+    survives = np.array([[state is not None for state in row] for row in states])
+    dead = ~survives[case, readout]
+    if dead.any():
+        pair = OUTCOME_PAIRS[readout[dead][0]]
+        raise RuntimeError(f"sampled readout {pair} has no surviving branch")
+    recorded = readout
+    if misread_p > 0.0:
+        recorded = readout ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
+    reported = recorded
+    if evil_bob_flip_p > 0.0:
+        reported = recorded ^ (2 * (draws[:, -1] < evil_bob_flip_p))
+
+    # Angles: the sign of each announced angle follows the inferred class.
+    theta_index = rng_angle.integers(ANGLE_COUNT, size=m)
+    psi = (reported >> 1) != (reported & 1)
+    angle = ANGLE_COUNT * psi + theta_index
+
+    # Bob1: bit 0 when the draw falls below its Born weight. Only the
+    # (case, readout) rows that occur are looked up.
+    row = len(OUTCOME_PAIRS) * case + readout
+    bit0 = np.full((len(CASES) * len(OUTCOME_PAIRS), len(SIGNED_ANGLES)), np.nan)
+    zero_weight = np.zeros(bit0.shape + (2,), dtype=bool)
+    for key in np.flatnonzero(np.bincount(row, minlength=len(bit0))).tolist():
+        bit0[key], zero_weight[key] = bob1_row(*divmod(key, len(OUTCOME_PAIRS)))
+    a_bit = (rng_meas.random(m) >= bit0[row, angle]).astype(np.int8)
+    impossible = zero_weight[row, angle, a_bit]
+    if impossible.any():
+        raise RuntimeError(
+            f"bit {a_bit[impossible][0]} sampled despite zero Born weight"
+        )
+
     transcript = Transcript(
         run_id if run_id is not None else derive_run_id(seed, f"m={m}"), seed
     )
-    components = run_distribution(m, fv, dephase_p, rng_dist, transcript)
-    records = run_distillation(
-        components, params, rng_qnd, transcript, evil_bob_flip_p
+    markers = [""] * (2 * m)
+    markers[0::2] = markers[1::2] = list(map(str, range(1, m + 1)))
+    transcript._extend(
+        Phase.DISTRIBUTION, (Party.SOURCE,), (Party.BOB1, Party.BOB2), markers
     )
-    rounds = alice_announce_angles(
-        [record.inferred_class for record in records], rng_angle, transcript
+    transcript._extend(
+        Phase.DISTILLATION, (Party.BOB1, Party.BOB2), (Party.ALICE,),
+        _OUTCOME_PAYLOADS[np.stack([reported >> 1, reported & 1], axis=1)]
+        .ravel().tolist(),
     )
-    residuals = []
-    for bqc_round, record in zip(rounds, records):
-        a_bit, residual = bob1_measure(
-            record.pair, bqc_round.sent_angle, rng_meas, transcript
-        )
-        bqc_round.a_bit = a_bit
-        residuals.append(residual)
-    summary = handoff_single_server(rounds, residuals, transcript)
+    transcript._extend(
+        Phase.ANGLE_ANNOUNCEMENT, (Party.ALICE,), (Party.BOB1,),
+        _ANGLE_PAYLOADS[angle].tolist(),
+    )
+    transcript._extend(
+        Phase.RESULT_REPORT, (Party.BOB1,), (Party.ALICE,),
+        _BIT_PAYLOADS[a_bit].tolist(),
+    )
+    transcript.append(
+        Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "begin_single_server"
+    )
     return ProtocolRun(
-        components=components,
-        records=records,
-        rounds=rounds,
-        residuals=residuals,
-        summary=summary,
-        transcript=transcript,
+        fv, case, readout, recorded, reported, theta_index, a_bit, transcript
     )

@@ -28,10 +28,12 @@ import numpy as np
 
 from .linalg import EPS_NORM, DensityMatrix, StateVector, canonical_phase, partial_trace
 from .states import (
+    ENSEMBLE_ORDER,
     POLARIZATION_PAIR_LABELS,
     HyperComponent,
     PolarizationBell,
     bell_vector,
+    inverse_cdf,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -250,14 +252,7 @@ def measure_probes(
     the misclassification flip.
     """
     probs = _distribution_tuple(table)
-    u = float(rng.random())
-    acc = 0.0
-    chosen = len(OUTCOME_PAIRS) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            chosen = i
-            break
+    chosen = inverse_cdf(probs, float(rng.random()))
     true_pair = OUTCOME_PAIRS[chosen]
     state = conditional_pol_state(table, true_pair)
     if state is None:
@@ -276,6 +271,39 @@ def measure_probes(
         pol_state=state,
         probability=probs[chosen],
     )
+
+
+# --- readout tables ----------------------------------------------------------
+#
+# A pair reaches the devices in one of 8 cases: a Bell kind and a spatial
+# sign. Case 2*i + s is ENSEMBLE_ORDER[i] with spatial sign +1 (s = 0) or
+# -1 (s = 1); readout r is OUTCOME_PAIRS[r], so r = 2*a + b with the
+# outcome codes SHIFT = 0 and NO_SHIFT = 1 of each server.
+
+OUTCOMES = (QndOutcome.SHIFT, QndOutcome.NO_SHIFT)
+CASES = tuple((kind, sign) for kind in ENSEMBLE_ORDER for sign in (1, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def readout_tables() -> tuple[np.ndarray, tuple[tuple[StateVector | None, ...], ...]]:
+    """Readout distribution and surviving state of every case.
+
+    Returns the (8, 4) array of Born probabilities of each joint readout,
+    and the conditional polarization state of each (case, readout), None
+    where the readout cannot occur. Both come from the branch engine, so
+    the states are the shared instances ``measure_probes`` returns.
+    """
+    probs = np.array([_distribution_tuple(_branch_table(*case)) for case in CASES])
+    states = tuple(
+        tuple(conditional_pol_state(_branch_table(*case), pair) for pair in OUTCOME_PAIRS)
+        for case in CASES
+    )
+    if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
+        raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
+    if any(state is not None and state.dim != 4 for row in states for state in row):
+        raise RuntimeError("surviving state is not a two-qubit state")
+    probs.setflags(write=False)
+    return probs, states
 
 
 # --- full-Hilbert-space oracle ---------------------------------------------

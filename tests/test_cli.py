@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdistill import (
     FidelityVector,
@@ -14,6 +16,7 @@ from hyperdistill import (
     parse_config,
 )
 from hyperdistill.cli import (
+    CONFIG_KEY_TYPES,
     CSV_COLUMNS,
     main,
     run_sweep,
@@ -100,9 +103,14 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert overridden.seed == 5
 
 
-def test_sweep_with_transcript_rejected():
+def test_sweep_with_transcript_rejected(tmp_path):
     with pytest.raises(SystemExit):
         parse_config(["--sweep", "3", "--transcript", "t.log"])
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"transcript": "t.log"}))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(cfg_path), "--sweep", "3"])
+    assert exc.value.code == 2
 
 
 # --- execution ----------------------------------------------------------------
@@ -307,3 +315,78 @@ def test_main_sweep(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["sweep_aggregate"]["seeds"] == 2
+
+
+# --- input hardening ----------------------------------------------------------------
+
+
+def test_sweep_seed_range_checked_before_running(capsys):
+    argv = ["--seed", str(2**64 - 1), "--sweep", "2", "--pairs", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
+def test_sweep_may_end_on_the_last_seed():
+    cfg = RunConfig(pairs=5, fidelities=MIXED, seed=2**64 - 2, sweep=2)
+    doc = run_sweep(cfg)
+    assert [r["config"]["seed"] for r in doc["runs"]] == [2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"fidelities": 0.5}, "'fidelities' must be list or str, got float"),
+        ({"fidelities": [0.5, None, 0.25, 0.25]}, "'fidelities' must list numbers"),
+        ({"fidelities": [True, 0, 0, 0]}, "'fidelities' must list numbers"),
+        ({"fidelities": [1e400, 0, 0, 0]}, "outside [0, 1]"),
+        ({"pair": 5, "sede": 3}, "unknown key 'pair'"),
+        ({"sweep": 3}, "unknown key 'sweep'"),
+        ({"pairs": None}, "'pairs' must be int, got NoneType"),
+        ({"pairs": 5.5}, "'pairs' must be int, got float"),
+        ({"pairs": True}, "'pairs' must be int, got bool"),
+        ({"seed": "7"}, "'seed' must be int, got str"),
+        ({"theta": [1]}, "'theta' must be int or float, got list"),
+        ({"theta": 10**400}, "int too large"),
+        ({"out": 5}, "'out' must be str or null, got int"),
+        ({"allow_audit_fail": "no"}, "'allow_audit_fail' must be bool, got str"),
+    ],
+)
+def test_bad_config_file_exits_2_naming_the_problem(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+config_keys = st.sampled_from(sorted(CONFIG_KEY_TYPES)) | st.text(max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(config_keys, json_values, max_size=4))
+def test_parse_config_fuzz_exits_0_or_2(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(content))
+    try:
+        cfg = parse_config(["--config", str(path)])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert isinstance(cfg, RunConfig)
