@@ -77,9 +77,23 @@ from .protocol import (
     run_protocol,
     state_bell_class,
 )
-from .cli import RunConfig, RunReport, execute_run, emit_report, main, parse_config
 
 __version__ = "0.1.0"
+
+#: Names served from ``cli``, which is imported on first use: the CLI
+#: brings in a process pool that importing the library does not need.
+_CLI_NAMES = frozenset(
+    {"RunConfig", "RunReport", "execute_run", "emit_report", "main", "parse_config"}
+)
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EPS_NORM",

@@ -150,15 +150,32 @@ _LINE_MIDDLES = np.array(
     dtype=object,
 )
 
-#: (phase, sender, recipient) codes of each middle a valid message can have.
-_MIDDLE_CODES = {
-    _LINE_MIDDLES[codes]: codes
-    for codes in np.ndindex(_LINE_MIDDLES.shape)
-    if codes[1] != codes[2]
-}
+#: Middle bytes of each (phase, sender, recipient), flattened in C order
+#: and zero padded to the widest; ``_MIDDLE_PAD`` marks the padding.
+_MIDDLE_BYTES = [middle.encode("ascii") for middle in _LINE_MIDDLES.ravel().tolist()]
+_MIDDLE_WIDTH = max(map(len, _MIDDLE_BYTES))
+_MIDDLE_LENGTHS = np.array([len(middle) for middle in _MIDDLE_BYTES])
+_MIDDLE_TEMPLATES = np.frombuffer(
+    b"".join(middle.ljust(_MIDDLE_WIDTH, b"\0") for middle in _MIDDLE_BYTES), np.uint8
+).reshape(len(_MIDDLE_BYTES), _MIDDLE_WIDTH)
+_MIDDLE_PAD = np.arange(_MIDDLE_WIDTH) >= _MIDDLE_LENGTHS[:, None]
+
+#: Offset of the byte that tells the phase names apart, and the party
+#: names; the code of a phase or party keyed by that byte.
+_PHASE_KEY_AT = 4
+_PARTY_KEY_AT = 3
+_PHASE_OF_BYTE = np.zeros(256, dtype=np.int8)
+_PHASE_OF_BYTE[[ord(phase.value[_PHASE_KEY_AT]) for phase in PHASES]] = range(len(PHASES))
+_PARTY_OF_BYTE = np.zeros(256, dtype=np.int8)
+_PARTY_OF_BYTE[[ord(party.value[_PARTY_KEY_AT]) for party in PARTIES]] = range(len(PARTIES))
+assert len(set(_PHASE_OF_BYTE.tolist())) == len(PHASES)
+assert len(set(_PARTY_OF_BYTE.tolist())) == len(PARTIES)
+
+#: Longest seq the block parser decodes; longer ones are left to ``int``.
+_SEQ_DIGITS = 15
 
 #: Nonblank transcript lines parsed per block.
-_PARSE_BLOCK_LINES = 8192
+_PARSE_BLOCK_LINES = 4096
 
 
 class _Block(NamedTuple):
@@ -191,26 +208,73 @@ def _block_of(messages: list[Message]) -> _Block:
 def _parse_block(lines: list[str], prev: int) -> _Block | None:
     """Columns of nonblank wire lines that follow seq ``prev``.
 
-    Returns None when any line breaks a rule that ``Message.from_line``
-    or the seq order enforces. The text between seq and payload must be
-    one of the valid middles, which have the right field count, known
-    phase and parties, the phase's payload kind and no self-message.
+    Works on the bytes of the whole block. Returns None when a line is
+    not plain ASCII, holds a newline anywhere but at its end, does not
+    have exactly five ``|``, has a seq that is not 1 to 15 digits above
+    ``prev`` and above the seq before it, or has a middle (the text
+    between seq and payload) other than a valid one. The valid middles
+    have a known phase and parties, the phase's payload kind and no
+    self-message, so a block that passes gives what ``Message.from_line``
+    gives line by line.
     """
-    heads, _, payloads = zip(*(line.rstrip("\n").rpartition("|") for line in lines))
-    seqs, _, middles = zip(*(head.partition("|") for head in heads))
-    try:
-        codes = np.array([_MIDDLE_CODES[middle] for middle in middles], dtype=np.int8)
-        seq = [int(value) for value in seqs]
-    except (KeyError, ValueError):
+    text = "".join(lines)
+    if not text.isascii():
         return None
-    if (
-        seq[0] <= prev
-        or not all(map(int.__lt__, seq, seq[1:]))
-        or any("\n" in payload for payload in payloads)
+    # Zero padding keeps every fixed-width read below inside the buffer.
+    buf = np.frombuffer(text.encode("ascii") + bytes(_MIDDLE_WIDTH), np.uint8)
+    n = len(lines)
+    lengths = np.fromiter(map(len, lines), np.int64, n)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    newline = buf[ends - 1] == ord("\n")
+    if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
+        return None
+    stops = ends - newline
+    pipes = np.flatnonzero(buf == ord("|"))
+    if len(pipes) != 5 * n:
+        return None
+    pipes = pipes.reshape(n, 5)
+
+    # Seq: 1 to 15 digits before the first pipe, read right-aligned at the
+    # width of the longest. These checks also keep each line's five pipes
+    # inside it: after a line with more, the next line's first pipe falls
+    # before that line starts; after a line with fewer, a pipe taken from
+    # a later line falls inside the next seq.
+    first_pipe = pipes[:, 0]
+    seq_length = first_pipe - starts
+    width = int(seq_length.max())
+    if seq_length.min() < 1 or width > _SEQ_DIGITS:
+        return None
+    digit_at = first_pipe[:, None] + np.arange(-width, 0)
+    in_seq = digit_at >= starts[:, None]
+    digits = np.where(in_seq, buf.take(digit_at, mode="clip") - ord("0"), 0)
+    if digits.max() > 9:
+        return None
+    seq = digits @ 10 ** np.arange(width - 1, -1, -1)
+    if int(seq[0]) <= prev or np.any(seq[1:] <= seq[:-1]):
+        return None
+
+    # Middle: the candidate codes keyed by one byte of each field, then an
+    # exact comparison with that candidate's wire text.
+    phase = _PHASE_OF_BYTE[buf[first_pipe + 1 + _PHASE_KEY_AT]]
+    sender = _PARTY_OF_BYTE[buf[pipes[:, 1] + 1 + _PARTY_KEY_AT]]
+    recipient = _PARTY_OF_BYTE[buf[pipes[:, 2] + 1 + _PARTY_KEY_AT]]
+    if np.any(sender == recipient):
+        return None
+    code = (phase * len(PARTIES) + sender) * len(PARTIES) + recipient
+    windows = np.lib.stride_tricks.sliding_window_view(buf, _MIDDLE_WIDTH)
+    if np.any(pipes[:, 4] - first_pipe - 1 != _MIDDLE_LENGTHS[code]) or not np.all(
+        (windows[first_pipe + 1] == _MIDDLE_TEMPLATES[code]) | _MIDDLE_PAD[code]
     ):
         return None
-    phase, sender, recipient = codes.T
-    return _Block(_seq_column(seq), phase, sender, recipient, list(payloads))
+
+    payloads = [
+        text[start:stop]
+        for start, stop in zip((pipes[:, 4] + 1).tolist(), stops.tolist())
+    ]
+    first, last = int(seq[0]), int(seq[-1])
+    seqs = range(first, last + 1) if last - first == n - 1 else seq.tolist()
+    return _Block(seqs, phase, sender, recipient, payloads)
 
 
 def _parse_messages(lines: list[str], prev: int) -> list[Message]:
@@ -251,7 +315,7 @@ class Transcript:
         self.seed = seed
         self._blocks: list[_Block] = []
         self._pending: list[Message] = []
-        self._count = 0
+        self._last_seq = 0
 
     def _sealed_blocks(self) -> list[_Block]:
         """All blocks, once the messages appended one by one form one."""
@@ -281,7 +345,7 @@ class Transcript:
         payload: str,
     ) -> Message:
         msg = Message(
-            seq=self._count + 1,
+            seq=self._last_seq + 1,
             phase=phase,
             sender=sender,
             recipient=recipient,
@@ -289,7 +353,7 @@ class Transcript:
             payload=payload,
         )
         self._pending.append(msg)
-        self._count += 1
+        self._last_seq = msg.seq
         return msg
 
     def _extend(
@@ -308,14 +372,14 @@ class Transcript:
         n = len(payloads)
         self._sealed_blocks().append(
             _Block(
-                range(self._count + 1, self._count + n + 1),
+                range(self._last_seq + 1, self._last_seq + n + 1),
                 np.full(n, _PHASE_CODE[phase], dtype=np.int8),
                 _cycled_codes(senders, n),
                 _cycled_codes(recipients, n),
                 payloads,
             )
         )
-        self._count += n
+        self._last_seq += n
 
     def to_lines(self) -> list[str]:
         return [line for block in self._sealed_blocks() for line in _render(block)]
@@ -333,15 +397,15 @@ class Transcript:
         cls, lines, run_id: str = "", seed: int = 0
     ) -> "Transcript":
         transcript = cls(run_id, seed)
-        nonblank = (line for line in lines if line.strip())
+        nonblank = filter(str.strip, lines)
         prev = 0
         while chunk := list(itertools.islice(nonblank, _PARSE_BLOCK_LINES)):
             block = _parse_block(chunk, prev)
             if block is None:
                 block = _block_of(_parse_messages(chunk, prev))
             transcript._blocks.append(block)
-            transcript._count += len(block.payload)
             prev = block.seq[-1]
+        transcript._last_seq = prev
         return transcript
 
 

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -390,3 +394,25 @@ def test_parse_config_fuzz_exits_0_or_2(tmp_path_factory, content):
         assert exc.code == 2
     else:
         assert isinstance(cfg, RunConfig)
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    code = (
+        "import sys, hyperdistill\n"
+        "assert 'hyperdistill.cli' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "from hyperdistill import RunConfig, RunReport, emit_report, execute_run, main, parse_config\n"
+        "from hyperdistill import cli\n"
+        "assert (RunConfig, RunReport, emit_report, execute_run, main, parse_config) == (\n"
+        "    cli.RunConfig, cli.RunReport, cli.emit_report, cli.execute_run, cli.main,\n"
+        "    cli.parse_config)\n"
+        "assert all(hasattr(hyperdistill, name) for name in hyperdistill.__all__)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

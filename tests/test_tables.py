@@ -9,6 +9,7 @@ the per-message rules of ``Message``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from hyperdistill import (
     sample_component,
     trace_distance,
 )
+from hyperdistill import protocol
 from hyperdistill.protocol import (
     PAYLOAD_KIND_FOR_PHASE,
     SIGNED_ANGLES,
@@ -344,6 +346,15 @@ BAD_TRANSCRIPTS = {
         "1|Distribution|Source|Bob1|quantum_marker|1",
         "3|Lunch|Source|Bob1|quantum_marker|1",
     ],
+    "no seq": ["|Distribution|Source|Bob1|quantum_marker|1"],
+    "near-miss phase": ["1|Distributiom|Source|Bob1|quantum_marker|1"],
+    "near-miss party": ["1|Distribution|Source|Bob3|quantum_marker|1"],
+    "party name too long": ["1|Distribution|Sources|Bob1|quantum_marker|1"],
+    "kind with a suffix": ["1|Distribution|Source|Bob1|quantum_markers|1"],
+    "one pipe short then one over": [
+        "1|Distribution|Source|Bob1quantum_marker|1",
+        "2|Distribution|Source|Bob2|quantum_marker|1|",
+    ],
 }
 
 
@@ -357,11 +368,106 @@ def test_from_lines_raises_what_message_parsing_raises(name):
     assert str(got.value) == str(expected.value)
 
 
+ODD_TRANSCRIPTS = {
+    "leading zeros": ["007|Distribution|Source|Bob1|quantum_marker|1"],
+    "plus sign": ["+7|Distribution|Source|Bob1|quantum_marker|1"],
+    "underscore in seq": ["1_0|Distribution|Source|Bob1|quantum_marker|1"],
+    "space before seq": [" 3|Distribution|Source|Bob1|quantum_marker|1"],
+    "twenty-digit seqs": [
+        "20000000000000000001|Distribution|Source|Bob1|quantum_marker|1\n",
+        "20000000000000000002|Distribution|Source|Bob1|quantum_marker|1\n",
+    ],
+    "crlf endings": [GOOD + "\r\n", "2|Handoff|Alice|Bob2|control|x\r\n"],
+    "double newline ending": [GOOD + "\n\n", "2|Handoff|Alice|Bob2|control|x\n"],
+    "newline split across items": [GOOD + "\n", "2|Handoff|Alice|Bob2|control|x", "\n"],
+    "no final newline": [GOOD + "\n", "2|Handoff|Alice|Bob2|control|x"],
+    "non-ascii payload": [GOOD, "2|Handoff|Alice|Bob2|control|\u00e9t\u00e9"],
+    "empty payload": [GOOD, "2|Handoff|Alice|Bob2|control|"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_TRANSCRIPTS))
+def test_from_lines_parses_odd_lines_as_message_parsing_does(name):
+    lines = ODD_TRANSCRIPTS[name]
+    assert Transcript.from_lines(lines).messages == reference_from_lines(lines)
+
+
+FUZZ_CHARS = "|\n\r0123456789+ _\u00e9"
+NOISY = dict(params=DeviceParams(homodyne_error=0.1), dephase_p=0.05, evil_bob_flip_p=0.1)
+
+
+@st.composite
+def mutated_transcripts(draw):
+    """Wire lines of a short noisy run after a few random edits."""
+    lines = run_protocol(3, MIXED, seed=draw(st.integers(0, 2**16)), **NOISY).transcript.to_lines()
+    if draw(st.booleans()):
+        seq = 0
+        for i, line in enumerate(lines):
+            seq += draw(st.integers(1, 3))
+            zeros = "0" * draw(st.integers(0, 2))
+            lines[i] = zeros + str(seq) + line[line.index("|"):]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(FUZZ_CHARS))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "blank line"]))
+        if edit == "insert":
+            lines[i] = line[:at] + char + line[at:]
+        elif edit == "delete":
+            lines[i] = line[:at] + line[at + 1:]
+        elif edit == "replace":
+            lines[i] = line[:at] + char + line[at + 1:]
+        else:
+            lines.insert(i, draw(st.sampled_from(["", "\n", " \n", "\r\n"])))
+    endings = draw(st.sampled_from(["file", "list", "mixed"]))
+    if endings == "file":
+        lines = [line + "\n" for line in lines]
+    elif endings == "mixed":
+        lines = [line + draw(st.sampled_from(["", "\n", "\n\n"])) for line in lines]
+    return lines
+
+
+def parse_outcome(parse, lines):
+    """The messages ``parse`` gives, or the text of its ValueError."""
+    try:
+        return tuple(parse(lines))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_transcripts(), st.sampled_from([1, 2, 5, protocol._PARSE_BLOCK_LINES]))
+def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines):
+    with mock.patch.object(protocol, "_PARSE_BLOCK_LINES", block_lines):
+        got = parse_outcome(lambda lines: Transcript.from_lines(lines).messages, lines)
+    assert got == parse_outcome(reference_from_lines, lines)
+
+
+@pytest.mark.parametrize("form", ["file", "file without final newline", "list"])
+def test_block_parser_takes_every_block_of_a_run(form):
+    size = protocol._PARSE_BLOCK_LINES
+    transcript = run_protocol(size // 3 + 1, MIXED, seed=6, **NOISY).transcript
+    if form == "list":
+        lines = transcript.to_lines()
+    else:
+        text = transcript.to_bytes().decode()
+        lines = (text if form == "file" else text.rstrip("\n")).splitlines(True)
+    assert len(lines) > 2 * size
+    for start in range(0, len(lines), size):
+        chunk = lines[start:start + size]
+        block = protocol._parse_block(chunk, start)
+        assert block is not None, start
+        assert block.seq == range(start + 1, start + len(chunk) + 1)
+    assert Transcript.from_lines(lines).to_bytes() == transcript.to_bytes()
+
+
 def test_from_lines_checks_order_across_parse_blocks():
-    lines = run_protocol(1500, MIXED, seed=4).transcript.to_bytes().decode().splitlines(True)
-    assert len(lines) > 8192
-    lines.append(lines[-1])
-    with pytest.raises(ValueError, match="9001 not strictly increasing"):
+    size = protocol._PARSE_BLOCK_LINES
+    lines = run_protocol(size // 6 + 1, MIXED, seed=4).transcript.to_bytes().decode().splitlines(True)
+    assert len(lines) > size
+    lines.insert(size, lines[size - 1])
+    with pytest.raises(ValueError, match=f"seq {size} not strictly increasing"):
         Transcript.from_lines(lines)
 
 
@@ -378,7 +484,20 @@ def test_from_lines_keeps_gaps_blank_lines_and_wire_text():
     assert [msg.seq for msg in transcript.messages] == [3, 7, 8]
     assert transcript.to_lines() == [msg.to_line() for msg in reference_from_lines(lines)]
     transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "x")
-    assert transcript.messages[-1].seq == 4
+    assert transcript.messages[-1].seq == 9
+
+
+def test_append_after_from_lines_round_trips():
+    lines = [
+        "3|Distribution|Source|Bob1|quantum_marker|1",
+        "8|Distillation|Bob1|Alice|qnd_outcome|Shift",
+    ]
+    transcript = Transcript.from_lines(lines)
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "x")
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "y")
+    reparsed = Transcript.from_lines(transcript.to_lines())
+    assert reparsed.messages == transcript.messages
+    assert [msg.seq for msg in reparsed.messages] == [3, 8, 9, 10]
 
 
 def test_empty_transcript_renders_one_newline():
