@@ -19,7 +19,7 @@ import secrets
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .protocol import (
     Transcript,
     analytic_phi_probability,
     derive_run_id,
+    inferred_phi_probability,
     run_protocol,
 )
 from .qnd import OUTCOME_PAIRS, DeviceParams, readout_tables
@@ -36,8 +37,6 @@ from .states import ENSEMBLE_ORDER, FidelityVector, PolarizationBell, bell_vecto
 
 DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)
-DEFAULT_THETA = math.pi / 4
-DEFAULT_ALPHA = 1000.0
 DEFAULT_SEED = 0
 DEFAULT_FORMAT = "json"
 
@@ -49,8 +48,6 @@ CSV_COLUMNS = (
     "f1",
     "f2",
     "f3",
-    "theta",
-    "alpha",
     "dephase_p",
     "homodyne_error",
     "evil_bob_flip_p",
@@ -82,8 +79,6 @@ CSV_COLUMNS = (
 class RunConfig:
     pairs: int = DEFAULT_PAIRS
     fidelities: FidelityVector = FidelityVector(*DEFAULT_FIDELITIES)
-    theta: float = DEFAULT_THETA
-    alpha: float = DEFAULT_ALPHA
     dephase_p: float = 0.0
     homodyne_error: float = 0.0
     evil_bob_flip_p: float = 0.0
@@ -114,22 +109,19 @@ class RunConfig:
                 f"sweep of {self.sweep} seeds from {self.seed} runs past the "
                 "unsigned 64-bit seed range"
             )
-        # theta/alpha/homodyne_error ranges are enforced by DeviceParams.
-        DeviceParams(self.theta, self.alpha, self.homodyne_error)
+        self.device_params()  # DeviceParams checks the homodyne_error range
 
     @property
     def emit_transcript(self) -> bool:
         return self.transcript_path is not None
 
     def device_params(self) -> DeviceParams:
-        return DeviceParams(self.theta, self.alpha, self.homodyne_error)
+        return DeviceParams(self.homodyne_error)
 
     def echo(self) -> dict:
         return {
             "pairs": self.pairs,
             "fidelities": list(self.fidelities.as_tuple()),
-            "theta": self.theta,
-            "alpha": self.alpha,
             "dephase_p": self.dephase_p,
             "homodyne_error": self.homodyne_error,
             "evil_bob_flip_p": self.evil_bob_flip_p,
@@ -152,8 +144,9 @@ class RunReport:
     surviving state; the class counts are Alice's view, inferred from
     the readouts as reported. The two diverge under readout
     misclassification or misreporting, counted in
-    ``class_mismatch_count``. ``duration_seconds`` never enters the
-    serialized artifact.
+    ``class_mismatch_count``. The field order is the key order of the
+    JSON report; ``duration_seconds`` never enters the serialized
+    artifact.
     """
 
     run_id: str
@@ -161,6 +154,8 @@ class RunReport:
     pair_count: int
     phi_class_count: int
     psi_class_count: int
+    phi_class_frequency: float = field(init=False)
+    psi_class_frequency: float = field(init=False)
     analytic_phi_probability: float
     class_mismatch_count: int
     mean_phi_pair_fidelity_phi_plus: float | None
@@ -169,37 +164,19 @@ class RunReport:
     mean_psi_pair_fidelity_psi_minus: float | None
     angle_counts: dict[str, int]
     audit_passed: bool
+    audit_violation_count: int = field(init=False)
     audit_violations: list[dict]
     duration_seconds: float = 0.0
 
-    @property
-    def phi_class_frequency(self) -> float:
-        return self.phi_class_count / self.pair_count
-
-    @property
-    def psi_class_frequency(self) -> float:
-        return self.psi_class_count / self.pair_count
+    def __post_init__(self):
+        self.phi_class_frequency = self.phi_class_count / self.pair_count
+        self.psi_class_frequency = self.psi_class_count / self.pair_count
+        self.audit_violation_count = len(self.audit_violations)
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config": dict(self.config),
-            "pair_count": self.pair_count,
-            "phi_class_count": self.phi_class_count,
-            "psi_class_count": self.psi_class_count,
-            "phi_class_frequency": self.phi_class_frequency,
-            "psi_class_frequency": self.psi_class_frequency,
-            "analytic_phi_probability": self.analytic_phi_probability,
-            "class_mismatch_count": self.class_mismatch_count,
-            "mean_phi_pair_fidelity_phi_plus": self.mean_phi_pair_fidelity_phi_plus,
-            "mean_phi_pair_fidelity_phi_minus": self.mean_phi_pair_fidelity_phi_minus,
-            "mean_psi_pair_fidelity_psi_plus": self.mean_psi_pair_fidelity_psi_plus,
-            "mean_psi_pair_fidelity_psi_minus": self.mean_psi_pair_fidelity_psi_minus,
-            "angle_counts": dict(self.angle_counts),
-            "audit_passed": self.audit_passed,
-            "audit_violation_count": len(self.audit_violations),
-            "audit_violations": [dict(v) for v in self.audit_violations],
-        }
+        doc = dataclasses.asdict(self)
+        del doc["duration_seconds"]
+        return doc
 
 
 _BELL_AMPS = {
@@ -289,33 +266,11 @@ def _csv_cell(value) -> str:
 
 
 def _csv_row(doc: dict) -> list[str]:
-    flat = {
-        "run_id": doc["run_id"],
-        "pairs": doc["config"]["pairs"],
-        "f": doc["config"]["fidelities"][0],
-        "f1": doc["config"]["fidelities"][1],
-        "f2": doc["config"]["fidelities"][2],
-        "f3": doc["config"]["fidelities"][3],
-        "theta": doc["config"]["theta"],
-        "alpha": doc["config"]["alpha"],
-        "dephase_p": doc["config"]["dephase_p"],
-        "homodyne_error": doc["config"]["homodyne_error"],
-        "evil_bob_flip_p": doc["config"]["evil_bob_flip_p"],
-        "seed": doc["config"]["seed"],
-        "phi_class_count": doc["phi_class_count"],
-        "psi_class_count": doc["psi_class_count"],
-        "phi_class_frequency": doc["phi_class_frequency"],
-        "psi_class_frequency": doc["psi_class_frequency"],
-        "analytic_phi_probability": doc["analytic_phi_probability"],
-        "class_mismatch_count": doc["class_mismatch_count"],
-        "mean_phi_pair_fidelity_phi_plus": doc["mean_phi_pair_fidelity_phi_plus"],
-        "mean_phi_pair_fidelity_phi_minus": doc["mean_phi_pair_fidelity_phi_minus"],
-        "mean_psi_pair_fidelity_psi_plus": doc["mean_psi_pair_fidelity_psi_plus"],
-        "mean_psi_pair_fidelity_psi_minus": doc["mean_psi_pair_fidelity_psi_minus"],
-        **{f"angle_count_k{k}": doc["angle_counts"][str(k)] for k in range(8)},
-        "audit_passed": doc["audit_passed"],
-        "audit_violation_count": doc["audit_violation_count"],
-    }
+    """Flatten one report document and pick the CSV columns from it."""
+    config = doc["config"]
+    flat = {**doc, **config}
+    flat.update(zip(("f", "f1", "f2", "f3"), config["fidelities"]))
+    flat.update((f"angle_count_k{k}", n) for k, n in doc["angle_counts"].items())
     return [_csv_cell(flat[col]) for col in CSV_COLUMNS]
 
 
@@ -380,15 +335,18 @@ def run_sweep(cfg: RunConfig) -> dict:
     else:
         with ProcessPoolExecutor() as pool:
             runs = list(pool.map(_sweep_single, jobs))
-    analytic = runs[0]["analytic_phi_probability"]
+    expected = inferred_phi_probability(
+        cfg.fidelities, cfg.dephase_p, cfg.homodyne_error, cfg.evil_bob_flip_p
+    )
     freqs = [r["phi_class_frequency"] for r in runs]
-    sigma = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / cfg.pairs)
-    within = [abs(f - analytic) <= 4.0 * sigma for f in freqs]
+    sigma = math.sqrt(max(expected * (1.0 - expected), 0.0) / cfg.pairs)
+    within = [abs(f - expected) <= 4.0 * sigma for f in freqs]
     aggregate = {
         "seeds": n,
         "first_seed": cfg.seed,
         "pairs_per_run": cfg.pairs,
-        "analytic_phi_probability": analytic,
+        "analytic_phi_probability": runs[0]["analytic_phi_probability"],
+        "expected_phi_frequency": expected,
         "empirical_phi_frequency_mean": float(sum(freqs) / n),
         "empirical_phi_frequency_min": min(freqs),
         "empirical_phi_frequency_max": max(freqs),
@@ -416,10 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"number of pairs per run (default {DEFAULT_PAIRS})")
     parser.add_argument("--fidelities", default=None, metavar="F,F1,F2,F3",
                         help="four comma-separated mixture weights summing to 1")
-    parser.add_argument("--theta", type=float, default=None,
-                        help="probe phase shift per photon in radians (default pi/4)")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help=f"probe amplitude (default {DEFAULT_ALPHA})")
     parser.add_argument("--dephase-p", type=float, default=None,
                         help="spatial phase-flip probability per pair (default 0)")
     parser.add_argument("--homodyne-error", type=float, default=None,
@@ -447,8 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
 CONFIG_KEY_TYPES = {
     "pairs": (int,),
     "fidelities": (list, str),
-    "theta": (int, float),
-    "alpha": (int, float),
     "dephase_p": (int, float),
     "homodyne_error": (int, float),
     "evil_bob_flip_p": (int, float),
@@ -526,8 +478,6 @@ def parse_config(argv=None) -> RunConfig:
         return RunConfig(
             pairs=int(resolve(args.pairs, "pairs", DEFAULT_PAIRS)),
             fidelities=fidelities,
-            theta=float(resolve(args.theta, "theta", DEFAULT_THETA)),
-            alpha=float(resolve(args.alpha, "alpha", DEFAULT_ALPHA)),
             dephase_p=float(resolve(args.dephase_p, "dephase_p", 0.0)),
             homodyne_error=float(
                 resolve(args.homodyne_error, "homodyne_error", 0.0)

@@ -765,6 +765,22 @@ def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> floa
     return total
 
 
+def inferred_phi_probability(
+    fv: FidelityVector, dephase_p: float, homodyne_error: float, evil_bob_flip_p: float
+) -> float:
+    """Exact probability that Alice infers a Phi-class pair from the reports.
+
+    Her label is the parity of the two reported readouts. Each server's
+    homodyne misread and Bob1's misreport flip one readout, so the label
+    flips when an odd number of the three flips happen, with probability
+    q = (1 - (1-2e)^2 (1-2m)) / 2 independent of the pair.
+    """
+    p = analytic_phi_probability(fv, dephase_p)
+    kept = (1.0 - 2.0 * homodyne_error) ** 2 * (1.0 - 2.0 * evil_bob_flip_p)
+    q = (1.0 - kept) / 2.0
+    return p * (1.0 - q) + (1.0 - p) * q
+
+
 def derive_run_id(seed: int, payload: str) -> str:
     """Deterministic run identifier from the seed and a config digest."""
     digest = hashlib.sha256(f"{seed}:{payload}".encode("utf-8")).hexdigest()

@@ -69,22 +69,15 @@ def output_mode(outcome: QndOutcome, side: str) -> str:
 class DeviceParams:
     """Cross-Kerr device settings shared by both servers.
 
-    ``theta`` is the probe phase shift contributed by one photon and
-    ``alpha`` the probe amplitude; both are recorded for provenance but
-    the engine only uses the three discrete phase classes. A nonzero
+    The engine works with the three discrete phase classes a probe can
+    take, so the probe phase shift and amplitude do not enter. A nonzero
     ``homodyne_error`` flips each server's recorded outcome with that
-    probability, modeling imperfect shift discrimination.
+    probability, modeling an X-homodyne readout that misreads the shift.
     """
 
-    theta: float = math.pi / 4
-    alpha: float = 1000.0
     homodyne_error: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and 0.0 < self.theta <= math.pi):
-            raise ValueError(f"theta {self.theta!r} outside (0, pi]")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha {self.alpha!r} must be positive")
         if not (0.0 <= self.homodyne_error < 0.5):
             raise ValueError(
                 f"homodyne_error {self.homodyne_error!r} outside [0, 0.5)"
@@ -320,7 +313,7 @@ def readout_tables() -> tuple[np.ndarray, tuple[tuple[StateVector | None, ...], 
 
 def oracle_evolve(component: HyperComponent, params: DeviceParams) -> DensityMatrix:
     """Evolve one pair through both devices by explicit tensor algebra."""
-    del params  # readout classes do not depend on theta or alpha
+    del params  # homodyne misreads flip the record, not the state
     pol = np.asarray(
         bell_vector(component.pol).amplitudes, dtype=complex
     ).reshape(2, 2)

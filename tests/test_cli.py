@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from hyperdistill import (
 from hyperdistill.cli import (
     CONFIG_KEY_TYPES,
     CSV_COLUMNS,
+    _build_parser,
     main,
     run_sweep,
     serialize_report,
@@ -38,8 +40,6 @@ def test_defaults():
     cfg = parse_config([])
     assert cfg.pairs == 1000
     assert cfg.fidelities.as_tuple() == (0.7, 0.1, 0.1, 0.1)
-    assert cfg.theta == pytest.approx(math.pi / 4)
-    assert cfg.alpha == 1000.0
     assert cfg.dephase_p == 0.0
     assert cfg.homodyne_error == 0.0
     assert cfg.evil_bob_flip_p == 0.0
@@ -55,7 +55,6 @@ def test_flag_parsing():
         [
             "--pairs", "10",
             "--fidelities", "1,0,0,0",
-            "--theta", "0.5",
             "--seed", "41",
             "--format", "csv",
             "--dephase-p", "0.25",
@@ -65,7 +64,6 @@ def test_flag_parsing():
     )
     assert cfg.pairs == 10
     assert cfg.fidelities.as_tuple() == (1.0, 0.0, 0.0, 0.0)
-    assert cfg.theta == 0.5
     assert cfg.seed == 41
     assert cfg.output_format == "csv"
     assert cfg.dephase_p == 0.25
@@ -82,15 +80,52 @@ def test_unnormalizable_fidelities_rejected(capsys):
 
 def test_out_of_range_value_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
-        parse_config(["--theta", "7.0"])
+        parse_config(["--dephase-p", "1.5"])
     assert exc.value.code == 2
-    assert "theta" in capsys.readouterr().err
+    assert "dephase_p 1.5 outside [0, 1]" in capsys.readouterr().err
 
 
-def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit) as exc:
-        parse_config(["--bogus", "1"])
-    assert exc.value.code == 2
+def test_unknown_flag_rejected(capsys):
+    # --theta and --alpha are listed because they were removed for having
+    # no effect on a run
+    for flag in ("--bogus", "--theta", "--alpha"):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+#: A non-default value of every RunConfig field that the run itself reads.
+RUN_INPUTS = [
+    ("pairs", 2001),
+    ("fidelities", FidelityVector(0.6, 0.2, 0.1, 0.1)),
+    ("dephase_p", 0.2),
+    ("homodyne_error", 0.1),
+    ("evil_bob_flip_p", 0.1),
+    ("seed", 1),
+]
+
+
+def run_results(cfg: RunConfig) -> dict:
+    doc = execute_run(cfg)[0].to_dict()
+    del doc["run_id"], doc["config"]
+    return doc
+
+
+def test_config_keys_match_the_run_flags():
+    dests = {action.dest for action in _build_parser()._actions}
+    assert set(CONFIG_KEY_TYPES) == dests - {"help", "config", "entropy", "sweep"}
+    outputs = {
+        "output_format", "out_path", "transcript_path", "sweep", "allow_audit_fail",
+    }
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields - outputs == {name for name, _ in RUN_INPUTS}
+
+
+@pytest.mark.parametrize("name, value", RUN_INPUTS)
+def test_every_run_input_changes_the_results(name, value):
+    base = RunConfig(pairs=2000)
+    assert run_results(dataclasses.replace(base, **{name: value})) != run_results(base)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -311,6 +346,19 @@ def test_hundred_seed_sweep_within_four_sigma():
     assert agg["all_within_four_sigma"] is True
 
 
+def test_sweep_verdict_tests_the_inferred_frequency():
+    # homodyne misreads move Alice's Phi frequency from F + F1 = 0.8 to
+    # 0.8 (1 - q) + 0.2 q with q = 2e(1 - e) = 0.32
+    cfg = RunConfig(pairs=2000, homodyne_error=0.2, sweep=4)
+    agg = run_sweep(cfg)["sweep_aggregate"]
+    assert agg["analytic_phi_probability"] == pytest.approx(0.8, abs=1e-12)
+    assert agg["expected_phi_frequency"] == pytest.approx(0.608, abs=1e-12)
+    assert agg["four_sigma_band"] == pytest.approx(
+        4 * math.sqrt(0.608 * 0.392 / 2000), abs=1e-12
+    )
+    assert agg["all_within_four_sigma"] is True
+
+
 def test_main_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(
@@ -351,10 +399,12 @@ def test_sweep_may_end_on_the_last_seed():
         ({"pairs": 5.5}, "'pairs' must be int, got float"),
         ({"pairs": True}, "'pairs' must be int, got bool"),
         ({"seed": "7"}, "'seed' must be int, got str"),
-        ({"theta": [1]}, "'theta' must be int or float, got list"),
-        ({"theta": 10**400}, "int too large"),
+        ({"dephase_p": [1]}, "'dephase_p' must be int or float, got list"),
+        ({"dephase_p": 10**400}, "int too large"),
         ({"out": 5}, "'out' must be str or null, got int"),
         ({"allow_audit_fail": "no"}, "'allow_audit_fail' must be bool, got str"),
+        ({"theta": 0.5}, "unknown key 'theta'"),
+        ({"alpha": 1000.0}, "unknown key 'alpha'"),
     ],
 )
 def test_bad_config_file_exits_2_naming_the_problem(tmp_path, capsys, content, message):

@@ -8,6 +8,7 @@ composition of the stage functions, and the columnar transcript against
 the per-message rules of ``Message``.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -53,6 +54,7 @@ from hyperdistill.protocol import (
     VIOLATION_RESULT_FROM_BOB2,
     Violation,
     bob1_row,
+    inferred_phi_probability,
 )
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS, readout_tables
 from hyperdistill.states import inverse_cdf
@@ -198,6 +200,27 @@ def record_key(record):
 
 def state_key(state):
     return tuple(state.amplitudes), state.basis_labels
+
+
+@pytest.mark.parametrize(
+    "fv", [MIXED, FidelityVector(1, 0, 0, 0), FidelityVector(0.25, 0.25, 0.5, 0)]
+)
+def test_inferred_phi_probability_matches_enumeration(fv):
+    # Sum over every case, readout and combination of the two misreads
+    # and the misreport; Alice infers Phi when the reported bits agree.
+    probs, _ = readout_tables()
+    flip_combinations = list(itertools.product((0, 1), repeat=3))
+    grid = itertools.product((0, 0.05, 0.3, 1), (0, 0.1, 0.2, 0.49), (0, 0.1, 1))
+    for dephase_p, e, m in grid:
+        total = 0.0
+        for c, (_, sign) in enumerate(CASES):
+            weight = fv.as_tuple()[c // 2] * (1 - dephase_p if sign == 1 else dephase_p)
+            for r, (fa, fb, fm) in itertools.product(range(4), flip_combinations):
+                flips = (e if fa else 1 - e) * (e if fb else 1 - e) * (m if fm else 1 - m)
+                if ((r >> 1) ^ fa ^ fm) == ((r & 1) ^ fb):
+                    total += weight * probs[c, r] * flips
+        expected = inferred_phi_probability(fv, dephase_p, e, m)
+        assert expected == pytest.approx(total, abs=1e-12), (dephase_p, e, m)
 
 
 NOISE_SETTINGS = {
