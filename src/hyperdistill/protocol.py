@@ -21,7 +21,6 @@ single-pair reference it reproduces draw for draw.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,26 +29,26 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import StateVector, canonical_phase
+from .linalg import EPS_NORM, StateVector, canonical_phase
 from .qnd import (
     CASES,
     OUTCOME_PAIRS,
     OUTCOMES,
-    BranchTable,
     DeviceParams,
     DistilledPair,
     QndOutcome,
     build_branch_table,
+    conditional_pol_state,
     measure_probes,
+    outcome_distribution,
     output_mode,
-    readout_tables,
-    same_outcome_probability,
 )
 from .states import (
+    ENSEMBLE_ORDER,
     FidelityVector,
     HyperComponent,
+    bell_vector,
     inverse_cdf,
-    mixed_ensemble,
     sample_component,
     spatial_dephase,
 )
@@ -310,9 +309,7 @@ class Transcript:
     build their output from the columns on each call.
     """
 
-    def __init__(self, run_id: str, seed: int):
-        self.run_id = run_id
-        self.seed = seed
+    def __init__(self):
         self._blocks: list[_Block] = []
         self._pending: list[Message] = []
         self._last_seq = 0
@@ -393,10 +390,8 @@ class Transcript:
         )
 
     @classmethod
-    def from_lines(
-        cls, lines, run_id: str = "", seed: int = 0
-    ) -> "Transcript":
-        transcript = cls(run_id, seed)
+    def from_lines(cls, lines) -> "Transcript":
+        transcript = cls()
         nonblank = filter(str.strip, lines)
         prev = 0
         while chunk := list(itertools.islice(nonblank, _PARSE_BLOCK_LINES)):
@@ -604,25 +599,77 @@ SIGNED_ANGLES = tuple(
 )
 
 
-@functools.lru_cache(maxsize=None)
-def bob1_row(case: int, readout: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bob1's bit-0 probability for one (case, readout), per signed angle.
+class PairTable(NamedTuple):
+    """What happens to a pair, by case, joint readout and signed angle.
 
-    Returns the 16 probabilities, in SIGNED_ANGLES order, and a (16, 2)
-    mask of the bits that have no residual state because their Born
-    weight is zero. The readout must be one that can occur.
+    Case c is CASES[c] (a Bell kind and a spatial sign), readout r is
+    OUTCOME_PAIRS[r] and angle a is SIGNED_ANGLES[a]. A readout that
+    cannot occur has no state, does not survive, is not Phi-class, has
+    NaN fidelities and bit-0 probabilities, and both of its bits have
+    zero Born weight, so no lookup of it passes unnoticed. The arrays
+    are read-only.
     """
-    state = readout_tables()[1][case][readout]
-    if state is None:
-        raise ValueError(f"readout {readout} cannot occur in case {case}")
-    bit0 = np.empty(len(SIGNED_ANGLES))
-    zero_weight = np.empty((len(SIGNED_ANGLES), 2), dtype=bool)
-    for a, angle in enumerate(SIGNED_ANGLES):
-        bit0[a], residual0, residual1 = _rotated_basis_projection(state, angle)
-        zero_weight[a] = (residual0 is None, residual1 is None)
-    bit0.setflags(write=False)
-    zero_weight.setflags(write=False)
-    return bit0, zero_weight
+
+    probs: np.ndarray  # (8, 4) Born probability of the readout
+    states: tuple[tuple[StateVector | None, ...], ...]  # surviving state
+    survives: np.ndarray  # (8, 4) whether the readout can occur
+    phi: np.ndarray  # (8, 4) whether the surviving state is Phi-class
+    fidelity: np.ndarray  # (8, 4, 4) with each Bell state, in ENSEMBLE_ORDER
+    bit0: np.ndarray  # (8, 4, 16) probability that Bob1 reports bit 0
+    zero_weight: np.ndarray  # (8, 4, 16, 2) bits without a residual state
+
+
+@functools.lru_cache(maxsize=None)
+def pair_table() -> PairTable:
+    """Build the PairTable once, from the branch engine.
+
+    The states are the shared instances ``measure_probes`` returns. Bob1's
+    block is ``_rotated_basis_projection`` applied to every case, readout
+    and angle at once with the same arithmetic, so its entries are equal
+    to that function's.
+    """
+    tables = [build_branch_table(HyperComponent(kind, 1.0, sign)) for kind, sign in CASES]
+    probs = np.array([list(outcome_distribution(table).values()) for table in tables])
+    states = tuple(
+        tuple(conditional_pol_state(table, pair) for pair in OUTCOME_PAIRS)
+        for table in tables
+    )
+    if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
+        raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
+    if any(state is not None and state.dim != 4 for row in states for state in row):
+        raise RuntimeError("surviving state is not a two-qubit state")
+    survives = np.array([[state is not None for state in row] for row in states])
+    phi = np.array([
+        [state is not None and state_bell_class(state) is BellClass.PHI for state in row]
+        for row in states
+    ])
+
+    fidelity = np.full(probs.shape + (len(ENSEMBLE_ORDER),), np.nan)
+    psi = np.zeros(probs.shape + (2, 2), dtype=complex)
+    for c, r in zip(*np.nonzero(survives)):
+        amplitudes = states[c][r].amplitudes
+        fidelity[c, r] = [
+            abs(np.vdot(bell_vector(kind).amplitudes, amplitudes)) ** 2
+            for kind in ENSEMBLE_ORDER
+        ]
+        psi[c, r] = amplitudes.reshape(2, 2)
+
+    # bra[a, s]: the bit-s basis state (|H> + (-1)^s e^{-i angle} |V>)/sqrt(2)
+    # as a row vector, so that bra @ psi is Bob2's unnormalised residual.
+    phase = np.exp(-1j * np.array(SIGNED_ANGLES))
+    bra = np.empty((len(SIGNED_ANGLES), 2, 1, 2), dtype=complex)
+    bra[:, :, 0, 0] = 1.0
+    bra[:, 0, 0, 1] = phase
+    bra[:, 1, 0, 1] = -phase
+    bra = bra.conj() / math.sqrt(2.0)
+    branch = (bra @ psi[:, :, None, None])[..., 0, :]
+    bit0 = np.sum(np.abs(branch[..., 0, :]) ** 2, axis=-1)
+    bit0[~survives] = np.nan
+    zero_weight = np.linalg.norm(branch, axis=-1) <= 1e-9
+
+    for array in (probs, survives, phi, fidelity, bit0, zero_weight):
+        array.setflags(write=False)
+    return PairTable(probs, states, survives, phi, fidelity, bit0, zero_weight)
 
 
 def bob1_measure(
@@ -750,18 +797,17 @@ def audit(transcript: Transcript) -> AuditReport:
 def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> float:
     """Exact probability that Alice infers a Phi-class pair.
 
-    Averages the same-readout probability of each ensemble component
-    over the mixture weights and the dephasing channel.
+    Averages the same-readout probability of each case over the mixture
+    weights and the dephasing channel, component by component.
     """
+    probs = pair_table().probs
+    same = (probs[:, 0] + probs[:, 3]).tolist()  # (Shift, Shift) + (NoShift, NoShift)
+    weights = fv.as_tuple()
     total = 0.0
-    for component in mixed_ensemble(fv):
-        for sign, sign_p in ((1, 1.0 - dephase_p), (-1, dephase_p)):
-            if sign_p == 0.0 or component.weight == 0.0:
-                continue
-            table: BranchTable = build_branch_table(
-                HyperComponent(component.pol, component.weight, sign)
-            )
-            total += component.weight * sign_p * same_outcome_probability(table)
+    for c, same_p in enumerate(same):
+        weight, sign_p = weights[c // 2], (1.0 - dephase_p, dephase_p)[c % 2]
+        if sign_p != 0.0 and weight != 0.0:
+            total += weight * sign_p * same_p
     return total
 
 
@@ -781,12 +827,6 @@ def inferred_phi_probability(
     return p * (1.0 - q) + (1.0 - p) * q
 
 
-def derive_run_id(seed: int, payload: str) -> str:
-    """Deterministic run identifier from the seed and a config digest."""
-    digest = hashlib.sha256(f"{seed}:{payload}".encode("utf-8")).hexdigest()
-    return f"run-{digest[:12]}"
-
-
 class ProtocolRun:
     """Everything produced by one end-to-end run.
 
@@ -794,46 +834,43 @@ class ProtocolRun:
     ``case`` indexes CASES (the Bell kind and spatial sign delivered),
     ``readout`` the true joint readout in OUTCOME_PAIRS, ``recorded`` the
     readout after homodyne misreads, ``reported`` the one Alice receives
-    after Bob1's misreport, ``theta_index`` the angle drawn and ``a_bit``
-    the bit Bob1 reports. The per-pair objects the stage functions return
-    (``components``, ``records``, ``rounds``, ``residuals``) and the
-    handoff ``summary`` are built from the columns on first access.
+    after Bob1's misreport, ``inferred_phi`` whether those reported
+    readouts agree (Alice infers a Phi-class pair), ``theta_index`` the
+    angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index announced
+    and ``a_bit`` the bit Bob1 reports. The per-pair objects the stage
+    functions return (``components``, ``records``, ``rounds``,
+    ``residuals``) and the handoff ``summary`` are built from the columns
+    on first access.
     """
 
     def __init__(
-        self, fv: FidelityVector, case, readout, recorded, reported,
-        theta_index, a_bit, transcript: Transcript,
+        self, fv: FidelityVector, case, readout, recorded, reported, inferred_phi,
+        theta_index, signed_angle_index, a_bit, transcript: Transcript,
     ):
         self.fv = fv
         self.case = case
         self.readout = readout
         self.recorded = recorded
         self.reported = reported
+        self.inferred_phi = inferred_phi
         self.theta_index = theta_index
+        self.signed_angle_index = signed_angle_index
         self.a_bit = a_bit
         self.transcript = transcript
         self.audit_report = audit(transcript)
 
     @property
-    def inferred_phi(self) -> np.ndarray:
-        """Whether Alice infers a Phi-class pair: the reported readouts agree."""
-        return (self.reported >> 1) == (self.reported & 1)
-
-    @property
     def true_phi(self) -> np.ndarray:
         """Whether the surviving state of each pair is Phi-class."""
-        _, states = readout_tables()
-        table = np.array([
-            [state is not None and state_bell_class(state) is BellClass.PHI
-             for state in row]
-            for row in states
-        ])
-        return table[self.case, self.readout]
+        return pair_table().phi[self.case, self.readout]
 
     @property
-    def signed_angle_index(self) -> np.ndarray:
-        """Index into SIGNED_ANGLES of the angle announced for each pair."""
-        return ANGLE_COUNT * ~self.inferred_phi + self.theta_index
+    def fidelities(self) -> np.ndarray:
+        """Fidelity of each pair's surviving state with each Bell state.
+
+        One row per pair, columns in ENSEMBLE_ORDER.
+        """
+        return pair_table().fidelity[self.case, self.readout]
 
     @functools.cached_property
     def components(self) -> list[HyperComponent]:
@@ -846,7 +883,7 @@ class ProtocolRun:
 
     @functools.cached_property
     def records(self) -> list[DistillationRecord]:
-        probs, states = readout_tables()
+        table = pair_table()
         records = []
         for component, c, r, recorded, reported in zip(
             self.components, self.case.tolist(), self.readout.tolist(),
@@ -859,8 +896,8 @@ class ProtocolRun:
                 outcome_b=recorded_b,
                 output_mode_a=output_mode(recorded_a, "a"),
                 output_mode_b=output_mode(recorded_b, "b"),
-                pol_state=states[c][r],
-                probability=float(probs[c, r]),
+                pol_state=table.states[c][r],
+                probability=float(table.probs[c, r]),
             )
             records.append(DistillationRecord(
                 component=component,
@@ -891,7 +928,7 @@ class ProtocolRun:
 
     @functools.cached_property
     def residuals(self) -> list[StateVector]:
-        _, states = readout_tables()
+        states = pair_table().states
         return [
             _rotated_basis_projection(states[c][r], SIGNED_ANGLES[angle])[1 + a_bit]
             for c, r, angle, a_bit in zip(
@@ -924,7 +961,6 @@ def run_protocol(
     dephase_p: float = 0.0,
     evil_bob_flip_p: float = 0.0,
     seed: int = 0,
-    run_id: str | None = None,
 ) -> ProtocolRun:
     """Execute the full pipeline with four named substreams of ``seed``.
 
@@ -933,8 +969,8 @@ def run_protocol(
     ``alice_announce_angles``, ``bob1_measure`` per pair and
     ``handoff_single_server``. It makes the same draws in the same order,
     so the pairs and the transcript bytes are the same. Each substream is
-    drawn once as a block, and each pair's fate is gathered from the
-    readout and Bob1 tables.
+    drawn once as a block, and each pair's fate is gathered from
+    ``pair_table()``.
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
@@ -946,7 +982,7 @@ def run_protocol(
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in root.spawn(4)
     )
-    probs, states = readout_tables()
+    table = pair_table()
     misread_p = params.homodyne_error
 
     # Distribution, per pair: the component draw, then the dephasing draw.
@@ -959,9 +995,8 @@ def run_protocol(
     # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
     width = 1 + 2 * (misread_p > 0.0) + (evil_bob_flip_p > 0.0)
     draws = rng_qnd.random(width * m).reshape(m, width)
-    readout = inverse_cdf(probs[case], draws[:, 0])
-    survives = np.array([[state is not None for state in row] for row in states])
-    dead = ~survives[case, readout]
+    readout = inverse_cdf(table.probs[case], draws[:, 0])
+    dead = ~table.survives[case, readout]
     if dead.any():
         pair = OUTCOME_PAIRS[readout[dead][0]]
         raise RuntimeError(f"sampled readout {pair} has no surviving branch")
@@ -974,26 +1009,18 @@ def run_protocol(
 
     # Angles: the sign of each announced angle follows the inferred class.
     theta_index = rng_angle.integers(ANGLE_COUNT, size=m)
-    psi = (reported >> 1) != (reported & 1)
-    angle = ANGLE_COUNT * psi + theta_index
+    inferred_phi = (reported >> 1) == (reported & 1)
+    angle = ANGLE_COUNT * ~inferred_phi + theta_index
 
-    # Bob1: bit 0 when the draw falls below its Born weight. Only the
-    # (case, readout) rows that occur are looked up.
-    row = len(OUTCOME_PAIRS) * case + readout
-    bit0 = np.full((len(CASES) * len(OUTCOME_PAIRS), len(SIGNED_ANGLES)), np.nan)
-    zero_weight = np.zeros(bit0.shape + (2,), dtype=bool)
-    for key in np.flatnonzero(np.bincount(row, minlength=len(bit0))).tolist():
-        bit0[key], zero_weight[key] = bob1_row(*divmod(key, len(OUTCOME_PAIRS)))
-    a_bit = (rng_meas.random(m) >= bit0[row, angle]).astype(np.int8)
-    impossible = zero_weight[row, angle, a_bit]
+    # Bob1: bit 0 when the draw falls below its Born weight.
+    a_bit = (rng_meas.random(m) >= table.bit0[case, readout, angle]).astype(np.int8)
+    impossible = table.zero_weight[case, readout, angle, a_bit]
     if impossible.any():
         raise RuntimeError(
             f"bit {a_bit[impossible][0]} sampled despite zero Born weight"
         )
 
-    transcript = Transcript(
-        run_id if run_id is not None else derive_run_id(seed, f"m={m}"), seed
-    )
+    transcript = Transcript()
     markers = [""] * (2 * m)
     markers[0::2] = markers[1::2] = list(map(str, range(1, m + 1)))
     transcript._extend(
@@ -1016,5 +1043,6 @@ def run_protocol(
         Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "begin_single_server"
     )
     return ProtocolRun(
-        fv, case, readout, recorded, reported, theta_index, a_bit, transcript
+        fv, case, readout, recorded, reported, inferred_phi, theta_index, angle,
+        a_bit, transcript,
     )

@@ -266,7 +266,7 @@ def measure_probes(
     )
 
 
-# --- readout tables ----------------------------------------------------------
+# --- cases and readouts -------------------------------------------------------
 #
 # A pair reaches the devices in one of 8 cases: a Bell kind and a spatial
 # sign. Case 2*i + s is ENSEMBLE_ORDER[i] with spatial sign +1 (s = 0) or
@@ -275,28 +275,6 @@ def measure_probes(
 
 OUTCOMES = (QndOutcome.SHIFT, QndOutcome.NO_SHIFT)
 CASES = tuple((kind, sign) for kind in ENSEMBLE_ORDER for sign in (1, -1))
-
-
-@functools.lru_cache(maxsize=None)
-def readout_tables() -> tuple[np.ndarray, tuple[tuple[StateVector | None, ...], ...]]:
-    """Readout distribution and surviving state of every case.
-
-    Returns the (8, 4) array of Born probabilities of each joint readout,
-    and the conditional polarization state of each (case, readout), None
-    where the readout cannot occur. Both come from the branch engine, so
-    the states are the shared instances ``measure_probes`` returns.
-    """
-    probs = np.array([_distribution_tuple(_branch_table(*case)) for case in CASES])
-    states = tuple(
-        tuple(conditional_pol_state(_branch_table(*case), pair) for pair in OUTCOME_PAIRS)
-        for case in CASES
-    )
-    if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
-        raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
-    if any(state is not None and state.dim != 4 for row in states for state in row):
-        raise RuntimeError("surviving state is not a two-qubit state")
-    probs.setflags(write=False)
-    return probs, states
 
 
 # --- full-Hilbert-space oracle ---------------------------------------------

@@ -82,7 +82,7 @@ def test_criterion_1_agreement_probability_law():
 def test_criterion_2_deterministic_success():
     started = time.perf_counter()
     m = 100_000
-    transcript = Transcript("acceptance-2", 0)
+    transcript = Transcript()
     components = run_distribution(
         m, MIXED, 0.0, np.random.default_rng(202), transcript
     )
@@ -248,7 +248,7 @@ def test_criterion_7_delegated_measurement_statistics():
     for k in range(8):
         angle = k * math.pi / 4
         rng = np.random.default_rng(1000 + k)
-        transcript = Transcript("acceptance-7", 0)
+        transcript = Transcript()
         zeros = 0
         for _ in range(n):
             a_bit, residual = bob1_measure(pair, angle, rng, transcript)

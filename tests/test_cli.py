@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperdistill import cli, protocol
 from hyperdistill import (
     FidelityVector,
     RunConfig,
@@ -47,7 +49,6 @@ def test_defaults():
     assert cfg.output_format == "json"
     assert cfg.emit_transcript is False
     assert cfg.sweep is None
-    assert cfg.allow_audit_fail is False
 
 
 def test_flag_parsing():
@@ -86,9 +87,9 @@ def test_out_of_range_value_rejected(capsys):
 
 
 def test_unknown_flag_rejected(capsys):
-    # --theta and --alpha are listed because they were removed for having
-    # no effect on a run
-    for flag in ("--bogus", "--theta", "--alpha"):
+    # --theta, --alpha and --allow-audit-fail are listed because they were
+    # removed for having no effect on a run
+    for flag in ("--bogus", "--theta", "--alpha", "--allow-audit-fail"):
         with pytest.raises(SystemExit) as exc:
             parse_config([flag, "1"])
         assert exc.value.code == 2
@@ -115,9 +116,7 @@ def run_results(cfg: RunConfig) -> dict:
 def test_config_keys_match_the_run_flags():
     dests = {action.dest for action in _build_parser()._actions}
     assert set(CONFIG_KEY_TYPES) == dests - {"help", "config", "entropy", "sweep"}
-    outputs = {
-        "output_format", "out_path", "transcript_path", "sweep", "allow_audit_fail",
-    }
+    outputs = {"output_format", "out_path", "transcript_path", "sweep"}
     fields = {field.name for field in dataclasses.fields(RunConfig)}
     assert fields - outputs == {name for name, _ in RUN_INPUTS}
 
@@ -310,6 +309,26 @@ def test_main_reports_io_failure(tmp_path, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--sweep", "1"]])
+def test_main_exits_1_when_the_audit_fails(monkeypatch, capsys, mode):
+    failed = protocol.AuditReport(
+        passed=False,
+        violations=(protocol.Violation(protocol.VIOLATION_BOB_TO_BOB, 1, "Bob1 messaged Bob2"),),
+    )
+    monkeypatch.setattr(protocol, "audit", lambda transcript: failed)
+    assert main(["--pairs", "5"] + mode) == 1
+    assert "security audit FAILED" in capsys.readouterr().err
+
+
+def test_main_reports_memory_error(monkeypatch, capsys):
+    def out_of_memory(**kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_protocol", out_of_memory)
+    assert main(["--pairs", "5"]) == 1
+    assert "error: Unable to allocate 7.45 GiB" in capsys.readouterr().err
+
+
 def test_main_csv_to_stdout(capsys):
     code = main(["--pairs", "20", "--seed", "8", "--format", "csv"])
     assert code == 0
@@ -380,6 +399,20 @@ def test_sweep_seed_range_checked_before_running(capsys):
     assert "64-bit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--sweep", "2"]])
+def test_pairs_beyond_one_draw_block_exit_2(capsys, mode):
+    # four float64 uniforms per pair must fit one array; 10**20 pairs
+    # fails the check before anything is allocated
+    with pytest.raises(SystemExit) as exc:
+        main(["--pairs", str(10**20)] + mode)
+    assert exc.value.code == 2
+    assert f"pairs {10**20} exceeds {cli.MAX_PAIRS}" in capsys.readouterr().err
+    assert cli.MAX_PAIRS * cli.DRAWS_PER_PAIR * 8 <= np.iinfo(np.intp).max
+    RunConfig(pairs=cli.MAX_PAIRS)
+    with pytest.raises(ValueError, match="exceeds"):
+        RunConfig(pairs=cli.MAX_PAIRS + 1)
+
+
 def test_sweep_may_end_on_the_last_seed():
     cfg = RunConfig(pairs=5, fidelities=MIXED, seed=2**64 - 2, sweep=2)
     doc = run_sweep(cfg)
@@ -402,7 +435,7 @@ def test_sweep_may_end_on_the_last_seed():
         ({"dephase_p": [1]}, "'dephase_p' must be int or float, got list"),
         ({"dephase_p": 10**400}, "int too large"),
         ({"out": 5}, "'out' must be str or null, got int"),
-        ({"allow_audit_fail": "no"}, "'allow_audit_fail' must be bool, got str"),
+        ({"allow_audit_fail": False}, "unknown key 'allow_audit_fail'"),
         ({"theta": 0.5}, "unknown key 'theta'"),
         ({"alpha": 1000.0}, "unknown key 'alpha'"),
     ],

@@ -42,7 +42,7 @@ MIXED_FV = FidelityVector(0.7, 0.1, 0.15, 0.05)
 
 
 def fresh_transcript():
-    return Transcript("test-run", 0)
+    return Transcript()
 
 
 # --- independent projection oracle for the rotated-basis measurement ----------

@@ -53,11 +53,13 @@ from hyperdistill.protocol import (
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
     Violation,
-    bob1_row,
+    _rotated_basis_projection,
+    analytic_phi_probability,
     inferred_phi_probability,
+    pair_table,
 )
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS, readout_tables
-from hyperdistill.states import inverse_cdf
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS, same_outcome_probability
+from hyperdistill.states import ENSEMBLE_ORDER, bell_vector, inverse_cdf, mixed_ensemble
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -70,17 +72,20 @@ MIXED = FidelityVector(0.7, 0.1, 0.15, 0.05)
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_readout_tables_match_oracle(case):
     kind, sign = CASES[case]
-    probs, states = readout_tables()
+    table = pair_table()
     rho = oracle_evolve(HyperComponent(kind, 1.0, sign), DeviceParams())
     oracle_probs = oracle_outcome_distribution(rho)
     for r, pair in enumerate(OUTCOME_PAIRS):
-        assert abs(probs[case, r] - oracle_probs[pair]) <= EPS_ORACLE
+        assert abs(table.probs[case, r] - oracle_probs[pair]) <= EPS_ORACLE
         oracle_state = oracle_conditional_pol_state(rho, pair)
+        assert table.survives[case, r] == (oracle_state is not None)
         if oracle_state is None:
-            assert states[case][r] is None
+            assert table.states[case][r] is None
         else:
-            distance = trace_distance(projector(states[case][r]), oracle_state)
+            distance = trace_distance(projector(table.states[case][r]), oracle_state)
             assert distance <= EPS_ORACLE
+            phi_weight = (oracle_state.entries[0, 0] + oracle_state.entries[3, 3]).real
+            assert table.phi[case, r] == (phi_weight > 0.5)
 
 
 def projector_bit_probability(amplitudes, sent_angle, bit):
@@ -94,20 +99,66 @@ def projector_bit_probability(amplitudes, sent_angle, bit):
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_bob1_rows_match_projector_algebra(case):
-    _, states = readout_tables()
-    for r, state in enumerate(states[case]):
+    table = pair_table()
+    assert table.bit0.shape == (8, 4, 16) and table.zero_weight.shape == (8, 4, 16, 2)
+    for r, state in enumerate(table.states[case]):
         if state is None:
-            with pytest.raises(ValueError, match="cannot occur"):
-                bob1_row(case, r)
             continue
-        bit0, zero_weight = bob1_row(case, r)
-        assert bit0.shape == (16,) and zero_weight.shape == (16, 2)
+        bit0, zero_weight = table.bit0[case, r], table.zero_weight[case, r]
         for a, angle in enumerate(SIGNED_ANGLES):
             for bit in (0, 1):
                 p = projector_bit_probability(state.amplitudes, angle, bit)
                 expected = p if bit == 0 else 1.0 - p
                 assert abs((bit0[a] if bit == 0 else 1.0 - bit0[a]) - expected) <= EPS_ORACLE
                 assert zero_weight[a, bit] == (p <= 1e-12)
+
+
+def test_bob1_block_equals_rotated_basis_projection():
+    table = pair_table()
+    for c, r in zip(*np.nonzero(table.survives)):
+        for a, angle in enumerate(SIGNED_ANGLES):
+            p0, residual0, residual1 = _rotated_basis_projection(table.states[c][r], angle)
+            assert table.bit0[c, r, a] == p0, (c, r, a)
+            assert table.zero_weight[c, r, a].tolist() == [residual0 is None, residual1 is None]
+
+
+def test_fidelity_entries_equal_bell_overlaps():
+    table = pair_table()
+    assert table.fidelity.shape == (8, 4, 4)
+    for c, r in zip(*np.nonzero(table.survives)):
+        amplitudes = table.states[c][r].amplitudes
+        for k, kind in enumerate(ENSEMBLE_ORDER):
+            overlap = abs(np.vdot(bell_vector(kind).amplitudes, amplitudes)) ** 2
+            assert table.fidelity[c, r, k] == overlap, (c, r, kind)
+
+
+def test_impossible_readouts_are_marked_and_never_read():
+    table = pair_table()
+    dead = ~table.survives
+    assert dead.sum() == 16
+    assert np.all(table.probs[dead] == 0.0)
+    assert not table.phi[dead].any()
+    assert [table.states[c][r] for c, r in zip(*np.nonzero(dead))] == [None] * 16
+    assert np.isnan(table.fidelity[dead]).all() and np.isnan(table.bit0[dead]).all()
+    assert table.zero_weight[dead].all()
+    assert not np.isnan(table.fidelity[~dead]).any() and not np.isnan(table.bit0[~dead]).any()
+    for array in (table.probs, table.survives, table.phi, table.fidelity, table.bit0,
+                  table.zero_weight):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+    # A PhiPlus pair (case 0) sampled into the readout (Shift, NoShift),
+    # which it cannot give, is refused by the survival check ...
+    probs = np.array(table.probs)
+    probs[0] = (0.0, 1.0, 0.0, 0.0)
+    with mock.patch.object(protocol, "pair_table", lambda: table._replace(probs=probs)):
+        with pytest.raises(RuntimeError, match="no surviving branch"):
+            run_protocol(3, FidelityVector(1, 0, 0, 0))
+    # ... and, without it, by Bob1's lookup of the zero-weight bits.
+    rigged = table._replace(probs=probs, survives=np.ones_like(table.survives))
+    with mock.patch.object(protocol, "pair_table", lambda: rigged):
+        with pytest.raises(RuntimeError, match="sampled despite zero Born weight"):
+            run_protocol(3, FidelityVector(1, 0, 0, 0))
 
 
 def test_signed_angles_follow_the_announcement_rule():
@@ -169,7 +220,7 @@ def reference_run(m, fv, params, dephase_p, evil_bob_flip_p, seed):
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in root.spawn(4)
     )
-    transcript = Transcript("reference", seed)
+    transcript = Transcript()
     components = run_distribution(m, fv, dephase_p, rng_dist, transcript)
     records = run_distillation(
         components, params, rng_qnd, transcript, evil_bob_flip_p
@@ -208,7 +259,7 @@ def state_key(state):
 def test_inferred_phi_probability_matches_enumeration(fv):
     # Sum over every case, readout and combination of the two misreads
     # and the misreport; Alice infers Phi when the reported bits agree.
-    probs, _ = readout_tables()
+    probs = pair_table().probs
     flip_combinations = list(itertools.product((0, 1), repeat=3))
     grid = itertools.product((0, 0.05, 0.3, 1), (0, 0.1, 0.2, 0.49), (0, 0.1, 1))
     for dephase_p, e, m in grid:
@@ -221,6 +272,28 @@ def test_inferred_phi_probability_matches_enumeration(fv):
                     total += weight * probs[c, r] * flips
         expected = inferred_phi_probability(fv, dephase_p, e, m)
         assert expected == pytest.approx(total, abs=1e-12), (dephase_p, e, m)
+
+
+def branch_engine_phi_probability(fv, dephase_p):
+    """Same-readout probability summed component by component, then by sign."""
+    total = 0.0
+    for component in mixed_ensemble(fv):
+        for sign, sign_p in ((1, 1.0 - dephase_p), (-1, dephase_p)):
+            if sign_p == 0.0 or component.weight == 0.0:
+                continue
+            table = build_branch_table(HyperComponent(component.pol, component.weight, sign))
+            total += component.weight * sign_p * same_outcome_probability(table)
+    return total
+
+
+@pytest.mark.parametrize(
+    "fv", [MIXED, FidelityVector(1, 0, 0, 0), FidelityVector(0.25, 0.25, 0.5, 0)]
+)
+@pytest.mark.parametrize("dephase_p", [0, 0.05, 0.3, 1])
+def test_analytic_phi_probability_equals_branch_engine_sum(fv, dephase_p):
+    assert analytic_phi_probability(fv, dephase_p) == branch_engine_phi_probability(
+        fv, dephase_p
+    )
 
 
 NOISE_SETTINGS = {
@@ -242,9 +315,7 @@ def test_engine_equals_composed_stage_functions(setting, m, seed):
     components, records, rounds, residuals, summary, transcript = reference_run(
         m, fv, params, dephase_p, evil_bob_flip_p, seed
     )
-    run = run_protocol(
-        m, fv, params, dephase_p, evil_bob_flip_p, seed, run_id="reference"
-    )
+    run = run_protocol(m, fv, params, dephase_p, evil_bob_flip_p, seed)
     assert run.transcript.to_bytes() == transcript.to_bytes()
     assert run.transcript.messages == transcript.messages
     assert run.components == components
@@ -302,7 +373,7 @@ def reference_audit(messages):
 
 
 def test_audit_lists_a_two_rule_message_by_rule():
-    transcript = Transcript("two-rules", 0)
+    transcript = Transcript()
     transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, "quantum_marker", "1")
     transcript.append(Phase.RESULT_REPORT, Party.BOB2, Party.BOB1, "result_bit", "0")
     transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.BOB1, Party.BOB2, "angle", "0.0")
@@ -524,5 +595,5 @@ def test_append_after_from_lines_round_trips():
 
 
 def test_empty_transcript_renders_one_newline():
-    assert Transcript("empty", 0).to_bytes() == b"\n"
+    assert Transcript().to_bytes() == b"\n"
     assert Transcript.from_lines(["", "  "]).messages == ()
