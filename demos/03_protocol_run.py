@@ -10,6 +10,8 @@ transcript auditor then re-checks that nobody said anything forbidden.
 import collections
 
 from hyperdistill import BellClass, FidelityVector, audit, run_protocol
+from hyperdistill.protocol import SIGNED_ANGLES
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 
 fv = FidelityVector(0.7, 0.1, 0.15, 0.05)
 run = run_protocol(m=8, fv=fv, seed=2026)
@@ -25,20 +27,24 @@ print("=" * 72)
 print("Alice's bookkeeping")
 print("=" * 72)
 print("pair  true state  readouts            inferred class  angle sent   bit")
-for record, bqc_round in zip(run.records, run.rounds):
-    readouts = f"({record.reported_a.value}, {record.reported_b.value})"
+for j, (c, reported, phi, angle, a_bit) in enumerate(zip(
+    run.case.tolist(), run.reported.tolist(), run.inferred_phi.tolist(),
+    run.signed_angle_index.tolist(), run.a_bit.tolist(),
+), start=1):
+    reported_a, reported_b = OUTCOME_PAIRS[reported]
+    readouts = f"({reported_a.value}, {reported_b.value})"
+    inferred = BellClass.PHI if phi else BellClass.PSI
     print(
-        f"  {bqc_round.index}   {record.component.pol.value:9s} "
-        f"{readouts:19s} {record.inferred_class.value:14s} "
-        f"{bqc_round.sent_angle:+.4f}     {bqc_round.a_bit}"
+        f"  {j}   {CASES[c][0].value:9s} "
+        f"{readouts:19s} {inferred.value:14s} "
+        f"{SIGNED_ANGLES[angle]:+.4f}     {a_bit}"
     )
 
-phi = sum(r.inferred_class is BellClass.PHI for r in run.records)
+phi = int(run.inferred_phi.sum())
+pairs = len(run.case)
 print()
-print(f"classes: {phi} Phi, {len(run.records) - phi} Psi")
-print(f"handoff summary: {run.summary.pair_count} pairs, "
-      f"{run.summary.phi_count} Phi, {run.summary.psi_count} Psi, "
-      f"{len(run.summary.residuals)} residual qubits for the second server")
+print(f"classes: {phi} Phi, {pairs - phi} Psi")
+print(f"handoff: {pairs} residual qubits for the second server")
 
 print()
 print("=" * 72)

@@ -13,10 +13,8 @@ rounds that follow, and the communication-security audit.
 from .linalg import (
     EPS_NORM,
     EPS_ORACLE,
-    MAX_DIM,
     DensityMatrix,
     StateVector,
-    canonical_phase,
     fidelity,
     partial_trace,
     projector,
@@ -38,9 +36,6 @@ from .states import (
     spatial_vector,
 )
 from .qnd import (
-    OUTCOME_PAIRS,
-    Branch,
-    BranchTable,
     DeviceParams,
     DistilledPair,
     QndOutcome,
@@ -51,21 +46,14 @@ from .qnd import (
     oracle_evolve,
     oracle_outcome_distribution,
     outcome_distribution,
-    output_mode,
     same_outcome_probability,
 )
 from .protocol import (
-    AuditReport,
     BellClass,
-    BqcRound,
-    DistillationRecord,
-    HandoffSummary,
     Message,
     Party,
     Phase,
-    ProtocolRun,
     Transcript,
-    Violation,
     alice_announce_angles,
     analytic_phi_probability,
     audit,
@@ -75,7 +63,6 @@ from .protocol import (
     run_distillation,
     run_distribution,
     run_protocol,
-    state_bell_class,
 )
 
 __version__ = "0.1.0"
@@ -98,10 +85,8 @@ def __getattr__(name):
 __all__ = [
     "EPS_NORM",
     "EPS_ORACLE",
-    "MAX_DIM",
     "DensityMatrix",
     "StateVector",
-    "canonical_phase",
     "fidelity",
     "partial_trace",
     "projector",
@@ -119,9 +104,6 @@ __all__ = [
     "sample_component",
     "spatial_dephase",
     "spatial_vector",
-    "OUTCOME_PAIRS",
-    "Branch",
-    "BranchTable",
     "DeviceParams",
     "DistilledPair",
     "QndOutcome",
@@ -132,19 +114,12 @@ __all__ = [
     "oracle_evolve",
     "oracle_outcome_distribution",
     "outcome_distribution",
-    "output_mode",
     "same_outcome_probability",
-    "AuditReport",
     "BellClass",
-    "BqcRound",
-    "DistillationRecord",
-    "HandoffSummary",
     "Message",
     "Party",
     "Phase",
-    "ProtocolRun",
     "Transcript",
-    "Violation",
     "alice_announce_angles",
     "analytic_phi_probability",
     "audit",
@@ -154,7 +129,6 @@ __all__ = [
     "run_distillation",
     "run_distribution",
     "run_protocol",
-    "state_bell_class",
     "RunConfig",
     "RunReport",
     "execute_run",

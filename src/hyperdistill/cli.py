@@ -319,8 +319,9 @@ def run_sweep(cfg: RunConfig) -> dict:
     else:
         with ProcessPoolExecutor() as pool:
             runs = list(pool.map(_sweep_single, jobs))
+    analytic = runs[0]["analytic_phi_probability"]
     expected = inferred_phi_probability(
-        cfg.fidelities, cfg.dephase_p, cfg.homodyne_error, cfg.evil_bob_flip_p
+        analytic, cfg.homodyne_error, cfg.evil_bob_flip_p
     )
     freqs = [r["phi_class_frequency"] for r in runs]
     sigma = math.sqrt(max(expected * (1.0 - expected), 0.0) / cfg.pairs)
@@ -329,7 +330,7 @@ def run_sweep(cfg: RunConfig) -> dict:
         "seeds": n,
         "first_seed": cfg.seed,
         "pairs_per_run": cfg.pairs,
-        "analytic_phi_probability": runs[0]["analytic_phi_probability"],
+        "analytic_phi_probability": analytic,
         "expected_phi_frequency": expected,
         "empirical_phi_frequency_mean": float(sum(freqs) / n),
         "empirical_phi_frequency_min": min(freqs),

@@ -60,15 +60,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "basis_labels", labels)
 
-    @classmethod
-    def normalized(cls, amplitudes, basis_labels: Sequence[str]) -> "StateVector":
-        """Build a state vector, rescaling the amplitudes to unit norm."""
-        amps = _as_complex_array(amplitudes, "state vector").reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return cls(amps / norm, tuple(basis_labels))
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size

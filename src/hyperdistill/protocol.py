@@ -41,7 +41,6 @@ from .qnd import (
     conditional_pol_state,
     measure_probes,
     outcome_distribution,
-    output_mode,
 )
 from .states import (
     ENSEMBLE_ORDER,
@@ -476,6 +475,8 @@ def run_distribution(
     """Sample m noisy pairs and log their delivery to both servers."""
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
+    if not (0.0 <= dephase_p <= 1.0):
+        raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
     components = []
     for j in range(1, m + 1):
         component = sample_component(fv, rng)
@@ -812,16 +813,17 @@ def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> floa
 
 
 def inferred_phi_probability(
-    fv: FidelityVector, dephase_p: float, homodyne_error: float, evil_bob_flip_p: float
+    p: float, homodyne_error: float, evil_bob_flip_p: float
 ) -> float:
     """Exact probability that Alice infers a Phi-class pair from the reports.
 
-    Her label is the parity of the two reported readouts. Each server's
-    homodyne misread and Bob1's misreport flip one readout, so the label
-    flips when an odd number of the three flips happen, with probability
+    ``p`` is the probability of equal true readouts, as
+    ``analytic_phi_probability`` gives it. Her label is the parity of the
+    two reported readouts. Each server's homodyne misread and Bob1's
+    misreport flip one readout, so the label flips when an odd number of
+    the three flips happen, with probability
     q = (1 - (1-2e)^2 (1-2m)) / 2 independent of the pair.
     """
-    p = analytic_phi_probability(fv, dephase_p)
     kept = (1.0 - 2.0 * homodyne_error) ** 2 * (1.0 - 2.0 * evil_bob_flip_p)
     q = (1.0 - kept) / 2.0
     return p * (1.0 - q) + (1.0 - p) * q
@@ -837,17 +839,16 @@ class ProtocolRun:
     after Bob1's misreport, ``inferred_phi`` whether those reported
     readouts agree (Alice infers a Phi-class pair), ``theta_index`` the
     angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index announced
-    and ``a_bit`` the bit Bob1 reports. The per-pair objects the stage
-    functions return (``components``, ``records``, ``rounds``,
-    ``residuals``) and the handoff ``summary`` are built from the columns
-    on first access.
+    and ``a_bit`` the bit Bob1 reports. The surviving state of a pair is
+    ``pair_table().states[case][readout]``, and Bob2's residual qubit is
+    ``_rotated_basis_projection`` of that state at the announced angle,
+    taken at ``1 + a_bit``.
     """
 
     def __init__(
-        self, fv: FidelityVector, case, readout, recorded, reported, inferred_phi,
-        theta_index, signed_angle_index, a_bit, transcript: Transcript,
+        self, case, readout, recorded, reported, inferred_phi, theta_index,
+        signed_angle_index, a_bit, transcript: Transcript,
     ):
-        self.fv = fv
         self.case = case
         self.readout = readout
         self.recorded = recorded
@@ -871,81 +872,6 @@ class ProtocolRun:
         One row per pair, columns in ENSEMBLE_ORDER.
         """
         return pair_table().fidelity[self.case, self.readout]
-
-    @functools.cached_property
-    def components(self) -> list[HyperComponent]:
-        weights = self.fv.as_tuple()
-        made = [
-            HyperComponent(kind, weights[c // 2], sign)
-            for c, (kind, sign) in enumerate(CASES)
-        ]
-        return [made[c] for c in self.case.tolist()]
-
-    @functools.cached_property
-    def records(self) -> list[DistillationRecord]:
-        table = pair_table()
-        records = []
-        for component, c, r, recorded, reported in zip(
-            self.components, self.case.tolist(), self.readout.tolist(),
-            self.recorded.tolist(), self.reported.tolist(),
-        ):
-            recorded_a, recorded_b = OUTCOME_PAIRS[recorded]
-            reported_a, reported_b = OUTCOME_PAIRS[reported]
-            pair = DistilledPair(
-                outcome_a=recorded_a,
-                outcome_b=recorded_b,
-                output_mode_a=output_mode(recorded_a, "a"),
-                output_mode_b=output_mode(recorded_b, "b"),
-                pol_state=table.states[c][r],
-                probability=float(table.probs[c, r]),
-            )
-            records.append(DistillationRecord(
-                component=component,
-                pair=pair,
-                reported_a=reported_a,
-                reported_b=reported_b,
-                inferred_class=infer_bell_class(reported_a, reported_b),
-                true_class=state_bell_class(pair.pol_state),
-            ))
-        return records
-
-    @functools.cached_property
-    def rounds(self) -> list[BqcRound]:
-        return [
-            BqcRound(
-                index=j,
-                theta_index=k,
-                theta=k * ANGLE_STEP,
-                bell_class=BellClass.PHI if phi else BellClass.PSI,
-                sent_angle=SIGNED_ANGLES[angle],
-                a_bit=a_bit,
-            )
-            for j, (k, phi, angle, a_bit) in enumerate(zip(
-                self.theta_index.tolist(), self.inferred_phi.tolist(),
-                self.signed_angle_index.tolist(), self.a_bit.tolist(),
-            ), start=1)
-        ]
-
-    @functools.cached_property
-    def residuals(self) -> list[StateVector]:
-        states = pair_table().states
-        return [
-            _rotated_basis_projection(states[c][r], SIGNED_ANGLES[angle])[1 + a_bit]
-            for c, r, angle, a_bit in zip(
-                self.case.tolist(), self.readout.tolist(),
-                self.signed_angle_index.tolist(), self.a_bit.tolist(),
-            )
-        ]
-
-    @functools.cached_property
-    def summary(self) -> HandoffSummary:
-        phi = int(np.count_nonzero(self.inferred_phi))
-        return HandoffSummary(
-            pair_count=len(self.case),
-            phi_count=phi,
-            psi_count=len(self.case) - phi,
-            residuals=tuple(self.residuals),
-        )
 
 
 #: Payload text of each outcome code, of each signed angle and of each bit.
@@ -974,7 +900,7 @@ def run_protocol(
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
-    if dephase_p > 0.0 and not (math.isfinite(dephase_p) and dephase_p <= 1.0):
+    if not (0.0 <= dephase_p <= 1.0):
         raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
     if not (0.0 <= evil_bob_flip_p <= 1.0):
         raise ValueError(f"evil_bob_flip_p {evil_bob_flip_p!r} outside [0, 1]")
@@ -1043,6 +969,6 @@ def run_protocol(
         Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "begin_single_server"
     )
     return ProtocolRun(
-        fv, case, readout, recorded, reported, inferred_phi, theta_index, angle,
+        case, readout, recorded, reported, inferred_phi, theta_index, angle,
         a_bit, transcript,
     )

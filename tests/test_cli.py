@@ -378,6 +378,33 @@ def test_sweep_verdict_tests_the_inferred_frequency():
     assert agg["all_within_four_sigma"] is True
 
 
+def test_sweep_parent_reads_the_runs_not_the_pair_table(monkeypatch):
+    # the parent takes the analytic probability from the workers' reports,
+    # so it never builds the table the workers run from
+    cfg = RunConfig(
+        pairs=300, fidelities=MIXED, dephase_p=0.05, homodyne_error=0.1,
+        evil_bob_flip_p=0.1, sweep=3,
+    )
+    expected = run_sweep(cfg)
+    reports = expected["runs"]
+
+    class PrecomputedPool:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            assert [seed for _, seed in jobs] == [0, 1, 2]
+            return iter(reports)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", PrecomputedPool)
+    protocol.pair_table.cache_clear()
+    assert run_sweep(cfg) == expected
+    assert protocol.pair_table.cache_info().currsize == 0
+
+
 def test_main_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(

@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's report and transcript bytes, pinned by sha256.
+"""Golden outputs: the CLI's report, sweep and transcript bytes, pinned by sha256.
 
 A run is fully determined by its configuration and seed, so any change to
 the engine that is meant to keep its outputs must keep these digests. A
@@ -84,3 +84,27 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys, config, seed):
     assert (sha256(report_json), sha256(report_csv), sha256(transcript)) == GOLDEN[
         (config, seed)
     ]
+
+
+#: (seed) -> sha256 of the JSON and the CSV document of a four-seed sweep
+#: of the noisy config.
+GOLDEN_SWEEP = {
+    0: (
+        "671b33e4b60cb794fef7836ba670d304eadb588e259aea964cc1d496dcdada73",
+        "bcc3db4cbcbee8393365f4457e5972176492ab6870a3f268631d8bad9fc5f068",
+    ),
+    2**64 - 4: (
+        "5d7f4c51f46bd3961b527443714433faf3d110c187860be22c2f80d806811d71",
+        "285f5e6eea8555f5dc5f4b6fbb00e1a2ccbc0163b55207017d84027b07daece3",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SWEEP))
+def test_sweep_outputs_match_golden_digests(tmp_path, capsys, seed):
+    argv = CONFIGS["noisy"] + ["--sweep", "4", "--seed", str(seed)]
+    sweep_json, sweep_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(sweep_json)]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(sweep_csv)]) == 0
+    capsys.readouterr()
+    assert (sha256(sweep_json), sha256(sweep_csv)) == GOLDEN_SWEEP[seed]

@@ -35,6 +35,7 @@ from hyperdistill.protocol import (
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
 )
+from hyperdistill.qnd import OUTCOME_PAIRS
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -360,15 +361,21 @@ def test_bob1_reports_one_bit_per_round():
 # --- handoff ----------------------------------------------------------------------
 
 
+def inferred_phi_count(run):
+    """Pairs whose reported readouts Alice labels Phi-class, one by one."""
+    return sum(
+        infer_bell_class(*OUTCOME_PAIRS[r]) is BellClass.PHI
+        for r in run.reported.tolist()
+    )
+
+
 def test_handoff_summary_and_marker():
     run = run_protocol(m=3, fv=MIXED_FV, seed=12)
-    assert run.summary.pair_count == 3
-    assert run.summary.phi_count + run.summary.psi_count == 3
-    assert len(run.summary.residuals) == 3
-    phi_inferred = sum(
-        1 for r in run.records if r.inferred_class is BellClass.PHI
-    )
-    assert run.summary.phi_count == phi_inferred
+    assert len(run.case) == 3
+    phi_count = int(np.count_nonzero(run.inferred_phi))
+    assert phi_count + int(np.count_nonzero(~run.inferred_phi)) == 3
+    assert len(run.signed_angle_index) == len(run.a_bit) == 3
+    assert phi_count == inferred_phi_count(run)
     handoff_msgs = [
         m for m in run.transcript.messages if m.phase is Phase.HANDOFF
     ]
@@ -489,21 +496,13 @@ def test_identical_seed_gives_identical_transcript():
     first = run_protocol(m=200, fv=MIXED_FV, dephase_p=0.2, seed=99)
     second = run_protocol(m=200, fv=MIXED_FV, dephase_p=0.2, seed=99)
     assert first.transcript.to_bytes() == second.transcript.to_bytes()
-    for a, b in zip(first.records, second.records):
-        assert a.component == b.component
-        assert (a.reported_a, a.reported_b) == (b.reported_a, b.reported_b)
-    for a, b in zip(first.rounds, second.rounds):
-        assert (a.theta_index, a.sent_angle, a.a_bit) == (
-            b.theta_index,
-            b.sent_angle,
-            b.a_bit,
-        )
+    for column in ("case", "reported", "theta_index", "signed_angle_index", "a_bit"):
+        assert getattr(first, column).tolist() == getattr(second, column).tolist()
 
 
 def test_class_counts_conserved():
     run = run_protocol(m=500, fv=MIXED_FV, seed=5)
-    phi = sum(r.inferred_class is BellClass.PHI for r in run.records)
-    psi = sum(r.inferred_class is BellClass.PSI for r in run.records)
+    phi = int(np.count_nonzero(run.inferred_phi))
+    psi = int(np.count_nonzero(~run.inferred_phi))
     assert phi + psi == 500
-    assert run.summary.phi_count == phi
-    assert run.summary.psi_count == psi
+    assert phi == inferred_phi_count(run)

@@ -1,11 +1,11 @@
 """The table-driven engine against its references.
 
 ``run_protocol`` draws each substream as one block and gathers every
-pair's fate from precomputed tables; the per-stage functions remain the
-single-pair reference. These tests check the tables against the tensor
-oracle and explicit projector algebra, the whole engine against the
-composition of the stage functions, and the columnar transcript against
-the per-message rules of ``Message``.
+pair's fate from precomputed tables into integer columns; the per-stage
+functions remain the single-pair reference. These tests check the tables
+against the tensor oracle and explicit projector algebra, each column of
+a run against the per-pair objects the composed stage functions return,
+and the columnar transcript against the per-message rules of ``Message``.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from hyperdistill import (
     EPS_ORACLE,
+    BellClass,
     DeviceParams,
     FidelityVector,
     HyperComponent,
@@ -63,6 +64,7 @@ from hyperdistill.states import ENSEMBLE_ORDER, bell_vector, inverse_cdf, mixed_
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
+PHI, PSI = BellClass.PHI, BellClass.PSI
 MIXED = FidelityVector(0.7, 0.1, 0.15, 0.05)
 
 
@@ -238,17 +240,6 @@ def reference_run(m, fv, params, dephase_p, evil_bob_flip_p, seed):
     return components, records, rounds, residuals, summary, transcript
 
 
-def record_key(record):
-    pair = record.pair
-    return (
-        record.component,
-        pair.outcome_a, pair.outcome_b, pair.output_mode_a, pair.output_mode_b,
-        tuple(pair.pol_state.amplitudes), pair.probability,
-        record.reported_a, record.reported_b,
-        record.inferred_class, record.true_class,
-    )
-
-
 def state_key(state):
     return tuple(state.amplitudes), state.basis_labels
 
@@ -270,7 +261,7 @@ def test_inferred_phi_probability_matches_enumeration(fv):
                 flips = (e if fa else 1 - e) * (e if fb else 1 - e) * (m if fm else 1 - m)
                 if ((r >> 1) ^ fa ^ fm) == ((r & 1) ^ fb):
                     total += weight * probs[c, r] * flips
-        expected = inferred_phi_probability(fv, dephase_p, e, m)
+        expected = inferred_phi_probability(analytic_phi_probability(fv, dephase_p), e, m)
         assert expected == pytest.approx(total, abs=1e-12), (dephase_p, e, m)
 
 
@@ -318,26 +309,58 @@ def test_engine_equals_composed_stage_functions(setting, m, seed):
     run = run_protocol(m, fv, params, dephase_p, evil_bob_flip_p, seed)
     assert run.transcript.to_bytes() == transcript.to_bytes()
     assert run.transcript.messages == transcript.messages
-    assert run.components == components
-    assert [record_key(r) for r in run.records] == [record_key(r) for r in records]
-    assert run.rounds == rounds
-    assert [state_key(s) for s in run.residuals] == [state_key(s) for s in residuals]
-    assert (run.summary.pair_count, run.summary.phi_count, run.summary.psi_count) == (
+    table = pair_table()
+    case, readout = run.case.tolist(), run.readout.tolist()
+    assert case == [CASES.index((c.pol, c.spatial_sign)) for c in components]
+    assert run.recorded.tolist() == [
+        OUTCOME_PAIRS.index((r.pair.outcome_a, r.pair.outcome_b)) for r in records
+    ]
+    assert run.reported.tolist() == [
+        OUTCOME_PAIRS.index((r.reported_a, r.reported_b)) for r in records
+    ]
+    assert [PHI if phi else PSI for phi in run.inferred_phi.tolist()] == [
+        r.inferred_class for r in records
+    ] == [r.bell_class for r in rounds]
+    assert [PHI if phi else PSI for phi in run.true_phi.tolist()] == [
+        r.true_class for r in records
+    ]
+    assert [state_key(table.states[c][r]) for c, r in zip(case, readout)] == [
+        state_key(r.pair.pol_state) for r in records
+    ]
+    assert [float(table.probs[c, r]) for c, r in zip(case, readout)] == [
+        r.pair.probability for r in records
+    ]
+    assert run.theta_index.tolist() == [r.theta_index for r in rounds]
+    assert [SIGNED_ANGLES[a] for a in run.signed_angle_index.tolist()] == [
+        r.sent_angle for r in rounds
+    ]
+    assert run.a_bit.tolist() == [r.a_bit for r in rounds]
+    run_residuals = [
+        state_key(_rotated_basis_projection(table.states[c][r], SIGNED_ANGLES[a])[1 + bit])
+        for c, r, a, bit in zip(
+            case, readout, run.signed_angle_index.tolist(), run.a_bit.tolist()
+        )
+    ]
+    assert run_residuals == [state_key(s) for s in residuals]
+    assert run_residuals == [state_key(s) for s in summary.residuals]
+    phi_count = int(np.count_nonzero(run.inferred_phi))
+    assert (len(run.case), phi_count, len(run.case) - phi_count) == (
         summary.pair_count, summary.phi_count, summary.psi_count,
     )
-    assert [state_key(s) for s in run.summary.residuals] == [
-        state_key(s) for s in summary.residuals
-    ]
     assert run.audit_report == audit(transcript)
     if fv.f3 == 0.0:
-        assert all(c.pol is not PolarizationBell.PSI_MINUS for c in run.components)
+        assert all(c // 2 != 3 for c in case)
 
 
 def test_engine_keeps_the_stage_checks():
     with pytest.raises(ValueError, match=">= 1"):
         run_protocol(0, MIXED)
-    with pytest.raises(ValueError, match="dephasing probability"):
-        run_protocol(3, MIXED, dephase_p=1.5)
+    for dephase_p in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="dephasing probability"):
+            run_protocol(3, MIXED, dephase_p=dephase_p)
+    for dephase_p in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="dephasing probability"):
+            run_distribution(3, MIXED, dephase_p, np.random.default_rng(0), Transcript())
     with pytest.raises(ValueError, match="evil_bob_flip_p"):
         run_protocol(3, MIXED, evil_bob_flip_p=-0.1)
 
