@@ -295,7 +295,7 @@ def emit_report(
 def write_transcript(transcript: Transcript, destination: str) -> None:
     try:
         with open(destination, "wb") as fh:
-            fh.write(transcript.to_bytes())
+            fh.writelines(transcript.iter_bytes())
     except OSError as exc:
         raise OSError(f"cannot write transcript to {destination!r}: {exc}") from exc
 

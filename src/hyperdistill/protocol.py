@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,8 +172,28 @@ assert len(set(_PARTY_OF_BYTE.tolist())) == len(PARTIES)
 #: Longest seq the block parser decodes; longer ones are left to ``int``.
 _SEQ_DIGITS = 15
 
-#: Nonblank transcript lines parsed per block.
-_PARSE_BLOCK_LINES = 4096
+#: Most messages a transcript block holds, and most lines the parser
+#: reads at once. Every pass over a transcript, building, parsing,
+#: rendering and auditing, works one block at a time.
+_BLOCK_LINES = 4096
+
+#: Longest block text whose payload offsets fit the int32 offset column.
+_MAX_BLOCK_TEXT = np.iinfo(np.int32).max
+
+
+class _Payloads:
+    """Payloads of a parsed block, kept as (start, stop) offsets into the
+    block's text and cut out as ``str`` only when iterated."""
+
+    __slots__ = ("text", "bounds")
+
+    def __init__(self, text: str, bounds: np.ndarray):
+        self.text = text
+        self.bounds = bounds  # int32, one (start, stop) row per message
+
+    def __iter__(self) -> Iterator[str]:
+        text = self.text
+        return (text[start:stop] for start, stop in self.bounds.tolist())
 
 
 class _Block(NamedTuple):
@@ -183,12 +203,12 @@ class _Block(NamedTuple):
     phase: np.ndarray  # int8 indices into PHASES
     sender: np.ndarray  # int8 indices into PARTIES
     recipient: np.ndarray  # int8 indices into PARTIES
-    payload: list[str]
+    payload: list[str] | _Payloads
 
 
 def _seq_column(seqs: list[int]) -> Sequence[int]:
     """The seqs, as a range when they are consecutive."""
-    if seqs[-1] - seqs[0] == len(seqs) - 1 and all(map(int.__lt__, seqs, seqs[1:])):
+    if seqs and seqs[-1] - seqs[0] == len(seqs) - 1 and all(map(int.__lt__, seqs, seqs[1:])):
         return range(seqs[0], seqs[-1] + 1)
     return seqs
 
@@ -204,30 +224,35 @@ def _block_of(messages: list[Message]) -> _Block:
 
 
 def _parse_block(lines: list[str], prev: int) -> _Block | None:
-    """Columns of nonblank wire lines that follow seq ``prev``.
+    """Columns of the wire lines that follow seq ``prev``.
 
-    Works on the bytes of the whole block. Returns None when a line is
-    not plain ASCII, holds a newline anywhere but at its end, does not
-    have exactly five ``|``, has a seq that is not 1 to 15 digits above
-    ``prev`` and above the seq before it, or has a middle (the text
-    between seq and payload) other than a valid one. The valid middles
-    have a known phase and parties, the phase's payload kind and no
-    self-message, so a block that passes gives what ``Message.from_line``
-    gives line by line.
+    Works on the bytes of the whole block and drops empty lines (``""``
+    and ``"\\n"``). Returns None when the block is too long for int32
+    offsets, or a line is not plain ASCII, holds a newline anywhere but
+    at its end, does not have exactly five ``|``, has a seq that is not
+    1 to 15 digits above ``prev`` and above the seq before it, or has a
+    middle (the text between seq and payload) other than a valid one.
+    The valid middles have a known phase and parties, the phase's payload
+    kind and no self-message, so a block that passes gives what
+    ``Message.from_line`` gives line by line.
     """
     text = "".join(lines)
-    if not text.isascii():
+    if len(text) > _MAX_BLOCK_TEXT or not text.isascii():
         return None
     # Zero padding keeps every fixed-width read below inside the buffer.
     buf = np.frombuffer(text.encode("ascii") + bytes(_MIDDLE_WIDTH), np.uint8)
-    n = len(lines)
-    lengths = np.fromiter(map(len, lines), np.int64, n)
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
     ends = np.cumsum(lengths)
-    starts = ends - lengths
-    newline = buf[ends - 1] == ord("\n")
+    newline = (lengths > 0) & (buf[ends - 1] == ord("\n"))
     if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
         return None
     stops = ends - newline
+    starts = ends - lengths
+    nonblank = stops > starts
+    starts, stops = starts[nonblank], stops[nonblank]
+    n = len(starts)
+    if not n:
+        return _block_of([])
     pipes = np.flatnonzero(buf == ord("|"))
     if len(pipes) != 5 * n:
         return None
@@ -266,19 +291,17 @@ def _parse_block(lines: list[str], prev: int) -> _Block | None:
     ):
         return None
 
-    payloads = [
-        text[start:stop]
-        for start, stop in zip((pipes[:, 4] + 1).tolist(), stops.tolist())
-    ]
+    bounds = np.stack([pipes[:, 4] + 1, stops], axis=1).astype(np.int32)
     first, last = int(seq[0]), int(seq[-1])
     seqs = range(first, last + 1) if last - first == n - 1 else seq.tolist()
-    return _Block(seqs, phase, sender, recipient, payloads)
+    return _Block(seqs, phase, sender, recipient, _Payloads(text, bounds))
 
 
 def _parse_messages(lines: list[str], prev: int) -> list[Message]:
-    """Parse line by line; raises the error of the first bad line."""
+    """Parse the nonblank lines one by one; raises the error of the first
+    bad line."""
     messages = []
-    for line in lines:
+    for line in filter(str.strip, lines):
         msg = Message.from_line(line)
         if msg.seq <= prev:
             raise ValueError(f"seq {msg.seq} not strictly increasing")
@@ -303,9 +326,11 @@ def _cycled_codes(parties: tuple[Party, ...], n: int) -> np.ndarray:
 class Transcript:
     """Append-only, strictly sequenced log of classical messages.
 
-    Messages are stored as blocks of columns: phase, sender and recipient
-    codes plus the payload. ``messages``, ``to_lines`` and ``to_bytes``
-    build their output from the columns on each call.
+    Messages are stored as blocks of at most ``_BLOCK_LINES`` rows of
+    columns: phase, sender and recipient codes plus the payloads. A parsed
+    block keeps its payloads as offsets into its text. ``messages``,
+    ``to_lines`` and ``iter_bytes`` build their output from the columns
+    on each call, one block at a time.
     """
 
     def __init__(self):
@@ -350,6 +375,8 @@ class Transcript:
         )
         self._pending.append(msg)
         self._last_seq = msg.seq
+        if len(self._pending) >= _BLOCK_LINES:
+            self._sealed_blocks()
         return msg
 
     def _extend(
@@ -359,46 +386,52 @@ class Transcript:
         recipients: tuple[Party, ...],
         payloads: list[str],
     ) -> None:
-        """Append one message per payload, all in ``phase``.
+        """Append one message per payload, all in ``phase``, in blocks of
+        at most ``_BLOCK_LINES``.
 
         Senders and recipients repeat the given cycles. The engine builds
         every block from fixed parties and payload tables, so the checks
         of ``Message`` are not repeated per message.
         """
         n = len(payloads)
-        self._sealed_blocks().append(
-            _Block(
-                range(self._last_seq + 1, self._last_seq + n + 1),
-                np.full(n, _PHASE_CODE[phase], dtype=np.int8),
-                _cycled_codes(senders, n),
-                _cycled_codes(recipients, n),
-                payloads,
-            )
+        columns = (
+            range(self._last_seq + 1, self._last_seq + n + 1),
+            np.full(n, _PHASE_CODE[phase], dtype=np.int8),
+            _cycled_codes(senders, n),
+            _cycled_codes(recipients, n),
+            payloads,
         )
+        blocks = self._sealed_blocks()
+        for i in range(0, n, _BLOCK_LINES):
+            blocks.append(_Block(*(column[i:i + _BLOCK_LINES] for column in columns)))
         self._last_seq += n
 
     def to_lines(self) -> list[str]:
         return [line for block in self._sealed_blocks() for line in _render(block)]
 
-    def to_bytes(self) -> bytes:
+    def iter_bytes(self) -> Iterator[bytes]:
+        """The wire bytes, one block at a time; one newline when empty."""
         blocks = self._sealed_blocks()
         if not blocks:
-            return b"\n"
-        return b"".join(
-            ("\n".join(_render(block)) + "\n").encode("utf-8") for block in blocks
-        )
+            yield b"\n"
+        for block in blocks:
+            yield ("\n".join(_render(block)) + "\n").encode("utf-8")
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.iter_bytes())
 
     @classmethod
     def from_lines(cls, lines) -> "Transcript":
         transcript = cls()
-        nonblank = filter(str.strip, lines)
+        lines = iter(lines)
         prev = 0
-        while chunk := list(itertools.islice(nonblank, _PARSE_BLOCK_LINES)):
+        while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
             block = _parse_block(chunk, prev)
             if block is None:
                 block = _block_of(_parse_messages(chunk, prev))
-            transcript._blocks.append(block)
-            prev = block.seq[-1]
+            if block.seq:
+                transcript._blocks.append(block)
+                prev = block.seq[-1]
         transcript._last_seq = prev
         return transcript
 
@@ -801,6 +834,8 @@ def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> floa
     Averages the same-readout probability of each case over the mixture
     weights and the dephasing channel, component by component.
     """
+    if not (0.0 <= dephase_p <= 1.0):
+        raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
     probs = pair_table().probs
     same = (probs[:, 0] + probs[:, 3]).tolist()  # (Shift, Shift) + (NoShift, NoShift)
     weights = fv.as_tuple()

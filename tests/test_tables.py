@@ -10,6 +10,7 @@ and the columnar transcript against the per-message rules of ``Message``.
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,7 @@ from hyperdistill import (
     trace_distance,
 )
 from hyperdistill import protocol
+from hyperdistill.cli import write_transcript
 from hyperdistill.protocol import (
     PAYLOAD_KIND_FOR_PHASE,
     SIGNED_ANGLES,
@@ -285,6 +287,12 @@ def test_analytic_phi_probability_equals_branch_engine_sum(fv, dephase_p):
     assert analytic_phi_probability(fv, dephase_p) == branch_engine_phi_probability(
         fv, dephase_p
     )
+
+
+@pytest.mark.parametrize("dephase_p", [-0.5, 2.0, math.nan])
+def test_analytic_phi_probability_rejects_impossible_dephasing(dephase_p):
+    with pytest.raises(ValueError, match=r"dephasing probability .* outside \[0, 1\]"):
+        analytic_phi_probability(MIXED, dephase_p)
 
 
 NOISE_SETTINGS = {
@@ -553,17 +561,58 @@ def parse_outcome(parse, lines):
         return str(exc)
 
 
+def reference_bytes(messages):
+    """The wire file of ``messages``, rendered one by one by ``Message.to_line``."""
+    return b"".join(f"{msg.to_line()}\n".encode("utf-8") for msg in messages) or b"\n"
+
+
+def views(transcript):
+    """The messages of ``transcript`` and its wire file, which decodes the payloads."""
+    return transcript.messages, transcript.to_bytes()
+
+
+def reference_views(messages):
+    return messages, reference_bytes(messages)
+
+
 @settings(max_examples=300, deadline=None)
-@given(mutated_transcripts(), st.sampled_from([1, 2, 5, protocol._PARSE_BLOCK_LINES]))
+@given(mutated_transcripts(), st.sampled_from([1, 2, 5, protocol._BLOCK_LINES]))
 def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines):
-    with mock.patch.object(protocol, "_PARSE_BLOCK_LINES", block_lines):
-        got = parse_outcome(lambda lines: Transcript.from_lines(lines).messages, lines)
-    assert got == parse_outcome(reference_from_lines, lines)
+    with mock.patch.object(protocol, "_BLOCK_LINES", block_lines):
+        got = parse_outcome(lambda lines: views(Transcript.from_lines(lines)), lines)
+    assert got == parse_outcome(
+        lambda lines: reference_views(reference_from_lines(lines)), lines
+    )
+
+
+BLANK_LINES = ["", "\n", " \n", "\r\n", "\t\n", "\x0b\n", "\x1c\n"]
+
+
+@pytest.mark.parametrize("ending", ["", "\n"], ids=["list", "file"])
+@pytest.mark.parametrize("place", ["first line", "mid-block", "block boundary", "whole block"])
+@pytest.mark.parametrize("blank", BLANK_LINES)
+def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, ending):
+    size = 4
+    lines = [line + ending for line in run_protocol(2, MIXED, seed=3).transcript.to_lines()]
+    at = {"first line": 0, "mid-block": size // 2, "block boundary": size - 1}.get(place)
+    if at is None:
+        lines[size:size] = [blank] * size
+    else:
+        lines[at:at] = [blank] * (2 if place == "block boundary" else 1)
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        transcript = Transcript.from_lines(lines)
+    expected = reference_from_lines(lines)
+    assert transcript.messages == expected
+    assert transcript.to_lines() == [msg.to_line() for msg in expected]
+    assert transcript.to_bytes() == reference_bytes(expected)
+    if not blank.strip("\n"):
+        # An empty line leaves its block on the byte path.
+        assert all(isinstance(b.payload, protocol._Payloads) for b in transcript._blocks)
 
 
 @pytest.mark.parametrize("form", ["file", "file without final newline", "list"])
 def test_block_parser_takes_every_block_of_a_run(form):
-    size = protocol._PARSE_BLOCK_LINES
+    size = protocol._BLOCK_LINES
     transcript = run_protocol(size // 3 + 1, MIXED, seed=6, **NOISY).transcript
     if form == "list":
         lines = transcript.to_lines()
@@ -579,8 +628,16 @@ def test_block_parser_takes_every_block_of_a_run(form):
     assert Transcript.from_lines(lines).to_bytes() == transcript.to_bytes()
 
 
+def test_block_too_long_for_int32_offsets_takes_the_line_parser():
+    lines = run_protocol(2, MIXED, seed=3).transcript.to_lines()
+    assert protocol._parse_block(lines, 0) is not None
+    with mock.patch.object(protocol, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
+        assert protocol._parse_block(lines, 0) is None
+        assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
+
+
 def test_from_lines_checks_order_across_parse_blocks():
-    size = protocol._PARSE_BLOCK_LINES
+    size = protocol._BLOCK_LINES
     lines = run_protocol(size // 6 + 1, MIXED, seed=4).transcript.to_bytes().decode().splitlines(True)
     assert len(lines) > size
     lines.insert(size, lines[size - 1])
@@ -620,3 +677,64 @@ def test_append_after_from_lines_round_trips():
 def test_empty_transcript_renders_one_newline():
     assert Transcript().to_bytes() == b"\n"
     assert Transcript.from_lines(["", "  "]).messages == ()
+
+
+# --- writing in blocks --------------------------------------------------------------------
+
+ODD_LINES = [
+    " 3|Distribution|Source|Bob1|quantum_marker|1\n",
+    "\n",
+    "7|Distillation|Bob1|Alice|qnd_outcome|Shift\n",
+    "8|Handoff|Alice|Bob2|control|\u00e9t\u00e9\n",
+    "12|Handoff|Alice|Bob2|control|\n",
+    "13|ResultReport|Bob1|Alice|result_bit|1\n",
+]
+
+
+def appended(transcript, count):
+    for i in range(count):
+        transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", str(i))
+    return transcript
+
+
+WRITTEN = {
+    "run of several blocks": lambda size: run_protocol(size // 2 + 1, MIXED, seed=8, **NOISY).transcript,
+    "empty": lambda size: Transcript(),
+    "parsed with gaps, non-ascii and empty payloads": lambda size: Transcript.from_lines(ODD_LINES),
+    "appended after parsing": lambda size: appended(Transcript.from_lines(ODD_LINES), size + 2),
+}
+
+
+@pytest.mark.parametrize("size", [3, protocol._BLOCK_LINES])
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
+    path = tmp_path / "messages.log"
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        transcript = WRITTEN[name](size)
+        write_transcript(transcript, str(path))
+    blocks = transcript._blocks
+    assert all(len(block.phase) <= size for block in blocks)
+    if name == "run of several blocks":
+        assert len(blocks) >= 3
+        seqs = [msg.seq for msg in transcript.messages]
+        assert seqs == list(range(1, transcript._last_seq + 1))
+    assert path.read_bytes() == reference_bytes(transcript.messages)
+    assert path.read_bytes() == transcript.to_bytes()
+
+
+def traced_write_peak(transcript, path):
+    """Peak bytes that Python allocates while writing ``transcript``."""
+    tracemalloc.start()
+    try:
+        write_transcript(transcript, str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_write_memory_stays_flat(tmp_path):
+    small, large = (
+        traced_write_peak(run_protocol(pairs, MIXED, seed=5).transcript, tmp_path / "t.log")
+        for pairs in (5000, 80000)
+    )
+    assert large <= 1.5 * small
