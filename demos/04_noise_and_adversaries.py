@@ -19,8 +19,7 @@ def show(title, cfg):
     print("=" * 72)
     print(title)
     print("=" * 72)
-    report, _ = execute_run(cfg)
-    doc = report.to_dict()
+    doc, _ = execute_run(cfg)
     for key in (
         "phi_class_count",
         "psi_class_count",
@@ -60,6 +59,6 @@ print("=" * 72)
 print("The same data as a machine-readable artifact")
 print("=" * 72)
 report, _ = execute_run(RunConfig(pairs=200, fidelities=CLEAN, seed=5))
-doc = json.loads(serialize_report(report.to_dict(), "json"))
+doc = json.loads(serialize_report(report, "json"))
 print(json.dumps(doc, indent=2)[:800])
 print("...")

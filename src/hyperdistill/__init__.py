@@ -70,7 +70,7 @@ __version__ = "0.1.0"
 #: Names served from ``cli``, which is imported on first use: the CLI
 #: brings in a process pool that importing the library does not need.
 _CLI_NAMES = frozenset(
-    {"RunConfig", "RunReport", "execute_run", "emit_report", "main", "parse_config"}
+    {"RunConfig", "execute_run", "emit_report", "main", "parse_config"}
 )
 
 
@@ -130,7 +130,6 @@ __all__ = [
     "run_distribution",
     "run_protocol",
     "RunConfig",
-    "RunReport",
     "execute_run",
     "emit_report",
     "main",

@@ -19,12 +19,14 @@ import secrets
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import (
     ANGLE_COUNT,
+    DRAWS_PER_PAIR,
+    MAX_PAIRS,
     ProtocolRun,
     Transcript,
     analytic_phi_probability,
@@ -38,12 +40,6 @@ DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)
 DEFAULT_SEED = 0
 DEFAULT_FORMAT = "json"
-
-#: Uniform draws per pair in a run's widest block, which one float64 array
-#: holds: the joint readout, two homodyne misreads and Bob1's misreport.
-#: numpy refuses an array whose byte count does not fit in intp.
-DRAWS_PER_PAIR = 4
-MAX_PAIRS = np.iinfo(np.intp).max // (DRAWS_PER_PAIR * np.dtype(np.float64).itemsize)
 
 #: Flat column order of the CSV report.
 CSV_COLUMNS = (
@@ -146,49 +142,6 @@ class RunConfig:
         return f"run-{digest[:12]}"
 
 
-@dataclass
-class RunReport:
-    """Aggregated results of one run.
-
-    The fidelity means are grouped by the ground-truth class of each
-    surviving state; the class counts are Alice's view, inferred from
-    the readouts as reported. The two diverge under readout
-    misclassification or misreporting, counted in
-    ``class_mismatch_count``. The field order is the key order of the
-    JSON report; ``duration_seconds`` never enters the serialized
-    artifact.
-    """
-
-    run_id: str
-    config: dict
-    pair_count: int
-    phi_class_count: int
-    psi_class_count: int
-    phi_class_frequency: float = field(init=False)
-    psi_class_frequency: float = field(init=False)
-    analytic_phi_probability: float
-    class_mismatch_count: int
-    mean_phi_pair_fidelity_phi_plus: float | None
-    mean_phi_pair_fidelity_phi_minus: float | None
-    mean_psi_pair_fidelity_psi_plus: float | None
-    mean_psi_pair_fidelity_psi_minus: float | None
-    angle_counts: dict[str, int]
-    audit_passed: bool
-    audit_violation_count: int = field(init=False)
-    audit_violations: list[dict]
-    duration_seconds: float = 0.0
-
-    def __post_init__(self):
-        self.phi_class_frequency = self.phi_class_count / self.pair_count
-        self.psi_class_frequency = self.psi_class_count / self.pair_count
-        self.audit_violation_count = len(self.audit_violations)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        del doc["duration_seconds"]
-        return doc
-
-
 def _mean_or_none(values: np.ndarray) -> float | None:
     """Mean of the values added one by one in pair order, or None if empty."""
     if not values.size:
@@ -196,9 +149,15 @@ def _mean_or_none(values: np.ndarray) -> float | None:
     return float(np.cumsum(values)[-1] / values.size)
 
 
-def execute_run(cfg: RunConfig) -> tuple[RunReport, Transcript]:
-    """Run the full protocol once and aggregate the report."""
-    started = time.perf_counter()
+def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
+    """Run the full protocol once; return the report document and transcript.
+
+    The document's key order is that of the JSON report. The fidelity
+    means are grouped by the ground-truth class of each surviving state;
+    the class counts are Alice's view, inferred from the readouts as
+    reported. The two diverge under readout misclassification or
+    misreporting, counted in ``class_mismatch_count``.
+    """
     run: ProtocolRun = run_protocol(
         m=cfg.pairs,
         fv=cfg.fidelities,
@@ -213,30 +172,34 @@ def execute_run(cfg: RunConfig) -> tuple[RunReport, Transcript]:
     phi_fidelities = fidelities[true_phi]
     psi_fidelities = fidelities[~true_phi]
     phi_count = int(np.count_nonzero(inferred_phi))
+    psi_count = cfg.pairs - phi_count
     angle_counts = np.bincount(run.theta_index, minlength=ANGLE_COUNT)
-    report = RunReport(
-        run_id=cfg.run_id(),
-        config=cfg.echo(),
-        pair_count=cfg.pairs,
-        phi_class_count=phi_count,
-        psi_class_count=cfg.pairs - phi_count,
-        analytic_phi_probability=analytic_phi_probability(
+    violations = [
+        {"kind": v.kind, "seq": v.seq, "description": v.description}
+        for v in run.audit_report.violations
+    ]
+    doc = {
+        "run_id": cfg.run_id(),
+        "config": cfg.echo(),
+        "pair_count": cfg.pairs,
+        "phi_class_count": phi_count,
+        "psi_class_count": psi_count,
+        "phi_class_frequency": phi_count / cfg.pairs,
+        "psi_class_frequency": psi_count / cfg.pairs,
+        "analytic_phi_probability": analytic_phi_probability(
             cfg.fidelities, cfg.dephase_p
         ),
-        class_mismatch_count=int(np.count_nonzero(inferred_phi != true_phi)),
-        mean_phi_pair_fidelity_phi_plus=_mean_or_none(phi_fidelities[:, 0]),
-        mean_phi_pair_fidelity_phi_minus=_mean_or_none(phi_fidelities[:, 1]),
-        mean_psi_pair_fidelity_psi_plus=_mean_or_none(psi_fidelities[:, 2]),
-        mean_psi_pair_fidelity_psi_minus=_mean_or_none(psi_fidelities[:, 3]),
-        angle_counts={str(k): int(n) for k, n in enumerate(angle_counts)},
-        audit_passed=run.audit_report.passed,
-        audit_violations=[
-            {"kind": v.kind, "seq": v.seq, "description": v.description}
-            for v in run.audit_report.violations
-        ],
-        duration_seconds=time.perf_counter() - started,
-    )
-    return report, run.transcript
+        "class_mismatch_count": int(np.count_nonzero(inferred_phi != true_phi)),
+        "mean_phi_pair_fidelity_phi_plus": _mean_or_none(phi_fidelities[:, 0]),
+        "mean_phi_pair_fidelity_phi_minus": _mean_or_none(phi_fidelities[:, 1]),
+        "mean_psi_pair_fidelity_psi_plus": _mean_or_none(psi_fidelities[:, 2]),
+        "mean_psi_pair_fidelity_psi_minus": _mean_or_none(psi_fidelities[:, 3]),
+        "angle_counts": {str(k): int(n) for k, n in enumerate(angle_counts)},
+        "audit_passed": run.audit_report.passed,
+        "audit_violation_count": len(violations),
+        "audit_violations": violations,
+    }
+    return doc, run.transcript
 
 
 def _csv_cell(value) -> str:
@@ -275,21 +238,17 @@ def serialize_report(doc: dict, output_format: str) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def emit_report(
-    report: "RunReport | dict", output_format: str, destination: str | None
-) -> bytes:
+def emit_report(doc: dict, output_format: str, destination: str | None) -> None:
     """Serialize a report (or sweep document) to a path, or stdout when None."""
-    doc = report.to_dict() if isinstance(report, RunReport) else report
     payload = serialize_report(doc, output_format)
     if destination is None:
         sys.stdout.write(payload.decode("utf-8"))
-        return payload
+        return
     try:
         with open(destination, "wb") as fh:
             fh.write(payload)
     except OSError as exc:
         raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
-    return payload
 
 
 def write_transcript(transcript: Transcript, destination: str) -> None:
@@ -305,8 +264,7 @@ def write_transcript(transcript: Transcript, destination: str) -> None:
 
 def _sweep_single(args: tuple[RunConfig, int]) -> dict:
     cfg, seed = args
-    report, _ = execute_run(dataclasses.replace(cfg, seed=seed, sweep=None))
-    return report.to_dict()
+    return execute_run(dataclasses.replace(cfg, seed=seed, sweep=None))[0]
 
 
 def run_sweep(cfg: RunConfig) -> dict:
@@ -490,7 +448,7 @@ def main(argv=None) -> int:
             if cfg.transcript_path is not None:
                 write_transcript(transcript, cfg.transcript_path)
             emit_report(report, cfg.output_format, cfg.out_path)
-            audit_ok = report.audit_passed
+            audit_ok = report["audit_passed"]
     except (OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

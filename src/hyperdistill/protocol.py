@@ -100,8 +100,8 @@ class Message:
                 f"phase {self.phase.value} carries {expected!r} payloads, "
                 f"got {self.payload_kind!r}"
             )
-        if "|" in self.payload or "\n" in self.payload:
-            raise ValueError("payload must not contain '|' or newlines")
+        if "|" in self.payload or "\n" in self.payload or "\r" in self.payload:
+            raise ValueError("payload must not contain '|', '\\r' or '\\n'")
 
     def to_line(self) -> str:
         return (
@@ -228,16 +228,16 @@ def _parse_block(lines: list[str], prev: int) -> _Block | None:
 
     Works on the bytes of the whole block and drops empty lines (``""``
     and ``"\\n"``). Returns None when the block is too long for int32
-    offsets, or a line is not plain ASCII, holds a newline anywhere but
-    at its end, does not have exactly five ``|``, has a seq that is not
-    1 to 15 digits above ``prev`` and above the seq before it, or has a
-    middle (the text between seq and payload) other than a valid one.
-    The valid middles have a known phase and parties, the phase's payload
-    kind and no self-message, so a block that passes gives what
+    offsets, or a line is not plain ASCII, holds a ``"\\r"`` or a newline
+    anywhere but at its end, does not have exactly five ``|``, has a seq
+    that is not 1 to 15 digits above ``prev`` and above the seq before it,
+    or has a middle (the text between seq and payload) other than a valid
+    one. The valid middles have a known phase and parties, the phase's
+    payload kind and no self-message, so a block that passes gives what
     ``Message.from_line`` gives line by line.
     """
     text = "".join(lines)
-    if len(text) > _MAX_BLOCK_TEXT or not text.isascii():
+    if len(text) > _MAX_BLOCK_TEXT or not text.isascii() or "\r" in text:
         return None
     # Zero padding keeps every fixed-width read below inside the buffer.
     buf = np.frombuffer(text.encode("ascii") + bytes(_MIDDLE_WIDTH), np.uint8)
@@ -358,19 +358,15 @@ class Transcript:
         )
 
     def append(
-        self,
-        phase: Phase,
-        sender: Party,
-        recipient: Party,
-        payload_kind: str,
-        payload: str,
+        self, phase: Phase, sender: Party, recipient: Party, payload: str
     ) -> Message:
+        """Log one message; its payload kind is the one ``phase`` carries."""
         msg = Message(
             seq=self._last_seq + 1,
             phase=phase,
             sender=sender,
             recipient=recipient,
-            payload_kind=payload_kind,
+            payload_kind=PAYLOAD_KIND_FOR_PHASE[phase],
             payload=payload,
         )
         self._pending.append(msg)
@@ -516,12 +512,8 @@ def run_distribution(
         if dephase_p > 0.0:
             component = spatial_dephase(component, dephase_p, rng)
         components.append(component)
-        transcript.append(
-            Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, "quantum_marker", str(j)
-        )
-        transcript.append(
-            Phase.DISTRIBUTION, Party.SOURCE, Party.BOB2, "quantum_marker", str(j)
-        )
+        transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, str(j))
+        transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB2, str(j))
     return components
 
 
@@ -550,14 +542,8 @@ def run_distillation(
         if evil_bob_flip_p > 0.0 and float(rng.random()) < evil_bob_flip_p:
             reported_a = reported_a.flipped()
         reported_b = pair.outcome_b
-        transcript.append(
-            Phase.DISTILLATION, Party.BOB1, Party.ALICE, "qnd_outcome",
-            reported_a.value,
-        )
-        transcript.append(
-            Phase.DISTILLATION, Party.BOB2, Party.ALICE, "qnd_outcome",
-            reported_b.value,
-        )
+        transcript.append(Phase.DISTILLATION, Party.BOB1, Party.ALICE, reported_a.value)
+        transcript.append(Phase.DISTILLATION, Party.BOB2, Party.ALICE, reported_b.value)
         records.append(
             DistillationRecord(
                 component=component,
@@ -585,9 +571,7 @@ def alice_announce_angles(
         theta = k * ANGLE_STEP
         sign = 1.0 if bell_class is BellClass.PHI else -1.0
         sent = sign * theta + 0.0  # normalize -0.0 to 0.0
-        transcript.append(
-            Phase.ANGLE_ANNOUNCEMENT, Party.ALICE, Party.BOB1, "angle", repr(sent)
-        )
+        transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.ALICE, Party.BOB1, repr(sent))
         rounds.append(
             BqcRound(
                 index=j,
@@ -726,9 +710,7 @@ def bob1_measure(
     residual = residual0 if a_bit == 0 else residual1
     if residual is None:
         raise RuntimeError(f"bit {a_bit} sampled despite zero Born weight")
-    transcript.append(
-        Phase.RESULT_REPORT, Party.BOB1, Party.ALICE, "result_bit", str(a_bit)
-    )
+    transcript.append(Phase.RESULT_REPORT, Party.BOB1, Party.ALICE, str(a_bit))
     return a_bit, residual
 
 
@@ -745,9 +727,7 @@ def handoff_single_server(
     incomplete = [r.index for r in rounds if r.a_bit is None]
     if incomplete:
         raise ValueError(f"rounds {incomplete} have no reported bit")
-    transcript.append(
-        Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "begin_single_server"
-    )
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "begin_single_server")
     phi = sum(1 for r in rounds if r.bell_class is BellClass.PHI)
     return HandoffSummary(
         pair_count=len(rounds),
@@ -909,6 +889,12 @@ class ProtocolRun:
         return pair_table().fidelity[self.case, self.readout]
 
 
+#: Uniform draws per pair in a run's widest block, which one float64 array
+#: holds: the joint readout, two homodyne misreads and Bob1's misreport.
+#: numpy refuses an array whose byte count does not fit in intp.
+DRAWS_PER_PAIR = 4
+MAX_PAIRS = np.iinfo(np.intp).max // (DRAWS_PER_PAIR * np.dtype(np.float64).itemsize)
+
 #: Payload text of each outcome code, of each signed angle and of each bit.
 _OUTCOME_PAYLOADS = np.array([outcome.value for outcome in OUTCOMES], dtype=object)
 _ANGLE_PAYLOADS = np.array([repr(angle) for angle in SIGNED_ANGLES], dtype=object)
@@ -935,6 +921,11 @@ def run_protocol(
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
+    if m > MAX_PAIRS:
+        raise ValueError(
+            f"pair count {m} exceeds {MAX_PAIRS}: a run holds up to "
+            f"{DRAWS_PER_PAIR} float64 uniforms per pair in one array"
+        )
     if not (0.0 <= dephase_p <= 1.0):
         raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
     if not (0.0 <= evil_bob_flip_p <= 1.0):
@@ -1000,9 +991,7 @@ def run_protocol(
         Phase.RESULT_REPORT, (Party.BOB1,), (Party.ALICE,),
         _BIT_PAYLOADS[a_bit].tolist(),
     )
-    transcript.append(
-        Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "begin_single_server"
-    )
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "begin_single_server")
     return ProtocolRun(
         case, readout, recorded, reported, inferred_phi, theta_index, angle,
         a_bit, transcript,

@@ -73,8 +73,8 @@ def test_criterion_1_agreement_probability_law():
         fv = FidelityVector.from_components(weights.tolist())
         deviation = abs(analytic_phi_probability(fv) - (fv.f + fv.f1))
         analytic_ok &= deviation <= 1e-12
-    run, _ = execute_run(RunConfig(pairs=10_000, fidelities=MIXED, seed=1))
-    empirical_ok = abs(run.phi_class_frequency - 0.8) <= 0.012
+    doc, _ = execute_run(RunConfig(pairs=10_000, fidelities=MIXED, seed=1))
+    empirical_ok = abs(doc["phi_class_frequency"] - 0.8) <= 0.012
     runtime_ok = time.perf_counter() - started < 5.0
     report(1, "agreement probability law", analytic_ok and empirical_ok and runtime_ok)
 
@@ -279,12 +279,8 @@ def test_criterion_8_byte_identical_reports():
     )
     report_a, transcript_a = execute_run(cfg)
     report_b, transcript_b = execute_run(cfg)
-    same_json = serialize_report(report_a.to_dict(), "json") == serialize_report(
-        report_b.to_dict(), "json"
-    )
-    same_csv = serialize_report(report_a.to_dict(), "csv") == serialize_report(
-        report_b.to_dict(), "csv"
-    )
+    same_json = serialize_report(report_a, "json") == serialize_report(report_b, "json")
+    same_csv = serialize_report(report_a, "csv") == serialize_report(report_b, "csv")
     same_transcript = transcript_a.to_bytes() == transcript_b.to_bytes()
     report(8, "byte-identical reports and transcripts", same_json and same_csv
            and same_transcript)

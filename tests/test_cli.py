@@ -96,6 +96,39 @@ def test_unknown_flag_rejected(capsys):
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+def test_non_numeric_fidelities_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--fidelities", "a,b,c,d"])
+    assert exc.value.code == 2
+    assert "--fidelities: not numeric: 'a,b,c,d'" in capsys.readouterr().err
+
+
+def test_config_file_holding_an_array_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps([{"pairs": 5}]))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "--config: file must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ValueError, match=f"seed {seed} outside unsigned 64-bit range"):
+        RunConfig(seed=seed)
+
+
+def test_entropy_seed_is_printed_and_reproduces_the_run(tmp_path, capsys):
+    drawn, rerun = tmp_path / "drawn.json", tmp_path / "rerun.json"
+    assert main(["--pairs", "20", "--entropy", "--out", str(drawn)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("entropy seed: ")
+    seed = int(err.splitlines()[0].removeprefix("entropy seed: "))
+    assert json.loads(drawn.read_text())["config"]["seed"] == seed
+    assert main(["--pairs", "20", "--seed", str(seed), "--out", str(rerun)]) == 0
+    assert drawn.read_bytes() == rerun.read_bytes()
+
+
 #: A non-default value of every RunConfig field that the run itself reads.
 RUN_INPUTS = [
     ("pairs", 2001),
@@ -108,7 +141,7 @@ RUN_INPUTS = [
 
 
 def run_results(cfg: RunConfig) -> dict:
-    doc = execute_run(cfg)[0].to_dict()
+    doc = execute_run(cfg)[0]
     del doc["run_id"], doc["config"]
     return doc
 
@@ -157,23 +190,23 @@ def test_sweep_with_transcript_rejected(tmp_path):
 def test_noiseless_end_to_end():
     cfg = RunConfig(pairs=100, fidelities=FidelityVector(1, 0, 0, 0), seed=2)
     report, transcript = execute_run(cfg)
-    assert report.phi_class_count == 100
-    assert report.psi_class_count == 0
-    assert report.mean_phi_pair_fidelity_phi_plus == pytest.approx(1.0, abs=1e-12)
-    assert report.mean_psi_pair_fidelity_psi_plus is None
-    assert report.analytic_phi_probability == pytest.approx(1.0, abs=1e-12)
-    assert report.audit_passed
-    assert report.class_mismatch_count == 0
+    assert report["phi_class_count"] == 100
+    assert report["psi_class_count"] == 0
+    assert report["mean_phi_pair_fidelity_phi_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert report["mean_psi_pair_fidelity_psi_plus"] is None
+    assert report["analytic_phi_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert report["audit_passed"]
+    assert report["class_mismatch_count"] == 0
     assert len(transcript.messages) == 6 * 100 + 1
 
 
 def test_mixed_run_statistics():
     cfg = RunConfig(pairs=10_000, fidelities=MIXED, seed=1)
     report, _ = execute_run(cfg)
-    assert report.analytic_phi_probability == pytest.approx(0.8, abs=1e-12)
+    assert report["analytic_phi_probability"] == pytest.approx(0.8, abs=1e-12)
     sigma = math.sqrt(0.8 * 0.2 / cfg.pairs)
-    assert abs(report.phi_class_frequency - 0.8) <= 3 * sigma
-    assert sum(report.angle_counts.values()) == cfg.pairs
+    assert abs(report["phi_class_frequency"] - 0.8) <= 3 * sigma
+    assert sum(report["angle_counts"].values()) == cfg.pairs
 
 
 def test_evil_bob_report_semantics():
@@ -185,11 +218,11 @@ def test_evil_bob_report_semantics():
     )
     report, _ = execute_run(cfg)
     # Alice sees only Psi-class pairs, yet the photons are perfect PhiPlus.
-    assert report.psi_class_count == 60
-    assert report.phi_class_count == 0
-    assert report.class_mismatch_count == 60
-    assert report.mean_phi_pair_fidelity_phi_plus == pytest.approx(1.0, abs=1e-12)
-    assert report.mean_psi_pair_fidelity_psi_plus is None
+    assert report["psi_class_count"] == 60
+    assert report["phi_class_count"] == 0
+    assert report["class_mismatch_count"] == 60
+    assert report["mean_phi_pair_fidelity_phi_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert report["mean_psi_pair_fidelity_psi_plus"] is None
 
 
 def test_dephasing_degrades_phase_but_not_class():
@@ -200,10 +233,10 @@ def test_dephasing_degrades_phase_but_not_class():
         seed=6,
     )
     report, _ = execute_run(cfg)
-    assert report.phi_class_count == 400
+    assert report["phi_class_count"] == 400
     # dephased pairs distill into the other Phi state
-    plus = report.mean_phi_pair_fidelity_phi_plus
-    minus = report.mean_phi_pair_fidelity_phi_minus
+    plus = report["mean_phi_pair_fidelity_phi_plus"]
+    minus = report["mean_phi_pair_fidelity_phi_minus"]
     assert plus + minus == pytest.approx(1.0, abs=1e-12)
     assert 0.3 < minus < 0.7
 
@@ -214,27 +247,27 @@ def test_dephasing_degrades_phase_but_not_class():
 def test_json_report_roundtrip():
     cfg = RunConfig(pairs=50, fidelities=MIXED, seed=9)
     report, _ = execute_run(cfg)
-    payload = serialize_report(report.to_dict(), "json")
+    payload = serialize_report(report, "json")
     parsed = json.loads(payload.decode("utf-8"))
-    assert parsed == report.to_dict()
+    assert parsed == report
 
 
 def test_csv_report_schema_and_values():
     cfg = RunConfig(pairs=50, fidelities=MIXED, seed=9, output_format="csv")
     report, _ = execute_run(cfg)
-    payload = serialize_report(report.to_dict(), "csv").decode("utf-8")
+    payload = serialize_report(report, "csv").decode("utf-8")
     rows = list(csv.reader(io.StringIO(payload)))
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == 2
     record = dict(zip(rows[0], rows[1]))
     assert int(record["pairs"]) == 50
     assert float(record["f"]) == 0.7
-    assert int(record["phi_class_count"]) == report.phi_class_count
+    assert int(record["phi_class_count"]) == report["phi_class_count"]
     # numeric round trip at full precision
     assert float(record["analytic_phi_probability"]) == (
-        report.analytic_phi_probability
+        report["analytic_phi_probability"]
     )
-    assert float(record["phi_class_frequency"]) == report.phi_class_frequency
+    assert float(record["phi_class_frequency"]) == report["phi_class_frequency"]
     assert record["audit_passed"] == "true"
 
 
@@ -242,12 +275,8 @@ def test_reports_and_transcripts_are_byte_identical():
     cfg = RunConfig(pairs=120, fidelities=MIXED, dephase_p=0.1, seed=33)
     report_a, transcript_a = execute_run(cfg)
     report_b, transcript_b = execute_run(cfg)
-    assert serialize_report(report_a.to_dict(), "json") == serialize_report(
-        report_b.to_dict(), "json"
-    )
-    assert serialize_report(report_a.to_dict(), "csv") == serialize_report(
-        report_b.to_dict(), "csv"
-    )
+    assert serialize_report(report_a, "json") == serialize_report(report_b, "json")
+    assert serialize_report(report_a, "csv") == serialize_report(report_b, "csv")
     assert transcript_a.to_bytes() == transcript_b.to_bytes()
 
 
@@ -307,6 +336,12 @@ def test_main_reports_io_failure(tmp_path, capsys):
     code = main(["--pairs", "5", "--out", str(tmp_path / "no" / "dir" / "x.json")])
     assert code == 1
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_main_reports_transcript_io_failure(tmp_path, capsys):
+    code = main(["--pairs", "5", "--transcript", str(tmp_path)])
+    assert code == 1
+    assert "cannot write transcript" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [[], ["--sweep", "1"]])
@@ -433,11 +468,11 @@ def test_pairs_beyond_one_draw_block_exit_2(capsys, mode):
     with pytest.raises(SystemExit) as exc:
         main(["--pairs", str(10**20)] + mode)
     assert exc.value.code == 2
-    assert f"pairs {10**20} exceeds {cli.MAX_PAIRS}" in capsys.readouterr().err
-    assert cli.MAX_PAIRS * cli.DRAWS_PER_PAIR * 8 <= np.iinfo(np.intp).max
-    RunConfig(pairs=cli.MAX_PAIRS)
+    assert f"pairs {10**20} exceeds {protocol.MAX_PAIRS}" in capsys.readouterr().err
+    assert protocol.MAX_PAIRS * protocol.DRAWS_PER_PAIR * 8 <= np.iinfo(np.intp).max
+    RunConfig(pairs=protocol.MAX_PAIRS)
     with pytest.raises(ValueError, match="exceeds"):
-        RunConfig(pairs=cli.MAX_PAIRS + 1)
+        RunConfig(pairs=protocol.MAX_PAIRS + 1)
 
 
 def test_sweep_may_end_on_the_last_seed():
@@ -511,11 +546,10 @@ def test_importing_the_package_leaves_the_cli_unloaded():
         "import sys, hyperdistill\n"
         "assert 'hyperdistill.cli' not in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "from hyperdistill import RunConfig, RunReport, emit_report, execute_run, main, parse_config\n"
+        "from hyperdistill import RunConfig, emit_report, execute_run, main, parse_config\n"
         "from hyperdistill import cli\n"
-        "assert (RunConfig, RunReport, emit_report, execute_run, main, parse_config) == (\n"
-        "    cli.RunConfig, cli.RunReport, cli.emit_report, cli.execute_run, cli.main,\n"
-        "    cli.parse_config)\n"
+        "assert (RunConfig, emit_report, execute_run, main, parse_config) == (\n"
+        "    cli.RunConfig, cli.emit_report, cli.execute_run, cli.main, cli.parse_config)\n"
         "assert all(hasattr(hyperdistill, name) for name in hyperdistill.__all__)\n"
     )
     env = dict(os.environ)

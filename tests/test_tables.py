@@ -49,7 +49,6 @@ from hyperdistill import (
 from hyperdistill import protocol
 from hyperdistill.cli import write_transcript
 from hyperdistill.protocol import (
-    PAYLOAD_KIND_FOR_PHASE,
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
     VIOLATION_ANGLE_TO_BOB2,
@@ -295,6 +294,12 @@ def test_analytic_phi_probability_rejects_impossible_dephasing(dephase_p):
         analytic_phi_probability(MIXED, dephase_p)
 
 
+def test_run_protocol_names_the_pair_bound():
+    for pairs in (protocol.MAX_PAIRS + 1, 2**60):
+        with pytest.raises(ValueError, match=f"pair count {pairs} exceeds {protocol.MAX_PAIRS}"):
+            run_protocol(pairs, MIXED)
+
+
 NOISE_SETTINGS = {
     "clean": (MIXED, 0.0, 0.0, 0.0),
     "dephasing": (MIXED, 0.3, 0.0, 0.0),
@@ -405,9 +410,9 @@ def reference_audit(messages):
 
 def test_audit_lists_a_two_rule_message_by_rule():
     transcript = Transcript()
-    transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, "quantum_marker", "1")
-    transcript.append(Phase.RESULT_REPORT, Party.BOB2, Party.BOB1, "result_bit", "0")
-    transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.BOB1, Party.BOB2, "angle", "0.0")
+    transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, "1")
+    transcript.append(Phase.RESULT_REPORT, Party.BOB2, Party.BOB1, "0")
+    transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.BOB1, Party.BOB2, "0.0")
     assert audit(transcript).violations == (
         Violation(VIOLATION_BOB_TO_BOB, 2, "Bob2 messaged Bob1"),
         Violation(VIOLATION_RESULT_FROM_BOB2, 2, "Bob2 reported a result bit"),
@@ -426,7 +431,7 @@ message_fields = st.tuples(
 def test_columnar_audit_equals_per_message_rules(fields, seed):
     transcript = run_protocol(2, MIXED, seed=seed).transcript
     for phase, sender, recipient in fields:
-        transcript.append(phase, sender, recipient, PAYLOAD_KIND_FOR_PHASE[phase], "x")
+        transcript.append(phase, sender, recipient, "x")
     report = audit(transcript)
     assert report.violations == reference_audit(transcript.messages)
     assert report.passed == (not report.violations)
@@ -476,6 +481,8 @@ BAD_TRANSCRIPTS = {
     "near-miss party": ["1|Distribution|Source|Bob3|quantum_marker|1"],
     "party name too long": ["1|Distribution|Sources|Bob1|quantum_marker|1"],
     "kind with a suffix": ["1|Distribution|Source|Bob1|quantum_markers|1"],
+    "crlf endings": [GOOD + "\r\n", "2|Handoff|Alice|Bob2|control|x\r\n"],
+    "carriage return in payload": [GOOD, "2|Handoff|Alice|Bob2|control|x\ry"],
     "one pipe short then one over": [
         "1|Distribution|Source|Bob1quantum_marker|1",
         "2|Distribution|Source|Bob2|quantum_marker|1|",
@@ -502,7 +509,6 @@ ODD_TRANSCRIPTS = {
         "20000000000000000001|Distribution|Source|Bob1|quantum_marker|1\n",
         "20000000000000000002|Distribution|Source|Bob1|quantum_marker|1\n",
     ],
-    "crlf endings": [GOOD + "\r\n", "2|Handoff|Alice|Bob2|control|x\r\n"],
     "double newline ending": [GOOD + "\n\n", "2|Handoff|Alice|Bob2|control|x\n"],
     "newline split across items": [GOOD + "\n", "2|Handoff|Alice|Bob2|control|x", "\n"],
     "no final newline": [GOOD + "\n", "2|Handoff|Alice|Bob2|control|x"],
@@ -657,7 +663,7 @@ def test_from_lines_keeps_gaps_blank_lines_and_wire_text():
     assert transcript.messages == reference_from_lines(lines)
     assert [msg.seq for msg in transcript.messages] == [3, 7, 8]
     assert transcript.to_lines() == [msg.to_line() for msg in reference_from_lines(lines)]
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "x")
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "x")
     assert transcript.messages[-1].seq == 9
 
 
@@ -667,11 +673,17 @@ def test_append_after_from_lines_round_trips():
         "8|Distillation|Bob1|Alice|qnd_outcome|Shift",
     ]
     transcript = Transcript.from_lines(lines)
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "x")
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", "y")
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "x")
+    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "y")
     reparsed = Transcript.from_lines(transcript.to_lines())
     assert reparsed.messages == transcript.messages
     assert [msg.seq for msg in reparsed.messages] == [3, 8, 9, 10]
+
+
+@pytest.mark.parametrize("payload", ["x\ry", "x\r", "\r", "x\ny", "x|y"])
+def test_append_rejects_a_payload_the_file_would_not_give_back(payload):
+    with pytest.raises(ValueError, match="payload must not contain"):
+        Transcript().append(Phase.HANDOFF, Party.ALICE, Party.BOB2, payload)
 
 
 def test_empty_transcript_renders_one_newline():
@@ -693,7 +705,7 @@ ODD_LINES = [
 
 def appended(transcript, count):
     for i in range(count):
-        transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", str(i))
+        transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, str(i))
     return transcript
 
 
@@ -720,6 +732,8 @@ def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
         assert seqs == list(range(1, transcript._last_seq + 1))
     assert path.read_bytes() == reference_bytes(transcript.messages)
     assert path.read_bytes() == transcript.to_bytes()
+    with open(path, encoding="utf-8") as fh:
+        assert Transcript.from_lines(fh).to_bytes() == transcript.to_bytes()
 
 
 def traced_write_peak(transcript, path):
