@@ -21,11 +21,12 @@ single-pair reference it reproduces draw for draw.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,6 +178,10 @@ _SEQ_DIGITS = 15
 #: rendering and auditing, works one block at a time.
 _BLOCK_LINES = 4096
 
+#: Characters ``from_lines`` reads from a text file at a time, a little
+#: more than one block of a written transcript.
+_READ_CHARS = 2**18
+
 #: Longest block text whose payload offsets fit the int32 offset column.
 _MAX_BLOCK_TEXT = np.iinfo(np.int32).max
 
@@ -223,11 +228,12 @@ def _block_of(messages: list[Message]) -> _Block:
     )
 
 
-def _parse_block(lines: list[str], prev: int) -> _Block | None:
+def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
     """Columns of the wire lines that follow seq ``prev``.
 
-    Works on the bytes of the whole block and drops empty lines (``""``
-    and ``"\\n"``). Returns None when the block is too long for int32
+    ``text`` is the lines joined and ``ends`` the offset in it where each
+    line ends. Works on the bytes of the whole block and drops empty lines
+    (``""`` and ``"\\n"``). Returns None when the block is too long for int32
     offsets, or a line is not plain ASCII, holds a ``"\\r"`` or a newline
     anywhere but at its end, does not have exactly five ``|``, has a seq
     that is not 1 to 15 digits above ``prev`` and above the seq before it,
@@ -236,18 +242,16 @@ def _parse_block(lines: list[str], prev: int) -> _Block | None:
     payload kind and no self-message, so a block that passes gives what
     ``Message.from_line`` gives line by line.
     """
-    text = "".join(lines)
     if len(text) > _MAX_BLOCK_TEXT or not text.isascii() or "\r" in text:
         return None
     # Zero padding keeps every fixed-width read below inside the buffer.
     buf = np.frombuffer(text.encode("ascii") + bytes(_MIDDLE_WIDTH), np.uint8)
-    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
-    ends = np.cumsum(lengths)
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
     newline = (lengths > 0) & (buf[ends - 1] == ord("\n"))
     if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
         return None
     stops = ends - newline
-    starts = ends - lengths
     nonblank = stops > starts
     starts, stops = starts[nonblank], stops[nonblank]
     n = len(starts)
@@ -297,17 +301,73 @@ def _parse_block(lines: list[str], prev: int) -> _Block | None:
     return _Block(seqs, phase, sender, recipient, _Payloads(text, bounds))
 
 
-def _parse_messages(lines: list[str], prev: int) -> list[Message]:
+def _parse_messages(text: str, ends: np.ndarray, prev: int) -> list[Message]:
     """Parse the nonblank lines one by one; raises the error of the first
     bad line."""
     messages = []
-    for line in filter(str.strip, lines):
+    bounds = itertools.pairwise([0, *ends.tolist()])
+    for line in filter(str.strip, (text[start:stop] for start, stop in bounds)):
         msg = Message.from_line(line)
         if msg.seq <= prev:
             raise ValueError(f"seq {msg.seq} not strictly increasing")
         prev = msg.seq
         messages.append(msg)
     return messages
+
+
+def _list_blocks(lines: Iterable[str]) -> Iterator[tuple[str, np.ndarray]]:
+    """(text, line ends) of each ``_BLOCK_LINES`` lines of ``lines``."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
+        yield "".join(chunk), np.cumsum(np.fromiter(map(len, chunk), np.int64, len(chunk)))
+
+
+def _line_ends(text: str) -> np.ndarray:
+    """Offset just past each newline of ``text``."""
+    # "replace" encodes each non-ASCII character as one "?", so these
+    # byte offsets are character offsets.
+    buf = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+    return np.flatnonzero(buf == ord("\n")) + 1
+
+
+def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str, np.ndarray]]:
+    """(text, line ends) of each ``_BLOCK_LINES`` lines of ``fh``, read
+    ``_READ_CHARS`` characters at a time.
+
+    The lines are those iterating ``fh`` gives as long as its text holds
+    no ``"\\r"``, which may end a line too; raises ValueError at the first
+    chunk that holds one.
+    """
+    size = _BLOCK_LINES
+    parts, part_ends = [], []  # text not yet cut into blocks, its line ends
+    length = count = 0  # that text's length and number of line ends
+    while chunk := fh.read(_READ_CHARS):
+        if "\r" in chunk:
+            raise ValueError("'\\r' in text: read it as lines")
+        parts.append(chunk)
+        part_ends.append(_line_ends(chunk) + length)
+        length += len(chunk)
+        count += len(part_ends[-1])
+        if count < size:
+            continue
+        text, ends = "".join(parts), np.concatenate(part_ends)
+        blocks, start, cut = [], 0, count - count % size
+        for i in range(0, cut, size):
+            stop = int(ends[i + size - 1])
+            blocks.append((text[start:stop], ends[i:i + size] - start))
+            start = stop
+        parts, part_ends = [text[start:]], [ends[cut:] - start]
+        length, count = len(text) - start, count - cut
+        # Every block is cut before any is parsed, so that neither the
+        # chunk nor the joined text stays alive while they are.
+        del chunk, text
+        yield from blocks
+    text = "".join(parts)
+    if text:
+        ends = np.concatenate(part_ends)
+        if not text.endswith("\n"):
+            ends = np.append(ends, len(text))
+        yield text, ends
 
 
 def _render(block: _Block) -> list[str]:
@@ -417,14 +477,46 @@ class Transcript:
         return b"".join(self.iter_bytes())
 
     @classmethod
-    def from_lines(cls, lines) -> "Transcript":
+    def from_lines(cls, lines: Iterable[str] | io.TextIOBase) -> "Transcript":
+        """Parse wire lines: a list or other iterable of lines, or a text file.
+
+        Lines that ``str.strip`` leaves empty are dropped. Every
+        ``_BLOCK_LINES`` lines form one block, parsed in one pass over its
+        text; a block that fails a byte check is parsed line by line by
+        ``Message.from_line``, so a bad line raises the ValueError that
+        parsing message by message would raise.
+
+        A text file is read ``_READ_CHARS`` characters at a time, and its
+        lines are cut at each ``"\\n"``. That gives the lines iterating the
+        file gives unless the text holds a ``"\\r"`` (only under an explicit
+        ``newline=``). So when a chunk holds one, does not decode, or holds
+        a bad line, the file is seeked back to where this call found it and
+        iterated line by line, which raises what iteration raises. A file
+        whose position cannot be told, such as a pipe or a file advanced by
+        ``next()``, is iterated line by line from where it is.
+        """
+        if isinstance(lines, str):
+            raise TypeError("from_lines takes lines or a text file, not one str")
+        if isinstance(lines, io.TextIOBase):
+            try:
+                start = lines.tell()
+            except OSError:
+                pass
+            else:
+                try:
+                    return cls._from_blocks(_text_blocks(lines))
+                except ValueError:  # UnicodeDecodeError is one too
+                    lines.seek(start)
+        return cls._from_blocks(_list_blocks(lines))
+
+    @classmethod
+    def _from_blocks(cls, blocks: Iterable[tuple[str, np.ndarray]]) -> "Transcript":
         transcript = cls()
-        lines = iter(lines)
         prev = 0
-        while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
-            block = _parse_block(chunk, prev)
+        for text, ends in blocks:
+            block = _parse_block(text, ends, prev)
             if block is None:
-                block = _block_of(_parse_messages(chunk, prev))
+                block = _block_of(_parse_messages(text, ends, prev))
             if block.seq:
                 transcript._blocks.append(block)
                 prev = block.seq[-1]

@@ -8,8 +8,12 @@ a run against the per-pair objects the composed stage functions return,
 and the columnar transcript against the per-message rules of ``Message``.
 """
 
+import contextlib
+import functools
+import io
 import itertools
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -551,18 +555,23 @@ def mutated_transcripts(draw):
             lines[i] = line[:at] + char + line[at + 1:]
         else:
             lines.insert(i, draw(st.sampled_from(["", "\n", " \n", "\r\n"])))
-    endings = draw(st.sampled_from(["file", "list", "mixed"]))
+    endings = draw(st.sampled_from(["file", "list", "mixed", "text file"]))
     if endings == "file":
         lines = [line + "\n" for line in lines]
     elif endings == "mixed":
         lines = [line + draw(st.sampled_from(["", "\n", "\n\n"])) for line in lines]
+    elif endings == "text file":
+        # A handle maker rather than a handle: each parser reads its own.
+        newline = draw(st.sampled_from([None, "", "\n"]))
+        return functools.partial(io.StringIO, "".join(line + "\n" for line in lines), newline)
     return lines
 
 
 def parse_outcome(parse, lines):
-    """The messages ``parse`` gives, or the text of its ValueError."""
+    """The messages ``parse`` gives, or the text of its ValueError; a
+    callable ``lines`` makes the text file to parse."""
     try:
-        return tuple(parse(lines))
+        return tuple(parse(lines() if callable(lines) else lines))
     except ValueError as exc:
         return str(exc)
 
@@ -581,10 +590,23 @@ def reference_views(messages):
     return messages, reference_bytes(messages)
 
 
+@contextlib.contextmanager
+def sizes(read_chars, block_lines):
+    """Parse with these read and block sizes."""
+    with mock.patch.object(protocol, "_READ_CHARS", read_chars), mock.patch.object(
+        protocol, "_BLOCK_LINES", block_lines
+    ):
+        yield
+
+
 @settings(max_examples=300, deadline=None)
-@given(mutated_transcripts(), st.sampled_from([1, 2, 5, protocol._BLOCK_LINES]))
-def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines):
-    with mock.patch.object(protocol, "_BLOCK_LINES", block_lines):
+@given(
+    mutated_transcripts(),
+    st.sampled_from([1, 2, 5, protocol._BLOCK_LINES]),
+    st.sampled_from([7, protocol._READ_CHARS]),
+)
+def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines, read_chars):
+    with sizes(read_chars, block_lines):
         got = parse_outcome(lambda lines: views(Transcript.from_lines(lines)), lines)
     assert got == parse_outcome(
         lambda lines: reference_views(reference_from_lines(lines)), lines
@@ -616,6 +638,11 @@ def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, end
         assert all(isinstance(b.payload, protocol._Payloads) for b in transcript._blocks)
 
 
+def joined(lines):
+    """The text of ``lines`` and the offset where each ends, as the parser takes them."""
+    return "".join(lines), np.cumsum([len(line) for line in lines])
+
+
 @pytest.mark.parametrize("form", ["file", "file without final newline", "list"])
 def test_block_parser_takes_every_block_of_a_run(form):
     size = protocol._BLOCK_LINES
@@ -628,7 +655,7 @@ def test_block_parser_takes_every_block_of_a_run(form):
     assert len(lines) > 2 * size
     for start in range(0, len(lines), size):
         chunk = lines[start:start + size]
-        block = protocol._parse_block(chunk, start)
+        block = protocol._parse_block(*joined(chunk), start)
         assert block is not None, start
         assert block.seq == range(start + 1, start + len(chunk) + 1)
     assert Transcript.from_lines(lines).to_bytes() == transcript.to_bytes()
@@ -636,9 +663,9 @@ def test_block_parser_takes_every_block_of_a_run(form):
 
 def test_block_too_long_for_int32_offsets_takes_the_line_parser():
     lines = run_protocol(2, MIXED, seed=3).transcript.to_lines()
-    assert protocol._parse_block(lines, 0) is not None
+    assert protocol._parse_block(*joined(lines), 0) is not None
     with mock.patch.object(protocol, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
-        assert protocol._parse_block(lines, 0) is None
+        assert protocol._parse_block(*joined(lines), 0) is None
         assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
 
 
@@ -684,6 +711,135 @@ def test_append_after_from_lines_round_trips():
 def test_append_rejects_a_payload_the_file_would_not_give_back(payload):
     with pytest.raises(ValueError, match="payload must not contain"):
         Transcript().append(Phase.HANDOFF, Party.ALICE, Party.BOB2, payload)
+
+
+@pytest.mark.parametrize("text", [GOOD, ""], ids=["one line", "empty"])
+def test_from_lines_refuses_one_str(text):
+    with pytest.raises(TypeError, match="from_lines takes lines or a text file, not one str"):
+        Transcript.from_lines(text)
+
+
+# --- reading text files -------------------------------------------------------------
+
+
+def file_of(lines):
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+RUN_FILE = run_protocol(3, MIXED, seed=2, **NOISY).transcript.to_bytes()
+NEXT_SEQ = RUN_FILE.count(b"\n") + 1
+TEXT_FILES = {
+    **{f"bad: {name}": file_of(lines) for name, lines in BAD_TRANSCRIPTS.items()},
+    **{f"odd: {name}": file_of(lines) for name, lines in ODD_TRANSCRIPTS.items()},
+    "empty": b"",
+    "run": RUN_FILE,
+    "no final newline": RUN_FILE.rstrip(b"\n"),
+    "crlf endings": RUN_FILE.replace(b"\n", b"\r\n"),
+    "lone cr endings": RUN_FILE.replace(b"\n", b"\r"),
+    "cr before a seq": file_of(["\r" + GOOD, "2|Handoff|Alice|Bob2|control|x"]),
+    "non-ascii line across reads": RUN_FILE + file_of([
+        f"{NEXT_SEQ}|Handoff|Alice|Bob2|control|" + "\u00e9" * 40,
+        f"{NEXT_SEQ + 1}|Handoff|Alice|Bob2|control|x",
+    ]),
+    "line longer than a read": RUN_FILE + file_of([f"{NEXT_SEQ}|Handoff|Alice|Bob2|control|{'x' * 300}"]),
+    "invalid utf-8 after a bad line": b"garbage\n" + RUN_FILE + b"\xff\n",
+}
+
+
+@contextlib.contextmanager
+def advanced(path):
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)
+        yield fh
+
+
+def piped(path):
+    r, w = os.pipe()
+    with open(w, "wb") as out:
+        out.write(path.read_bytes())  # small enough for the pipe's buffer
+    return open(r, encoding="utf-8")
+
+
+HANDLES = {
+    "newline=None": lambda path: open(path, encoding="utf-8"),
+    "newline=''": lambda path: open(path, encoding="utf-8", newline=""),
+    "newline='\\n'": lambda path: open(path, encoding="utf-8", newline="\n"),
+    "StringIO": lambda path: io.StringIO(path.read_bytes().decode("utf-8", "replace")),
+    "pipe": piped,
+    "advanced by next()": advanced,
+    "binary": lambda path: open(path, "rb"),
+}
+
+
+def block_views(transcript):
+    """``views`` and the seqs of each block."""
+    return views(transcript) + ([block.seq for block in transcript._blocks],)
+
+
+def handle_outcome(parse, open_handle, path):
+    """``block_views`` of ``parse`` on a fresh handle, or the type and
+    text of its error."""
+    try:
+        with open_handle(path) as fh:
+            return block_views(parse(fh))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: (read size, block size) pairs: several reads per line and several
+#: lines per read, then the program's own.
+SIZES = [(7, 2), (64, 3), (protocol._READ_CHARS, protocol._BLOCK_LINES)]
+
+
+@pytest.mark.parametrize("handle", sorted(HANDLES))
+@pytest.mark.parametrize("name", sorted(TEXT_FILES))
+def test_text_handle_parses_as_its_lines_parse(name, handle, tmp_path):
+    path = tmp_path / "messages.log"
+    path.write_bytes(TEXT_FILES[name])
+    for read_chars, block_lines in SIZES:
+        with sizes(read_chars, block_lines):
+            got = handle_outcome(Transcript.from_lines, HANDLES[handle], path)
+            expected = handle_outcome(
+                lambda fh: Transcript.from_lines(line for line in fh), HANDLES[handle], path
+            )
+        assert got == expected, (read_chars, block_lines)
+    if handle == "binary" and TEXT_FILES[name]:
+        assert got == (TypeError, "sequence item 0: expected str instance, bytes found")
+
+
+class ReadOnlyInChunks(io.StringIO):
+    """A text file that fails the test if it is iterated line by line."""
+
+    def __next__(self):
+        raise AssertionError("iterated line by line")
+
+
+def reads_in_chunks(data):
+    """Whether ``data`` decodes, holds no ``"\\r"`` and parses, so that
+    ``from_lines`` never has to iterate it line by line."""
+    try:
+        text = data.decode("utf-8")
+        Transcript.from_lines(list(io.StringIO(text)))
+    except ValueError:
+        return False
+    return "\r" not in text
+
+
+@pytest.mark.parametrize("name", [name for name, data in TEXT_FILES.items() if reads_in_chunks(data)])
+def test_text_file_that_parses_is_read_in_chunks(name):
+    text = TEXT_FILES[name].decode("utf-8")
+    for read_chars, block_lines in SIZES:
+        with sizes(read_chars, block_lines):
+            got = block_views(Transcript.from_lines(ReadOnlyInChunks(text)))
+            assert got == block_views(Transcript.from_lines(list(io.StringIO(text))))
+
+
+def test_run_of_several_blocks_is_read_in_chunks():
+    data = run_protocol(protocol._BLOCK_LINES // 3 + 1, MIXED, seed=6, **NOISY).transcript.to_bytes()
+    with mock.patch.object(protocol, "_READ_CHARS", len(data) // 5):
+        transcript = Transcript.from_lines(ReadOnlyInChunks(data.decode()))
+    assert transcript.to_bytes() == data
+    assert [len(block.phase) for block in transcript._blocks[:-1]] == [protocol._BLOCK_LINES] * 2
 
 
 def test_empty_transcript_renders_one_newline():
