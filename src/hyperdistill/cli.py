@@ -18,7 +18,6 @@ import math
 import secrets
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,8 @@ from .protocol import (
     Transcript,
     analytic_phi_probability,
     inferred_phi_probability,
+    pair_chunks,
+    pair_table,
     run_protocol,
 )
 from .qnd import DeviceParams
@@ -94,8 +95,9 @@ class RunConfig:
             raise ValueError(f"pairs {self.pairs} must be >= 1")
         if self.pairs > MAX_PAIRS:
             raise ValueError(
-                f"pairs {self.pairs} exceeds {MAX_PAIRS}: a run holds up to "
-                f"{DRAWS_PER_PAIR} float64 uniforms per pair in one array"
+                f"pairs {self.pairs} exceeds {MAX_PAIRS}: a run draws up to "
+                f"{DRAWS_PER_PAIR} float64 uniforms per pair, and their byte "
+                "count must fit in intp"
             )
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
@@ -142,13 +144,6 @@ class RunConfig:
         return f"run-{digest[:12]}"
 
 
-def _mean_or_none(values: np.ndarray) -> float | None:
-    """Mean of the values added one by one in pair order, or None if empty."""
-    if not values.size:
-        return None
-    return float(np.cumsum(values)[-1] / values.size)
-
-
 def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     """Run the full protocol once; return the report document and transcript.
 
@@ -157,6 +152,11 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     the class counts are Alice's view, inferred from the readouts as
     reported. The two diverge under readout misclassification or
     misreporting, counted in ``class_mismatch_count``.
+
+    The report is read from the run's columns one chunk of pairs at a
+    time. Each fidelity mean is the sum of its values added one by one in
+    pair order, as ``np.cumsum`` adds them, over their count, or None when
+    no pair has the class.
     """
     run: ProtocolRun = run_protocol(
         m=cfg.pairs,
@@ -166,14 +166,24 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         evil_bob_flip_p=cfg.evil_bob_flip_p,
         seed=cfg.seed,
     )
-    inferred_phi = run.inferred_phi
-    true_phi = run.true_phi
-    fidelities = run.fidelities
-    phi_fidelities = fidelities[true_phi]
-    psi_fidelities = fidelities[~true_phi]
-    phi_count = int(np.count_nonzero(inferred_phi))
+    table = pair_table()
+    phi_count = mismatch_count = 0
+    angle_counts = np.zeros(ANGLE_COUNT, dtype=np.int64)
+    # Phi+ and Phi- fidelities of Phi-class states, Psi+ and Psi- of Psi-class.
+    sums, counts = np.zeros(4), np.zeros(4, dtype=np.int64)
+    for pairs in pair_chunks(cfg.pairs):
+        case, readout = run.case[pairs], run.readout[pairs]
+        inferred_phi, true_phi = run.inferred_phi[pairs], table.phi[case, readout]
+        fidelities = table.fidelity[case, readout]
+        phi_count += int(np.count_nonzero(inferred_phi))
+        mismatch_count += int(np.count_nonzero(inferred_phi != true_phi))
+        angle_counts += np.bincount(run.theta_index[pairs], minlength=ANGLE_COUNT)
+        for k, rows in enumerate((true_phi, true_phi, ~true_phi, ~true_phi)):
+            # The running sum goes first, so the chunks add as one cumsum.
+            sums[k] = np.cumsum(np.concatenate(([sums[k]], fidelities[rows, k])))[-1]
+            counts[k] += np.count_nonzero(rows)
+    means = [float(s / n) if n else None for s, n in zip(sums, counts)]
     psi_count = cfg.pairs - phi_count
-    angle_counts = np.bincount(run.theta_index, minlength=ANGLE_COUNT)
     violations = [
         {"kind": v.kind, "seq": v.seq, "description": v.description}
         for v in run.audit_report.violations
@@ -189,11 +199,11 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         "analytic_phi_probability": analytic_phi_probability(
             cfg.fidelities, cfg.dephase_p
         ),
-        "class_mismatch_count": int(np.count_nonzero(inferred_phi != true_phi)),
-        "mean_phi_pair_fidelity_phi_plus": _mean_or_none(phi_fidelities[:, 0]),
-        "mean_phi_pair_fidelity_phi_minus": _mean_or_none(phi_fidelities[:, 1]),
-        "mean_psi_pair_fidelity_psi_plus": _mean_or_none(psi_fidelities[:, 2]),
-        "mean_psi_pair_fidelity_psi_minus": _mean_or_none(psi_fidelities[:, 3]),
+        "class_mismatch_count": mismatch_count,
+        "mean_phi_pair_fidelity_phi_plus": means[0],
+        "mean_phi_pair_fidelity_phi_minus": means[1],
+        "mean_psi_pair_fidelity_psi_plus": means[2],
+        "mean_psi_pair_fidelity_psi_minus": means[3],
         "angle_counts": {str(k): int(n) for k, n in enumerate(angle_counts)},
         "audit_passed": run.audit_report.passed,
         "audit_violation_count": len(violations),
@@ -260,6 +270,15 @@ def write_transcript(transcript: Transcript, destination: str) -> None:
 
 
 # --- seed sweep --------------------------------------------------------------
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on the first
+    call: only a sweep starts a pool, and the import would cost every
+    other start about 20 ms."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def _sweep_single(args: tuple[RunConfig, int]) -> dict:

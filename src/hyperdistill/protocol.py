@@ -13,9 +13,10 @@ re-reads it and fails the run if the servers talked to each other, if
 Alice fed anything back during distribution or distillation, if an
 angle went to Bob2, or if Bob2 reported a measured bit.
 
-``run_protocol`` draws each substream as one block and gathers every
-pair's fate from precomputed tables; the per-stage functions are the
-single-pair reference it reproduces draw for draw.
+``run_protocol`` draws the substreams in chunks of pairs and gathers
+every pair's fate from precomputed tables into int8 columns; the
+per-stage functions are the single-pair reference it reproduces draw for
+draw.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .linalg import EPS_NORM, StateVector, canonical_phase
 from .qnd import (
     CASES,
     OUTCOME_PAIRS,
-    OUTCOMES,
     DeviceParams,
     DistilledPair,
     QndOutcome,
@@ -173,9 +173,10 @@ assert len(set(_PARTY_OF_BYTE.tolist())) == len(PARTIES)
 #: Longest seq the block parser decodes; longer ones are left to ``int``.
 _SEQ_DIGITS = 15
 
-#: Most messages a transcript block holds, and most lines the parser
-#: reads at once. Every pass over a transcript, building, parsing,
-#: rendering and auditing, works one block at a time.
+#: Most messages a transcript block holds, most lines the parser reads
+#: at once, and most pairs a run draws at once. Every pass over a run or
+#: a transcript, drawing, building, parsing, rendering, auditing and
+#: reporting, works one block or chunk at a time.
 _BLOCK_LINES = 4096
 
 #: Characters ``from_lines`` reads from a text file at a time, a little
@@ -201,6 +202,44 @@ class _Payloads:
         return (text[start:stop] for start, stop in self.bounds.tolist())
 
 
+class _PairPayloads:
+    """Payloads of consecutive messages of an engine phase, which sends
+    ``width`` messages per pair, kept as one code per pair and cut out as
+    ``str`` only when iterated.
+
+    ``codes`` holds the pairs the messages belong to, and the messages
+    start ``skip`` messages into the first of them. A pair's messages
+    carry the row ``table[code]`` of payloads; with no table, each of
+    them carries the pair's number, its code.
+    """
+
+    __slots__ = ("table", "width", "codes", "skip", "count")
+
+    def __init__(self, table: np.ndarray | None, width: int,
+                 codes: np.ndarray | range, skip: int = 0, count: int | None = None):
+        self.table = table  # object array, one row of ``width`` payloads per code
+        self.width = width
+        self.codes = codes  # int8 view of a run column, or a range of pair numbers
+        self.skip = skip
+        self.count = width * len(codes) - skip if count is None else count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, cut: slice) -> "_PairPayloads":
+        start, stop, _ = cut.indices(self.count)
+        start, stop = self.skip + start, self.skip + max(start, stop)
+        codes = self.codes[start // self.width:-(-stop // self.width)]
+        return _PairPayloads(self.table, self.width, codes, start % self.width, stop - start)
+
+    def __iter__(self) -> Iterator[str]:
+        if self.table is None:
+            rows = [number for number in map(str, self.codes) for _ in range(self.width)]
+        else:
+            rows = self.table[self.codes].ravel().tolist()
+        return iter(rows[self.skip:self.skip + self.count])
+
+
 class _Block(NamedTuple):
     """A run of messages held as columns; the phase fixes the payload kind."""
 
@@ -208,7 +247,7 @@ class _Block(NamedTuple):
     phase: np.ndarray  # int8 indices into PHASES
     sender: np.ndarray  # int8 indices into PARTIES
     recipient: np.ndarray  # int8 indices into PARTIES
-    payload: list[str] | _Payloads
+    payload: list[str] | _Payloads | _PairPayloads
 
 
 def _seq_column(seqs: list[int]) -> Sequence[int]:
@@ -378,9 +417,12 @@ def _render(block: _Block) -> list[str]:
     ]
 
 
-def _cycled_codes(parties: tuple[Party, ...], n: int) -> np.ndarray:
-    codes = np.array([_PARTY_CODE[p] for p in parties], dtype=np.int8)
-    return np.tile(codes, -(-n // len(codes)))[:n]
+def _cycle(codes: list[int], size: int) -> np.ndarray:
+    """Read-only int8 ``codes`` repeated, long enough to hold a window of
+    ``size`` from any start in the first cycle."""
+    cycle = np.tile(np.array(codes, dtype=np.int8), -(-size // len(codes)) + 1)
+    cycle.setflags(write=False)
+    return cycle
 
 
 class Transcript:
@@ -388,7 +430,8 @@ class Transcript:
 
     Messages are stored as blocks of at most ``_BLOCK_LINES`` rows of
     columns: phase, sender and recipient codes plus the payloads. A parsed
-    block keeps its payloads as offsets into its text. ``messages``,
+    block keeps its payloads as offsets into its text, and an engine
+    block as codes into a payload table. ``messages``,
     ``to_lines`` and ``iter_bytes`` build their output from the columns
     on each call, one block at a time.
     """
@@ -440,26 +483,34 @@ class Transcript:
         phase: Phase,
         senders: tuple[Party, ...],
         recipients: tuple[Party, ...],
-        payloads: list[str],
+        payloads: _PairPayloads,
     ) -> None:
         """Append one message per payload, all in ``phase``, in blocks of
         at most ``_BLOCK_LINES``.
 
-        Senders and recipients repeat the given cycles. The engine builds
-        every block from fixed parties and payload tables, so the checks
-        of ``Message`` are not repeated per message.
+        Senders and recipients repeat the given cycles. Each block's
+        phase, sender and recipient columns are views of one read-only
+        cycle per column, and its payloads a slice of ``payloads``. The
+        engine builds every block from fixed parties and payload tables,
+        so the checks of ``Message`` are not repeated per message.
         """
-        n = len(payloads)
-        columns = (
-            range(self._last_seq + 1, self._last_seq + n + 1),
-            np.full(n, _PHASE_CODE[phase], dtype=np.int8),
-            _cycled_codes(senders, n),
-            _cycled_codes(recipients, n),
-            payloads,
-        )
+        size, n, first = _BLOCK_LINES, len(payloads), self._last_seq + 1
+        cycles = [
+            (_cycle(codes, size), len(codes))
+            for codes in (
+                [_PHASE_CODE[phase]],
+                [_PARTY_CODE[p] for p in senders],
+                [_PARTY_CODE[p] for p in recipients],
+            )
+        ]
         blocks = self._sealed_blocks()
-        for i in range(0, n, _BLOCK_LINES):
-            blocks.append(_Block(*(column[i:i + _BLOCK_LINES] for column in columns)))
+        for i in range(0, n, size):
+            count = min(size, n - i)
+            blocks.append(_Block(
+                range(first + i, first + i + count),
+                *(cycle[i % period:][:count] for cycle, period in cycles),
+                payloads[i:i + count],
+            ))
         self._last_seq += n
 
     def to_lines(self) -> list[str]:
@@ -939,7 +990,8 @@ def inferred_phi_probability(
 class ProtocolRun:
     """Everything produced by one end-to-end run.
 
-    Each pair is one row of integer columns over the engine tables:
+    Each pair is one row of int8 columns (``inferred_phi`` is bool) over
+    the engine tables:
     ``case`` indexes CASES (the Bell kind and spatial sign delivered),
     ``readout`` the true joint readout in OUTCOME_PAIRS, ``recorded`` the
     readout after homodyne misreads, ``reported`` the one Alice receives
@@ -972,25 +1024,25 @@ class ProtocolRun:
         """Whether the surviving state of each pair is Phi-class."""
         return pair_table().phi[self.case, self.readout]
 
-    @property
-    def fidelities(self) -> np.ndarray:
-        """Fidelity of each pair's surviving state with each Bell state.
 
-        One row per pair, columns in ENSEMBLE_ORDER.
-        """
-        return pair_table().fidelity[self.case, self.readout]
+def pair_chunks(m: int) -> Iterator[slice]:
+    """Slices of at most ``_BLOCK_LINES`` pairs that cover ``m`` pairs in order."""
+    size = _BLOCK_LINES
+    return (slice(i, min(i + size, m)) for i in range(0, m, size))
 
 
-#: Uniform draws per pair in a run's widest block, which one float64 array
-#: holds: the joint readout, two homodyne misreads and Bob1's misreport.
-#: numpy refuses an array whose byte count does not fit in intp.
+#: Most uniform draws a pair takes from one substream: the joint readout,
+#: two homodyne misreads and Bob1's misreport. The pair bound keeps the
+#: byte count of a run's draws within intp, and with it every count a run
+#: derives from its pairs, such as its 6 m + 1 transcript seqs.
 DRAWS_PER_PAIR = 4
 MAX_PAIRS = np.iinfo(np.intp).max // (DRAWS_PER_PAIR * np.dtype(np.float64).itemsize)
 
-#: Payload text of each outcome code, of each signed angle and of each bit.
-_OUTCOME_PAYLOADS = np.array([outcome.value for outcome in OUTCOMES], dtype=object)
-_ANGLE_PAYLOADS = np.array([repr(angle) for angle in SIGNED_ANGLES], dtype=object)
-_BIT_PAYLOADS = np.array(["0", "1"], dtype=object)
+#: Payload text of each joint readout (Bob1's, then Bob2's), of each
+#: signed angle and of each bit, one row per code.
+_OUTCOME_PAYLOADS = np.array([[a.value, b.value] for a, b in OUTCOME_PAIRS], dtype=object)
+_ANGLE_PAYLOADS = np.array([[repr(angle)] for angle in SIGNED_ANGLES], dtype=object)
+_BIT_PAYLOADS = np.array([["0"], ["1"]], dtype=object)
 
 
 def run_protocol(
@@ -1007,16 +1059,18 @@ def run_protocol(
     each: ``run_distribution``, ``run_distillation``,
     ``alice_announce_angles``, ``bob1_measure`` per pair and
     ``handoff_single_server``. It makes the same draws in the same order,
-    so the pairs and the transcript bytes are the same. Each substream is
-    drawn once as a block, and each pair's fate is gathered from
-    ``pair_table()``.
+    so the pairs and the transcript bytes are the same. The substreams are
+    drawn in pair order, ``_BLOCK_LINES`` pairs at a time, and each pair's
+    fate is gathered from ``pair_table()`` into the run's int8 columns;
+    the transcript keeps its payloads as codes into those columns.
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
     if m > MAX_PAIRS:
         raise ValueError(
-            f"pair count {m} exceeds {MAX_PAIRS}: a run holds up to "
-            f"{DRAWS_PER_PAIR} float64 uniforms per pair in one array"
+            f"pair count {m} exceeds {MAX_PAIRS}: a run draws up to "
+            f"{DRAWS_PER_PAIR} float64 uniforms per pair, and their byte "
+            "count must fit in intp"
         )
     if not (0.0 <= dephase_p <= 1.0):
         raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
@@ -1027,61 +1081,73 @@ def run_protocol(
         np.random.default_rng(child) for child in root.spawn(4)
     )
     table = pair_table()
+    weights = fv.as_tuple()
     misread_p = params.homodyne_error
+    dist_width = 1 + (dephase_p > 0.0)
+    qnd_width = 1 + 2 * (misread_p > 0.0) + (evil_bob_flip_p > 0.0)
 
-    # Distribution, per pair: the component draw, then the dephasing draw.
-    draws = rng_dist.random((1 + (dephase_p > 0.0)) * m).reshape(m, -1)
-    case = 2 * inverse_cdf(fv.as_tuple(), draws[:, 0])
-    if dephase_p > 0.0:
-        case += draws[:, 1] < dephase_p
+    case, readout, theta_index, angle, a_bit = (np.empty(m, np.int8) for _ in range(5))
+    recorded = np.empty(m, np.int8) if misread_p > 0.0 else readout
+    reported = np.empty(m, np.int8) if evil_bob_flip_p > 0.0 else recorded
+    inferred_phi = np.empty(m, bool)
+    for pairs in pair_chunks(m):
+        n = pairs.stop - pairs.start
 
-    # Distillation, per pair: the joint readout, each server's misread,
-    # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
-    width = 1 + 2 * (misread_p > 0.0) + (evil_bob_flip_p > 0.0)
-    draws = rng_qnd.random(width * m).reshape(m, width)
-    readout = inverse_cdf(table.probs[case], draws[:, 0])
-    dead = ~table.survives[case, readout]
-    if dead.any():
-        pair = OUTCOME_PAIRS[readout[dead][0]]
-        raise RuntimeError(f"sampled readout {pair} has no surviving branch")
-    recorded = readout
-    if misread_p > 0.0:
-        recorded = readout ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
-    reported = recorded
-    if evil_bob_flip_p > 0.0:
-        reported = recorded ^ (2 * (draws[:, -1] < evil_bob_flip_p))
+        # Distribution, per pair: the component draw, then the dephasing draw.
+        draws = rng_dist.random(dist_width * n).reshape(n, dist_width)
+        c = 2 * inverse_cdf(weights, draws[:, 0])
+        if dephase_p > 0.0:
+            c += draws[:, 1] < dephase_p
 
-    # Angles: the sign of each announced angle follows the inferred class.
-    theta_index = rng_angle.integers(ANGLE_COUNT, size=m)
-    inferred_phi = (reported >> 1) == (reported & 1)
-    angle = ANGLE_COUNT * ~inferred_phi + theta_index
+        # Distillation, per pair: the joint readout, each server's misread,
+        # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
+        draws = rng_qnd.random(qnd_width * n).reshape(n, qnd_width)
+        r = inverse_cdf(table.probs[c], draws[:, 0])
+        dead = ~table.survives[c, r]
+        if dead.any():
+            pair = OUTCOME_PAIRS[r[dead][0]]
+            raise RuntimeError(f"sampled readout {pair} has no surviving branch")
+        rec = r
+        if misread_p > 0.0:
+            rec = r ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
+        rep = rec
+        if evil_bob_flip_p > 0.0:
+            rep = rec ^ (2 * (draws[:, -1] < evil_bob_flip_p))
 
-    # Bob1: bit 0 when the draw falls below its Born weight.
-    a_bit = (rng_meas.random(m) >= table.bit0[case, readout, angle]).astype(np.int8)
-    impossible = table.zero_weight[case, readout, angle, a_bit]
-    if impossible.any():
-        raise RuntimeError(
-            f"bit {a_bit[impossible][0]} sampled despite zero Born weight"
-        )
+        # Angles: the sign of each announced angle follows the inferred class.
+        theta = rng_angle.integers(ANGLE_COUNT, size=n)
+        phi = (rep >> 1) == (rep & 1)
+        a = ANGLE_COUNT * ~phi + theta
+
+        # Bob1: bit 0 when the draw falls below its Born weight.
+        bit = (rng_meas.random(n) >= table.bit0[c, r, a]).astype(np.int8)
+        impossible = table.zero_weight[c, r, a, bit]
+        if impossible.any():
+            raise RuntimeError(
+                f"bit {bit[impossible][0]} sampled despite zero Born weight"
+            )
+        for column, values in (
+            (case, c), (readout, r), (recorded, rec), (reported, rep),
+            (inferred_phi, phi), (theta_index, theta), (angle, a), (a_bit, bit),
+        ):
+            column[pairs] = values
 
     transcript = Transcript()
-    markers = [""] * (2 * m)
-    markers[0::2] = markers[1::2] = list(map(str, range(1, m + 1)))
     transcript._extend(
-        Phase.DISTRIBUTION, (Party.SOURCE,), (Party.BOB1, Party.BOB2), markers
+        Phase.DISTRIBUTION, (Party.SOURCE,), (Party.BOB1, Party.BOB2),
+        _PairPayloads(None, 2, range(1, m + 1)),
     )
     transcript._extend(
         Phase.DISTILLATION, (Party.BOB1, Party.BOB2), (Party.ALICE,),
-        _OUTCOME_PAYLOADS[np.stack([reported >> 1, reported & 1], axis=1)]
-        .ravel().tolist(),
+        _PairPayloads(_OUTCOME_PAYLOADS, 2, reported),
     )
     transcript._extend(
         Phase.ANGLE_ANNOUNCEMENT, (Party.ALICE,), (Party.BOB1,),
-        _ANGLE_PAYLOADS[angle].tolist(),
+        _PairPayloads(_ANGLE_PAYLOADS, 1, angle),
     )
     transcript._extend(
         Phase.RESULT_REPORT, (Party.BOB1,), (Party.ALICE,),
-        _BIT_PAYLOADS[a_bit].tolist(),
+        _PairPayloads(_BIT_PAYLOADS, 1, a_bit),
     )
     transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "begin_single_server")
     return ProtocolRun(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ def test_reports_and_transcripts_are_byte_identical():
     assert serialize_report(report_a, "json") == serialize_report(report_b, "json")
     assert serialize_report(report_a, "csv") == serialize_report(report_b, "csv")
     assert transcript_a.to_bytes() == transcript_b.to_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_outputs_do_not_depend_on_the_chunk_size(size):
+    # 1000 pairs are one chunk at the program's size. Each fidelity mean
+    # carries its running sum from chunk to chunk, so it adds its values
+    # in the order one cumsum over the run adds them. Only Phi+ and Psi+
+    # pairs are sent, so two of the means sum values near 1e-34, where
+    # the order of the additions shows in the last bits.
+    cfg = RunConfig(pairs=1000, fidelities=FidelityVector(0.5, 0, 0.5, 0),
+                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=21)
+    report, transcript = execute_run(cfg)
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        chunked_report, chunked_transcript = execute_run(cfg)
+    assert serialize_report(chunked_report, "json") == serialize_report(report, "json")
+    assert chunked_transcript.to_bytes() == transcript.to_bytes()
 
 
 def test_transcript_file_reparses_and_audits(tmp_path):
@@ -552,11 +569,36 @@ def test_importing_the_package_leaves_the_cli_unloaded():
         "    cli.RunConfig, cli.emit_report, cli.execute_run, cli.main, cli.parse_config)\n"
         "assert all(hasattr(hyperdistill, name) for name in hyperdistill.__all__)\n"
     )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=60,
     )
+
+
+def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
+    # Run the package as ``python -m hyperdistill`` does, then look at what
+    # the start imported: only a sweep needs the pool.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['hyperdistill', '--pairs', '1', '--out', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('hyperdistill', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'hyperdistill.cli' in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["pair_count"] == 1

@@ -1,7 +1,7 @@
 """The table-driven engine against its references.
 
-``run_protocol`` draws each substream as one block and gathers every
-pair's fate from precomputed tables into integer columns; the per-stage
+``run_protocol`` draws the substreams in chunks of pairs and gathers
+every pair's fate from precomputed tables into int8 columns; the per-stage
 functions remain the single-pair reference. These tests check the tables
 against the tensor oracle and explicit projector algebra, each column of
 a run against the per-pair objects the composed stage functions return,
@@ -51,7 +51,7 @@ from hyperdistill import (
     trace_distance,
 )
 from hyperdistill import protocol
-from hyperdistill.cli import write_transcript
+from hyperdistill.cli import RunConfig, execute_run, write_transcript
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
@@ -318,7 +318,29 @@ NOISE_SETTINGS = {
 @pytest.mark.parametrize("m", [1, 2, 257])
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
 def test_engine_equals_composed_stage_functions(setting, m, seed):
-    fv, dephase_p, homodyne_error, evil_bob_flip_p = NOISE_SETTINGS[setting]
+    assert_engine_equals_composed_stage_functions(m, *NOISE_SETTINGS[setting], seed)
+
+
+@pytest.mark.parametrize("size, m", [(1, 7), (3, 11), (4096, 2 * 4096 + 3)])
+def test_engine_equals_composed_stage_functions_across_chunks(size, m):
+    # Odd block sizes split a pair's two distribution and two distillation
+    # messages between blocks, and every size leaves a short last chunk.
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        run = assert_engine_equals_composed_stage_functions(m, *NOISE_SETTINGS["all"], 5)
+    blocks = run.transcript._blocks
+    assert [len(block.phase) for block in blocks] == [
+        min(size, count - i) for count in (2 * m, 2 * m, m, m, 1)
+        for i in range(0, count, size)
+    ]
+    columns = (run.case, run.readout, run.recorded, run.reported, run.theta_index,
+               run.signed_angle_index, run.a_bit)
+    assert [column.dtype for column in columns] == [np.dtype(np.int8)] * len(columns)
+    assert run.inferred_phi.dtype == np.dtype(bool)
+
+
+def assert_engine_equals_composed_stage_functions(
+    m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
+):
     params = DeviceParams(homodyne_error=homodyne_error)
     components, records, rounds, residuals, summary, transcript = reference_run(
         m, fv, params, dephase_p, evil_bob_flip_p, seed
@@ -367,6 +389,7 @@ def test_engine_equals_composed_stage_functions(setting, m, seed):
     assert run.audit_report == audit(transcript)
     if fv.f3 == 0.0:
         assert all(c // 2 != 3 for c in case)
+    return run
 
 
 def test_engine_keeps_the_stage_checks():
@@ -908,3 +931,24 @@ def test_transcript_write_memory_stays_flat(tmp_path):
         for pairs in (5000, 80000)
     )
     assert large <= 1.5 * small
+
+
+def traced_run_peak(pairs):
+    """Peak bytes that Python allocates while ``execute_run`` runs a noisy
+    run of ``pairs`` pairs and holds its transcript."""
+    cfg = RunConfig(pairs=pairs, fidelities=MIXED, dephase_p=0.05,
+                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=3)
+    tracemalloc.start()
+    try:
+        execute_run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_per_pair_is_a_few_bytes():
+    # The run keeps eight one-byte columns per pair; draws, payload text
+    # and report sums live one chunk at a time.
+    pair_table()
+    small, large = traced_run_peak(20_000), traced_run_peak(200_000)
+    assert large - small <= 16 * 180_000
