@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
-import secrets
 import sys
 import time
 from dataclasses import dataclass
@@ -139,6 +137,9 @@ class RunConfig:
 
     def run_id(self) -> str:
         """Deterministic run identifier from the seed and a config digest."""
+        # Imported here: hashlib maps OpenSSL, which a sweep's parent never uses.
+        import hashlib
+
         payload = json.dumps(self.echo(), sort_keys=True)
         digest = hashlib.sha256(f"{self.seed}:{payload}".encode("utf-8")).hexdigest()
         return f"run-{digest[:12]}"
@@ -426,6 +427,9 @@ def parse_config(argv=None) -> RunConfig:
 
     seed = resolve(args.seed, "seed", DEFAULT_SEED)
     if args.entropy:
+        # Imported here: secrets maps OpenSSL, which a seeded start does not need.
+        import secrets
+
         seed = secrets.randbits(64)
         print(f"entropy seed: {seed}", file=sys.stderr)
 

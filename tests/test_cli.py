@@ -480,8 +480,9 @@ def test_sweep_seed_range_checked_before_running(capsys):
 
 @pytest.mark.parametrize("mode", [[], ["--sweep", "2"]])
 def test_pairs_beyond_one_draw_block_exit_2(capsys, mode):
-    # four float64 uniforms per pair must fit one array; 10**20 pairs
-    # fails the check before anything is allocated
+    # MAX_PAIRS keeps the byte count of a run's draws, and every count
+    # derived from the pair count, within intp; 10**20 pairs fails the
+    # check before anything is allocated
     with pytest.raises(SystemExit) as exc:
         main(["--pairs", str(10**20)] + mode)
     assert exc.value.code == 2
@@ -602,3 +603,23 @@ def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
     result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr
     assert json.loads((tmp_path / "report.json").read_text())["pair_count"] == 1
+
+
+def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
+    # The parent of a sweep parses the arguments, forks the workers and
+    # writes the report: it hashes no run id and draws no entropy, so
+    # OpenSSL (and numpy.random, which loads it) stays in the workers.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['hyperdistill', '--sweep', '2', '--pairs', '50', '--out', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('hyperdistill', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'concurrent.futures' in sys.modules\n"
+        "loaded = {'_hashlib', 'hashlib', 'hmac', 'secrets', 'numpy.random'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    result = run_python(code, str(tmp_path / "report.json"))
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == 2
