@@ -32,7 +32,6 @@ from .states import (
     hyper_source_state,
     mixed_ensemble,
     sample_component,
-    spatial_dephase,
     spatial_vector,
 )
 from .qnd import (
@@ -54,14 +53,8 @@ from .protocol import (
     Party,
     Phase,
     Transcript,
-    alice_announce_angles,
     analytic_phi_probability,
     audit,
-    bob1_measure,
-    handoff_single_server,
-    infer_bell_class,
-    run_distillation,
-    run_distribution,
     run_protocol,
 )
 
@@ -102,7 +95,6 @@ __all__ = [
     "hyper_source_state",
     "mixed_ensemble",
     "sample_component",
-    "spatial_dephase",
     "spatial_vector",
     "DeviceParams",
     "DistilledPair",
@@ -120,14 +112,8 @@ __all__ = [
     "Party",
     "Phase",
     "Transcript",
-    "alice_announce_angles",
     "analytic_phi_probability",
     "audit",
-    "bob1_measure",
-    "handoff_single_server",
-    "infer_bell_class",
-    "run_distillation",
-    "run_distribution",
     "run_protocol",
     "RunConfig",
     "execute_run",

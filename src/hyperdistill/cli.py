@@ -398,7 +398,7 @@ def parse_config(argv=None) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"--config: cannot read {args.config!r}: {exc}")
         if not isinstance(file_cfg, dict):
             parser.error("--config: file must hold a JSON object")

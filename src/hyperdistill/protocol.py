@@ -13,10 +13,10 @@ re-reads it and fails the run if the servers talked to each other, if
 Alice fed anything back during distribution or distillation, if an
 angle went to Bob2, or if Bob2 reported a measured bit.
 
-``run_protocol`` draws the substreams in chunks of pairs and gathers
-every pair's fate from precomputed tables into int8 columns; the
-per-stage functions are the single-pair reference it reproduces draw for
-draw.
+``run_protocol`` is the one engine. It draws the substreams in chunks
+of pairs and gathers every pair's fate from ``pair_table()`` into int8
+columns. Its reference is a per-pair run in the tests that samples from
+the tensor oracle of ``qnd``, which shares no code with the table.
 """
 
 from __future__ import annotations
@@ -31,27 +31,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import EPS_NORM, StateVector, canonical_phase
+from .linalg import EPS_NORM, StateVector
 from .qnd import (
     CASES,
     OUTCOME_PAIRS,
     DeviceParams,
-    DistilledPair,
-    QndOutcome,
     build_branch_table,
     conditional_pol_state,
-    measure_probes,
     outcome_distribution,
 )
-from .states import (
-    ENSEMBLE_ORDER,
-    FidelityVector,
-    HyperComponent,
-    bell_vector,
-    inverse_cdf,
-    sample_component,
-    spatial_dephase,
-)
+from .states import ENSEMBLE_ORDER, FidelityVector, HyperComponent, bell_vector, inverse_cdf
 
 
 class Party(Enum):
@@ -582,44 +571,9 @@ class BellClass(Enum):
     PSI = "PsiClass"
 
 
-def infer_bell_class(outcome_a: QndOutcome, outcome_b: QndOutcome) -> BellClass:
-    """Same readouts mean a Phi-class pair, different readouts Psi-class."""
-    return BellClass.PHI if outcome_a is outcome_b else BellClass.PSI
-
-
 #: Announced angles are multiples of pi/4.
 ANGLE_STEP = math.pi / 4
 ANGLE_COUNT = 8
-
-
-@dataclass
-class BqcRound:
-    """Alice's per-pair bookkeeping for the delegated-measurement rounds."""
-
-    index: int
-    theta_index: int
-    theta: float
-    bell_class: BellClass
-    sent_angle: float
-    a_bit: int | None = None
-
-
-@dataclass(frozen=True)
-class DistillationRecord:
-    """Ground truth plus reported view of one distilled pair.
-
-    ``inferred_class`` is what Alice computes from the readouts as
-    reported; ``true_class`` is the physical class of the surviving
-    state itself. They diverge under readout misclassification or
-    misreporting.
-    """
-
-    component: HyperComponent
-    pair: DistilledPair
-    reported_a: QndOutcome
-    reported_b: QndOutcome
-    inferred_class: BellClass
-    true_class: BellClass
 
 
 def state_bell_class(state: StateVector) -> BellClass:
@@ -627,130 +581,6 @@ def state_bell_class(state: StateVector) -> BellClass:
     amps = state.amplitudes
     phi_weight = abs(amps[0]) ** 2 + abs(amps[3]) ** 2
     return BellClass.PHI if phi_weight > 0.5 else BellClass.PSI
-
-
-@dataclass(frozen=True)
-class HandoffSummary:
-    pair_count: int
-    phi_count: int
-    psi_count: int
-    residuals: tuple[StateVector, ...]
-
-
-def run_distribution(
-    m: int,
-    fv: FidelityVector,
-    dephase_p: float,
-    rng: np.random.Generator,
-    transcript: Transcript,
-) -> list[HyperComponent]:
-    """Sample m noisy pairs and log their delivery to both servers."""
-    if m < 1:
-        raise ValueError(f"pair count {m} must be >= 1")
-    if not (0.0 <= dephase_p <= 1.0):
-        raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
-    components = []
-    for j in range(1, m + 1):
-        component = sample_component(fv, rng)
-        if dephase_p > 0.0:
-            component = spatial_dephase(component, dephase_p, rng)
-        components.append(component)
-        transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, str(j))
-        transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB2, str(j))
-    return components
-
-
-def run_distillation(
-    components,
-    params: DeviceParams,
-    rng: np.random.Generator,
-    transcript: Transcript,
-    evil_bob_flip_p: float = 0.0,
-) -> list[DistillationRecord]:
-    """Run both servers' probe measurements and report readouts to Alice.
-
-    With ``evil_bob_flip_p > 0`` the first server misreports his readout
-    with that probability; the actual photons are untouched, so Alice's
-    inferred classes diverge from ground truth.
-    """
-    if not components:
-        raise ValueError("component list must be nonempty")
-    if not (0.0 <= evil_bob_flip_p <= 1.0):
-        raise ValueError(f"evil_bob_flip_p {evil_bob_flip_p!r} outside [0, 1]")
-    records = []
-    for component in components:
-        table = build_branch_table(component)
-        pair = measure_probes(table, params, rng)
-        reported_a = pair.outcome_a
-        if evil_bob_flip_p > 0.0 and float(rng.random()) < evil_bob_flip_p:
-            reported_a = reported_a.flipped()
-        reported_b = pair.outcome_b
-        transcript.append(Phase.DISTILLATION, Party.BOB1, Party.ALICE, reported_a.value)
-        transcript.append(Phase.DISTILLATION, Party.BOB2, Party.ALICE, reported_b.value)
-        records.append(
-            DistillationRecord(
-                component=component,
-                pair=pair,
-                reported_a=reported_a,
-                reported_b=reported_b,
-                inferred_class=infer_bell_class(reported_a, reported_b),
-                true_class=state_bell_class(pair.pol_state),
-            )
-        )
-    return records
-
-
-def alice_announce_angles(
-    classes, rng: np.random.Generator, transcript: Transcript
-) -> list[BqcRound]:
-    """Draw one angle per pair and announce the signed angle to Bob1.
-
-    The angle is uniform over the eight multiples of pi/4; its sign is
-    positive for Phi-class pairs and negative for Psi-class pairs.
-    """
-    rounds = []
-    for j, bell_class in enumerate(classes, start=1):
-        k = int(rng.integers(ANGLE_COUNT))
-        theta = k * ANGLE_STEP
-        sign = 1.0 if bell_class is BellClass.PHI else -1.0
-        sent = sign * theta + 0.0  # normalize -0.0 to 0.0
-        transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.ALICE, Party.BOB1, repr(sent))
-        rounds.append(
-            BqcRound(
-                index=j,
-                theta_index=k,
-                theta=theta,
-                bell_class=bell_class,
-                sent_angle=sent,
-            )
-        )
-    return rounds
-
-
-@functools.lru_cache(maxsize=512)
-def _rotated_basis_projection(
-    state: StateVector, sent_angle: float
-) -> tuple[float, StateVector, StateVector]:
-    """Bit-0 probability and both residual states for one pair state.
-
-    Keyed on state identity; distilled states are shared immutable
-    instances, so this caches the handful of distinct cases per run.
-    """
-    psi = np.asarray(state.amplitudes, dtype=complex).reshape(2, 2)
-    phase = np.exp(-1j * sent_angle)
-    residuals = []
-    probs = []
-    for sign in (1.0, -1.0):
-        bra = np.array([1.0, sign * phase], dtype=complex).conj() / math.sqrt(2.0)
-        branch = bra @ psi
-        probs.append(float(np.sum(np.abs(branch) ** 2)))
-        norm = np.linalg.norm(branch)
-        residuals.append(
-            None
-            if norm <= 1e-9
-            else StateVector(canonical_phase(branch / norm), ("H", "V"))
-        )
-    return probs[0], residuals[0], residuals[1]
 
 
 #: The 16 announced angles: index ANGLE_COUNT*s + k is theta index k sent
@@ -784,10 +614,9 @@ class PairTable(NamedTuple):
 def pair_table() -> PairTable:
     """Build the PairTable once, from the branch engine.
 
-    The states are the shared instances ``measure_probes`` returns. Bob1's
-    block is ``_rotated_basis_projection`` applied to every case, readout
-    and angle at once with the same arithmetic, so its entries are equal
-    to that function's.
+    The states are the shared instances ``conditional_pol_state``
+    returns. Bob1's block projects every surviving state onto his rotated
+    basis at every signed angle in one numpy expression.
     """
     tables = [build_branch_table(HyperComponent(kind, 1.0, sign)) for kind, sign in CASES]
     probs = np.array([list(outcome_distribution(table).values()) for table in tables])
@@ -831,53 +660,6 @@ def pair_table() -> PairTable:
     for array in (probs, survives, phi, fidelity, bit0, zero_weight):
         array.setflags(write=False)
     return PairTable(probs, states, survives, phi, fidelity, bit0, zero_weight)
-
-
-def bob1_measure(
-    pair: DistilledPair,
-    sent_angle: float,
-    rng: np.random.Generator,
-    transcript: Transcript,
-) -> tuple[int, StateVector]:
-    """Measure Bob1's qubit (the first tensor factor) in the rotated basis.
-
-    The basis states are (|H> +- e^{-i * sent_angle} |V>)/sqrt(2); the
-    first projector corresponds to bit 0. Returns the bit and Bob2's
-    residual qubit state, and reports the bit to Alice. Normalization of
-    the input pair is guaranteed by the state-vector type.
-    """
-    p0, residual0, residual1 = _rotated_basis_projection(
-        pair.pol_state, float(sent_angle)
-    )
-    a_bit = 0 if float(rng.random()) < p0 else 1
-    residual = residual0 if a_bit == 0 else residual1
-    if residual is None:
-        raise RuntimeError(f"bit {a_bit} sampled despite zero Born weight")
-    transcript.append(Phase.RESULT_REPORT, Party.BOB1, Party.ALICE, str(a_bit))
-    return a_bit, residual
-
-
-def handoff_single_server(
-    rounds, residuals, transcript: Transcript
-) -> HandoffSummary:
-    """Close the run: summarize and send the single handoff marker to Bob2."""
-    rounds = list(rounds)
-    residuals = tuple(residuals)
-    if len(rounds) != len(residuals):
-        raise ValueError(
-            f"{len(rounds)} rounds but {len(residuals)} residual states"
-        )
-    incomplete = [r.index for r in rounds if r.a_bit is None]
-    if incomplete:
-        raise ValueError(f"rounds {incomplete} have no reported bit")
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "begin_single_server")
-    phi = sum(1 for r in rounds if r.bell_class is BellClass.PHI)
-    return HandoffSummary(
-        pair_count=len(rounds),
-        phi_count=phi,
-        psi_count=len(rounds) - phi,
-        residuals=residuals,
-    )
 
 
 # --- security audit ---------------------------------------------------------
@@ -1000,8 +782,8 @@ class ProtocolRun:
     angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index announced
     and ``a_bit`` the bit Bob1 reports. The surviving state of a pair is
     ``pair_table().states[case][readout]``, and Bob2's residual qubit is
-    ``_rotated_basis_projection`` of that state at the announced angle,
-    taken at ``1 + a_bit``.
+    what is left of it once Bob1's qubit is projected onto the state
+    (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2) of the announced angle.
     """
 
     def __init__(
@@ -1055,14 +837,14 @@ def run_protocol(
 ) -> ProtocolRun:
     """Execute the full pipeline with four named substreams of ``seed``.
 
-    Gives what the stage functions give when composed, one substream
-    each: ``run_distribution``, ``run_distillation``,
-    ``alice_announce_angles``, ``bob1_measure`` per pair and
-    ``handoff_single_server``. It makes the same draws in the same order,
-    so the pairs and the transcript bytes are the same. The substreams are
-    drawn in pair order, ``_BLOCK_LINES`` pairs at a time, and each pair's
-    fate is gathered from ``pair_table()`` into the run's int8 columns;
-    the transcript keeps its payloads as codes into those columns.
+    The substreams are, in order: distribution (per pair, the component
+    draw, then the dephasing draw), distillation (per pair, the joint
+    readout, each server's misread, then Bob1's misreport), angles (one
+    index per pair) and Bob1's measurement (one draw per pair). Only the
+    draws of enabled noise branches are made. They are drawn in pair
+    order, ``_BLOCK_LINES`` pairs at a time, and each pair's fate is
+    gathered from ``pair_table()`` into the run's int8 columns; the
+    transcript keeps its payloads as codes into those columns.
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")

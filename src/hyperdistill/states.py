@@ -13,7 +13,6 @@ density-matrix form is reconstructed on demand for cross-checks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -197,17 +196,6 @@ def inverse_cdf(weights, u):
 def sample_component(fv: FidelityVector, rng: np.random.Generator) -> HyperComponent:
     """Draw one ensemble component with probability equal to its weight."""
     return mixed_ensemble(fv)[inverse_cdf(fv.as_tuple(), float(rng.random()))]
-
-
-def spatial_dephase(
-    component: HyperComponent, p: float, rng: np.random.Generator
-) -> HyperComponent:
-    """Flip the spatial sign of the pair with probability ``p``."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"dephasing probability {p!r} outside [0, 1]")
-    if p > 0.0 and float(rng.random()) < p:
-        return dataclasses.replace(component, spatial_sign=-component.spatial_sign)
-    return component
 
 
 def ensemble_polarization_density(fv: FidelityVector) -> DensityMatrix:

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from hyperdistill import (
-    BellClass,
     DeviceParams,
     FidelityVector,
     HyperComponent,
@@ -21,7 +20,6 @@ from hyperdistill import (
     analytic_phi_probability,
     audit,
     bell_vector,
-    bob1_measure,
     build_branch_table,
     conditional_pol_state,
     execute_run,
@@ -44,8 +42,8 @@ from hyperdistill.protocol import (
     Message,
     Phase,
     Party,
-    run_distillation,
-    run_distribution,
+    SIGNED_ANGLES,
+    pair_table,
 )
 
 S = QndOutcome.SHIFT
@@ -82,20 +80,17 @@ def test_criterion_1_agreement_probability_law():
 def test_criterion_2_deterministic_success():
     started = time.perf_counter()
     m = 100_000
-    transcript = Transcript()
-    components = run_distribution(
-        m, MIXED, 0.0, np.random.default_rng(202), transcript
-    )
-    records = run_distillation(
-        components, DeviceParams(), np.random.default_rng(203), transcript
-    )
-    complete = len(records) == m
-    definite = all(
-        r.inferred_class in (BellClass.PHI, BellClass.PSI) for r in records
-    )
+    run = run_protocol(m, MIXED, seed=202)
+    table = pair_table()
+    complete = len(run.case) == len(run.readout) == len(run.inferred_phi) == m
+    definite = run.inferred_phi.dtype == np.dtype(bool)
+    # Every (case, readout) the run meets has a surviving, normalised state.
+    met = np.unique(4 * run.case.astype(int) + run.readout)
     normalized = all(
-        abs(float(np.sum(np.abs(r.pair.pol_state.amplitudes) ** 2)) - 1.0) <= 1e-12
-        for r in records
+        table.survives[c // 4, c % 4]
+        and abs(float(np.sum(np.abs(table.states[c // 4][c % 4].amplitudes) ** 2)) - 1.0)
+        <= 1e-12
+        for c in met.tolist()
     )
     runtime_ok = time.perf_counter() - started < 30.0
     report(
@@ -239,33 +234,42 @@ def test_criterion_6_security_audit():
 
 
 def test_criterion_7_delegated_measurement_statistics():
-    table = build_branch_table(HyperComponent(PolarizationBell.PHI_PLUS, 1.0))
-    pair = measure_probes(table, DeviceParams(), np.random.default_rng(40))
-    n = 10_000
-    three_sigma = 3.0 * math.sqrt(0.25 / n)
+    run = run_protocol(80_000, MIXED, seed=40)
+    table = pair_table()
     frequencies_ok = True
-    residuals_ok = True
     for k in range(8):
-        angle = k * math.pi / 4
-        rng = np.random.default_rng(1000 + k)
-        transcript = Transcript()
-        zeros = 0
-        for _ in range(n):
-            a_bit, residual = bob1_measure(pair, angle, rng, transcript)
-            zeros += a_bit == 0
-            # projection-algebra oracle: full 4x4 projector, then reduce
-            sign = 1.0 if a_bit == 0 else -1.0
-            phi = np.array([1.0, sign * np.exp(-1j * angle)]) / math.sqrt(2.0)
-            proj = np.kron(np.outer(phi, phi.conj()), np.eye(2))
-            rho = np.outer(pair.pol_state.amplitudes,
-                           np.conj(pair.pol_state.amplitudes))
-            post = proj @ rho @ proj
-            post /= np.trace(post).real
-            reduced = np.einsum("ijik->jk", post.reshape(2, 2, 2, 2))
-            overlap = np.vdot(residual.amplitudes,
-                              reduced @ residual.amplitudes).real
-            residuals_ok &= overlap > 1.0 - 1e-10
-        frequencies_ok &= abs(zeros / n - 0.5) <= three_sigma
+        bits = run.a_bit[run.theta_index == k]
+        n = len(bits)
+        three_sigma = 3.0 * math.sqrt(0.25 / n)
+        frequencies_ok &= abs(np.count_nonzero(bits == 0) / n - 0.5) <= three_sigma
+    residuals_ok = True
+    # Every (case, readout, angle, bit) the run meets: Bob2's residual from
+    # the full 4x4 projector is (|H> +- e^{i theta}|V>)/sqrt(2).
+    met = {
+        (c, r, a, bit) for c, r, a, bit in zip(
+            run.case.tolist(), run.readout.tolist(),
+            run.signed_angle_index.tolist(), run.a_bit.tolist(),
+        )
+    }
+    for c, r, a, a_bit in met:
+        theta = (a % 8) * math.pi / 4
+        amplitudes = table.states[c][r].amplitudes
+        sign = 1.0 if a_bit == 0 else -1.0
+        phi = np.array([1.0, sign * np.exp(-1j * SIGNED_ANGLES[a])]) / math.sqrt(2.0)
+        proj = np.kron(np.outer(phi, phi.conj()), np.eye(2))
+        rho = np.outer(amplitudes, np.conj(amplitudes))
+        post = proj @ rho @ proj
+        post /= np.trace(post).real
+        reduced = np.einsum("ijik->jk", post.reshape(2, 2, 2, 2))
+        overlap = max(
+            np.vdot(residual, reduced @ residual).real
+            for residual in (
+                np.array([1.0, s * np.exp(1j * theta)]) / math.sqrt(2.0) for s in (1.0, -1.0)
+            )
+        )
+        residuals_ok &= overlap > 1.0 - 1e-10
+    # Four Bell kinds, two readouts each, eight angles of the right sign, two bits.
+    residuals_ok &= len(met) == 4 * 2 * 8 * 2
     report(
         7,
         "delegated measurement statistics",

@@ -537,6 +537,19 @@ def test_undecodable_config_file_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, '{"pairs": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["nested array", "nested value under pairs"],
+)
+def test_deeply_nested_config_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "--config: cannot read" in capsys.readouterr().err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=5)

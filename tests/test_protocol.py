@@ -7,43 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdistill import (
-    BellClass,
     DeviceParams,
     FidelityVector,
-    HyperComponent,
     Message,
     Party,
     Phase,
     PolarizationBell,
     QndOutcome,
     Transcript,
-    alice_announce_angles,
     analytic_phi_probability,
     audit,
-    bob1_measure,
-    build_branch_table,
-    handoff_single_server,
-    infer_bell_class,
-    measure_probes,
-    run_distillation,
-    run_distribution,
     run_protocol,
 )
 from hyperdistill.protocol import (
+    SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
     VIOLATION_ANGLE_TO_BOB2,
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
+    pair_table,
 )
-from hyperdistill.qnd import OUTCOME_PAIRS
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS
+from hyperdistill.states import ENSEMBLE_ORDER
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
 MIXED_FV = FidelityVector(0.7, 0.1, 0.15, 0.05)
-
-
-def fresh_transcript():
-    return Transcript()
+PHI_PLUS_ONLY = FidelityVector(1, 0, 0, 0)
 
 
 # --- independent projection oracle for the rotated-basis measurement ----------
@@ -67,44 +57,34 @@ def projection_oracle(state_amps, sent_angle, bit):
 # --- distribution ---------------------------------------------------------------
 
 
+def phase_messages(run, phase):
+    return [msg for msg in run.transcript.messages if msg.phase is phase]
+
+
 def test_noiseless_distribution_single_pair():
-    transcript = fresh_transcript()
-    comps = run_distribution(
-        1, FidelityVector(1, 0, 0, 0), 0.0, np.random.default_rng(0), transcript
-    )
-    assert len(comps) == 1
-    assert comps[0].pol is PolarizationBell.PHI_PLUS
-    assert comps[0].spatial_sign == 1
+    run = run_protocol(1, PHI_PLUS_ONLY, seed=0)
+    assert [CASES[c] for c in run.case.tolist()] == [(PolarizationBell.PHI_PLUS, 1)]
 
 
 def test_distribution_rejects_zero_pairs():
     with pytest.raises(ValueError, match=">= 1"):
-        run_distribution(
-            0, MIXED_FV, 0.0, np.random.default_rng(0), fresh_transcript()
-        )
+        run_protocol(0, MIXED_FV)
 
 
 def test_distribution_counts_within_three_sigma():
-    transcript = fresh_transcript()
     m = 10_000
-    comps = run_distribution(m, MIXED_FV, 0.0, np.random.default_rng(7), transcript)
-    counts = collections.Counter(c.pol for c in comps)
-    for kind, weight in zip(
-        (PolarizationBell.PHI_PLUS, PolarizationBell.PHI_MINUS,
-         PolarizationBell.PSI_PLUS, PolarizationBell.PSI_MINUS),
-        MIXED_FV.as_tuple(),
-    ):
+    run = run_protocol(m, MIXED_FV, seed=7)
+    counts = collections.Counter(CASES[c][0] for c in run.case.tolist())
+    for kind, weight in zip(ENSEMBLE_ORDER, MIXED_FV.as_tuple()):
         sigma = math.sqrt(m * weight * (1.0 - weight))
         assert abs(counts[kind] - m * weight) <= 3 * sigma
 
 
 def test_distribution_message_shape():
-    transcript = fresh_transcript()
     m = 25
-    run_distribution(m, MIXED_FV, 0.0, np.random.default_rng(3), transcript)
-    msgs = transcript.messages
+    msgs = phase_messages(run_protocol(m, MIXED_FV, seed=3), Phase.DISTRIBUTION)
     assert len(msgs) == 2 * m
-    assert all(msg.phase is Phase.DISTRIBUTION for msg in msgs)
+    assert [msg.seq for msg in msgs] == list(range(1, 2 * m + 1))
     assert all(msg.sender is Party.SOURCE for msg in msgs)
     recipients = collections.Counter(msg.recipient for msg in msgs)
     assert recipients == {Party.BOB1: m, Party.BOB2: m}
@@ -114,109 +94,71 @@ def test_distribution_message_shape():
 
 
 def test_clean_input_distills_perfect_phi_pairs():
-    transcript = fresh_transcript()
-    comps = run_distribution(
-        50, FidelityVector(1, 0, 0, 0), 0.0, np.random.default_rng(1), transcript
-    )
-    records = run_distillation(
-        comps, DeviceParams(), np.random.default_rng(2), transcript
-    )
+    run = run_protocol(50, PHI_PLUS_ONLY, seed=1)
+    states = pair_table().states
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for record in records:
-        assert record.inferred_class is BellClass.PHI
-        assert record.true_class is BellClass.PHI
+    assert run.inferred_phi.all() and run.true_phi.all()
+    for c, r in zip(run.case.tolist(), run.readout.tolist()):
         np.testing.assert_allclose(
-            record.pair.pol_state.amplitudes,
-            [inv_sqrt2, 0, 0, inv_sqrt2],
-            atol=1e-12,
+            states[c][r].amplitudes, [inv_sqrt2, 0, 0, inv_sqrt2], atol=1e-12
         )
 
 
 def test_distillation_class_fraction_within_three_sigma():
-    transcript = fresh_transcript()
     m = 10_000
-    comps = run_distribution(m, MIXED_FV, 0.0, np.random.default_rng(7), transcript)
-    records = run_distillation(
-        comps, DeviceParams(), np.random.default_rng(8), transcript
-    )
-    phi = sum(r.inferred_class is BellClass.PHI for r in records)
+    run = run_protocol(m, MIXED_FV, seed=7)
+    phi = int(np.count_nonzero(run.inferred_phi))
     sigma = math.sqrt(0.8 * 0.2 / m)
     assert abs(phi / m - 0.8) <= 3 * sigma
 
 
 def test_distillation_message_shape():
-    transcript = fresh_transcript()
     m = 30
-    comps = run_distribution(m, MIXED_FV, 0.0, np.random.default_rng(5), transcript)
-    before = len(transcript.messages)
-    run_distillation(comps, DeviceParams(), np.random.default_rng(6), transcript)
-    distill_msgs = transcript.messages[before:]
-    assert len(distill_msgs) == 2 * m
-    assert all(msg.phase is Phase.DISTILLATION for msg in distill_msgs)
-    assert all(msg.recipient is Party.ALICE for msg in distill_msgs)
-    senders = collections.Counter(msg.sender for msg in distill_msgs)
+    msgs = phase_messages(run_protocol(m, MIXED_FV, seed=5), Phase.DISTILLATION)
+    assert len(msgs) == 2 * m
+    assert [msg.seq for msg in msgs] == list(range(2 * m + 1, 4 * m + 1))
+    assert all(msg.recipient is Party.ALICE for msg in msgs)
+    senders = collections.Counter(msg.sender for msg in msgs)
     assert senders == {Party.BOB1: m, Party.BOB2: m}
 
 
-def test_distillation_rejects_empty_input():
-    with pytest.raises(ValueError, match="nonempty"):
-        run_distillation(
-            [], DeviceParams(), np.random.default_rng(0), fresh_transcript()
-        )
-
-
 def test_homodyne_misreads_diverge_from_physical_class():
-    transcript = fresh_transcript()
-    comps = run_distribution(
-        2000, FidelityVector(1, 0, 0, 0), 0.0, np.random.default_rng(51), transcript
-    )
-    records = run_distillation(
-        comps,
-        DeviceParams(homodyne_error=0.1),
-        np.random.default_rng(52),
-        transcript,
-    )
-    mismatches = sum(r.inferred_class is not r.true_class for r in records)
+    run = run_protocol(2000, PHI_PLUS_ONLY, DeviceParams(homodyne_error=0.1), seed=51)
+    mismatches = int(np.count_nonzero(run.inferred_phi != run.true_phi))
     # every state is physically Phi-class; a single-sided misread flips
     # the inferred class, so P(mismatch) = 2 p (1-p) = 0.18
-    assert all(r.true_class is BellClass.PHI for r in records)
+    assert run.true_phi.all()
     p = 2 * 0.1 * 0.9
     sigma = math.sqrt(p * (1 - p) / 2000)
     assert abs(mismatches / 2000 - p) <= 3 * sigma
 
 
 def test_evil_bob_inverts_inferred_classes():
-    transcript = fresh_transcript()
-    comps = run_distribution(
-        40, FidelityVector(1, 0, 0, 0), 0.0, np.random.default_rng(1), transcript
-    )
-    records = run_distillation(
-        comps,
-        DeviceParams(),
-        np.random.default_rng(2),
-        transcript,
-        evil_bob_flip_p=1.0,
-    )
-    for record in records:
-        assert record.true_class is BellClass.PHI
-        assert record.inferred_class is BellClass.PSI
-        assert record.reported_a is record.pair.outcome_a.flipped()
-        assert record.reported_b is record.pair.outcome_b
+    run = run_protocol(40, PHI_PLUS_ONLY, seed=1, evil_bob_flip_p=1.0)
+    assert run.true_phi.all()
+    assert not run.inferred_phi.any()
+    for recorded, reported in zip(run.recorded.tolist(), run.reported.tolist()):
+        a, b = OUTCOME_PAIRS[recorded]
+        assert OUTCOME_PAIRS[reported] == (a.flipped(), b)
 
 
 # --- class inference -------------------------------------------------------------
 
+#: Every joint readout a noisy run reports, and Alice's label of it.
+NOISY_RUN = run_protocol(200, MIXED_FV, DeviceParams(homodyne_error=0.2), seed=13)
+INFERRED_PHI = dict(zip(
+    (OUTCOME_PAIRS[r] for r in NOISY_RUN.reported.tolist()), NOISY_RUN.inferred_phi.tolist()
+))
+
 
 def test_inference_rule():
-    assert infer_bell_class(S, S) is BellClass.PHI
-    assert infer_bell_class(N, N) is BellClass.PHI
-    assert infer_bell_class(S, N) is BellClass.PSI
-    assert infer_bell_class(N, S) is BellClass.PSI
+    assert len(set(zip(NOISY_RUN.reported.tolist(), NOISY_RUN.inferred_phi.tolist()))) == 4
+    assert INFERRED_PHI == {(S, S): True, (N, N): True, (S, N): False, (N, S): False}
 
 
 @given(st.sampled_from([S, N]), st.sampled_from([S, N]))
 def test_inference_is_symmetric(a, b):
-    assert infer_bell_class(a, b) is infer_bell_class(b, a)
+    assert INFERRED_PHI[(a, b)] is INFERRED_PHI[(b, a)]
 
 
 @settings(max_examples=50)
@@ -239,48 +181,37 @@ def test_analytic_phi_probability_equals_f_plus_f1(raw):
 
 
 def test_angle_sign_follows_class():
-    transcript = fresh_transcript()
-    classes = [BellClass.PHI, BellClass.PSI] * 500
-    rounds = alice_announce_angles(classes, np.random.default_rng(11), transcript)
-    for bell_class, bqc_round in zip(classes, rounds):
-        assert bqc_round.theta == bqc_round.theta_index * math.pi / 4
-        if bell_class is BellClass.PHI:
-            assert bqc_round.sent_angle == bqc_round.theta
+    run = run_protocol(1000, MIXED_FV, seed=11)
+    sent_angles = [SIGNED_ANGLES[a] for a in run.signed_angle_index.tolist()]
+    rounds = list(zip(run.inferred_phi.tolist(), run.theta_index.tolist(), sent_angles))
+    for phi, k, sent in rounds:
+        theta = k * math.pi / 4
+        if phi:
+            assert sent == theta
         else:
-            assert bqc_round.sent_angle == pytest.approx(-bqc_round.theta)
+            assert sent == pytest.approx(-theta)
     # spot the concrete cases: 3pi/4 for a Phi pair, -pi/4 for a Psi pair
-    phi_example = next(
-        r for r in rounds if r.bell_class is BellClass.PHI and r.theta_index == 3
-    )
-    assert phi_example.sent_angle == pytest.approx(3 * math.pi / 4)
-    psi_example = next(
-        r for r in rounds if r.bell_class is BellClass.PSI and r.theta_index == 1
-    )
-    assert psi_example.sent_angle == pytest.approx(-math.pi / 4)
+    phi_example = next(sent for phi, k, sent in rounds if phi and k == 3)
+    assert phi_example == pytest.approx(3 * math.pi / 4)
+    psi_example = next(sent for phi, k, sent in rounds if not phi and k == 1)
+    assert psi_example == pytest.approx(-math.pi / 4)
 
 
 def test_angle_messages_target_bob1_only():
-    transcript = fresh_transcript()
-    rounds = alice_announce_angles(
-        [BellClass.PHI] * 20, np.random.default_rng(0), transcript
-    )
-    msgs = transcript.messages
+    run = run_protocol(20, PHI_PLUS_ONLY, seed=0)
+    msgs = phase_messages(run, Phase.ANGLE_ANNOUNCEMENT)
     assert len(msgs) == 20
-    assert all(msg.phase is Phase.ANGLE_ANNOUNCEMENT for msg in msgs)
     assert all(
         (msg.sender, msg.recipient) == (Party.ALICE, Party.BOB1) for msg in msgs
     )
-    for msg, bqc_round in zip(msgs, rounds):
-        assert float(msg.payload) == bqc_round.sent_angle
+    for msg, a in zip(msgs, run.signed_angle_index.tolist()):
+        assert float(msg.payload) == SIGNED_ANGLES[a]
 
 
 def test_angle_frequencies_uniform_within_three_sigma():
-    transcript = fresh_transcript()
     m = 10_000
-    rounds = alice_announce_angles(
-        [BellClass.PHI] * m, np.random.default_rng(9), transcript
-    )
-    counts = collections.Counter(r.theta_index for r in rounds)
+    run = run_protocol(m, MIXED_FV, seed=9)
+    counts = collections.Counter(run.theta_index.tolist())
     sigma = math.sqrt(0.125 * 0.875 / m)
     for k in range(8):
         assert abs(counts[k] / m - 0.125) <= 3 * sigma
@@ -289,73 +220,64 @@ def test_angle_frequencies_uniform_within_three_sigma():
 # --- Bob1 measurement -------------------------------------------------------------
 
 
-def distilled_pair_for(kind):
-    table = build_branch_table(HyperComponent(kind, 1.0))
-    return measure_probes(table, DeviceParams(), np.random.default_rng(14))
-
-
 def test_phi_pair_measurement_is_unbiased():
-    pair = distilled_pair_for(PolarizationBell.PHI_PLUS)
     n = 4_000
-    rng = np.random.default_rng(15)
-    ones = 0
-    for _ in range(n):
-        a_bit, _ = bob1_measure(pair, math.pi / 4, rng, fresh_transcript())
-        ones += a_bit
+    run = run_protocol(n, PHI_PLUS_ONLY, seed=15)
+    ones = int(np.count_nonzero(run.a_bit))
     sigma = math.sqrt(0.25 / n)
     assert abs(ones / n - 0.5) <= 3 * sigma
     # exact Born weights from the independent oracle
-    p0, _ = projection_oracle(pair.pol_state.amplitudes, math.pi / 4, 0)
-    assert p0 == pytest.approx(0.5, abs=1e-12)
+    state = pair_table().states[run.case[0]][run.readout[0]]
+    for angle in SIGNED_ANGLES:
+        p0, _ = projection_oracle(state.amplitudes, angle, 0)
+        assert p0 == pytest.approx(0.5, abs=1e-12)
+
+
+def assert_residuals_follow_the_angle(phi_class):
+    """For every surviving state of the class, every announced angle and
+    both bits, Bob2's residual is (|H> +- e^{i phi}|V>)/sqrt(2), phi the
+    angle with the sign of the class taken off, one sign per bit. The
+    unflipped PhiPlus and PsiPlus states give the + sign for bit 0."""
+    table = pair_table()
+    seen = 0
+    for c, r in zip(*np.nonzero(table.survives & (table.phi == phi_class))):
+        amplitudes = table.states[c][r].amplitudes
+        for angle in SIGNED_ANGLES:
+            phi = angle if phi_class else -angle
+            signs = []
+            for bit in (0, 1):
+                p, residual = projection_oracle(amplitudes, angle, bit)
+                assert p == pytest.approx(0.5, abs=1e-12)
+                for sign in (1.0, -1.0):
+                    expected = np.array([1.0, sign * np.exp(1j * phi)]) / math.sqrt(2.0)
+                    if np.vdot(expected, residual @ expected).real >= 1.0 - 1e-10:
+                        signs.append(sign)
+            assert len(signs) == 2 and signs[0] == -signs[1], (c, r, angle)
+            if CASES[c] in ((PolarizationBell.PHI_PLUS, 1), (PolarizationBell.PSI_PLUS, 1)):
+                assert signs[0] == 1.0
+            seen += 1
+    assert seen == 8 * len(SIGNED_ANGLES)
 
 
 def test_phi_pair_residual_matches_projection_oracle():
-    pair = distilled_pair_for(PolarizationBell.PHI_PLUS)
-    theta = 3 * math.pi / 4
-    rng = np.random.default_rng(16)
-    seen_bits = set()
-    for _ in range(30):
-        transcript = fresh_transcript()
-        a_bit, residual = bob1_measure(pair, theta, rng, transcript)
-        seen_bits.add(a_bit)
-        _, oracle_dm = projection_oracle(pair.pol_state.amplitudes, theta, a_bit)
-        overlap = np.vdot(
-            residual.amplitudes, oracle_dm @ residual.amplitudes
-        ).real
-        assert overlap >= 1.0 - 1e-10
-        if a_bit == 0:
-            expected = np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2.0)
-            assert abs(np.vdot(expected, residual.amplitudes)) ** 2 == pytest.approx(
-                1.0, abs=1e-12
-            )
-    assert seen_bits == {0, 1}
+    assert_residuals_follow_the_angle(True)
+    run = run_protocol(30, PHI_PLUS_ONLY, seed=16)
+    assert set(run.a_bit.tolist()) == {0, 1}
 
 
 def test_psi_pair_residual_with_negative_angle():
-    pair = distilled_pair_for(PolarizationBell.PSI_PLUS)
-    theta = math.pi / 4
-    rng = np.random.default_rng(17)
-    expected = np.array([np.exp(-1j * theta), 1.0]) / math.sqrt(2.0)
-    for _ in range(30):
-        a_bit, residual = bob1_measure(pair, -theta, rng, fresh_transcript())
-        if a_bit == 0:
-            assert abs(np.vdot(expected, residual.amplitudes)) ** 2 == pytest.approx(
-                1.0, abs=1e-12
-            )
-            break
-    else:
-        pytest.fail("bit 0 never sampled in 30 draws")
+    assert_residuals_follow_the_angle(False)
+    run = run_protocol(30, FidelityVector(0, 0, 1, 0), seed=17)
+    assert not run.inferred_phi.any() and 0 in run.a_bit.tolist()
 
 
 def test_bob1_reports_one_bit_per_round():
-    pair = distilled_pair_for(PolarizationBell.PHI_MINUS)
-    transcript = fresh_transcript()
-    a_bit, _ = bob1_measure(pair, 0.0, np.random.default_rng(18), transcript)
-    msgs = transcript.messages
-    assert len(msgs) == 1
-    assert msgs[0].phase is Phase.RESULT_REPORT
-    assert (msgs[0].sender, msgs[0].recipient) == (Party.BOB1, Party.ALICE)
-    assert msgs[0].payload == str(a_bit)
+    m = 5
+    run = run_protocol(m, FidelityVector(0, 1, 0, 0), seed=18)
+    msgs = phase_messages(run, Phase.RESULT_REPORT)
+    assert len(msgs) == m
+    assert all((msg.sender, msg.recipient) == (Party.BOB1, Party.ALICE) for msg in msgs)
+    assert [msg.payload for msg in msgs] == [str(bit) for bit in run.a_bit.tolist()]
 
 
 # --- handoff ----------------------------------------------------------------------
@@ -363,10 +285,7 @@ def test_bob1_reports_one_bit_per_round():
 
 def inferred_phi_count(run):
     """Pairs whose reported readouts Alice labels Phi-class, one by one."""
-    return sum(
-        infer_bell_class(*OUTCOME_PAIRS[r]) is BellClass.PHI
-        for r in run.reported.tolist()
-    )
+    return sum(a is b for a, b in (OUTCOME_PAIRS[r] for r in run.reported.tolist()))
 
 
 def test_handoff_summary_and_marker():
@@ -376,28 +295,12 @@ def test_handoff_summary_and_marker():
     assert phi_count + int(np.count_nonzero(~run.inferred_phi)) == 3
     assert len(run.signed_angle_index) == len(run.a_bit) == 3
     assert phi_count == inferred_phi_count(run)
-    handoff_msgs = [
-        m for m in run.transcript.messages if m.phase is Phase.HANDOFF
-    ]
+    handoff_msgs = phase_messages(run, Phase.HANDOFF)
     assert len(handoff_msgs) == 1
     assert (handoff_msgs[0].sender, handoff_msgs[0].recipient) == (
         Party.ALICE,
         Party.BOB2,
     )
-
-
-def test_handoff_rejects_incomplete_rounds():
-    transcript = fresh_transcript()
-    rounds = alice_announce_angles(
-        [BellClass.PHI, BellClass.PSI], np.random.default_rng(0), transcript
-    )
-    pair = distilled_pair_for(PolarizationBell.PHI_PLUS)
-    a_bit, residual = bob1_measure(
-        pair, rounds[0].sent_angle, np.random.default_rng(1), transcript
-    )
-    rounds[0].a_bit = a_bit
-    with pytest.raises(ValueError, match="no reported bit"):
-        handoff_single_server(rounds, (residual, residual), transcript)
 
 
 # --- audit ------------------------------------------------------------------------

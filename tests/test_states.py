@@ -17,8 +17,8 @@ from hyperdistill import (
     mixed_ensemble,
     projector,
     reorder_subsystems,
+    run_protocol,
     sample_component,
-    spatial_dephase,
     spatial_vector,
     tensor,
 )
@@ -195,28 +195,25 @@ def test_sampling_converges_at_four_sigma():
 # --- spatial dephasing ------------------------------------------------------------
 
 
+def dephased_signs(fv, p, m, seed):
+    """Spatial sign bit of each pair a run delivers: case c has sign bit c % 2."""
+    return run_protocol(m, fv, dephase_p=p, seed=seed).case % 2
+
+
 def test_dephase_identity_at_zero_probability():
-    comp = HyperComponent(PolarizationBell.PSI_PLUS, 1.0)
-    rng = np.random.default_rng(0)
-    assert spatial_dephase(comp, 0.0, rng) is comp
+    fv = FidelityVector(0.0, 0.0, 1.0, 0.0)
+    assert not dephased_signs(fv, 0.0, 200, 0).any()
 
 
 def test_dephase_always_flips_at_unit_probability():
-    comp = HyperComponent(PolarizationBell.PHI_PLUS, 1.0)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        flipped = spatial_dephase(comp, 1.0, rng)
-        assert flipped.spatial_sign == -1
-        assert spatial_dephase(flipped, 1.0, rng).spatial_sign == 1
+    fv = FidelityVector(1.0, 0.0, 0.0, 0.0)
+    assert dephased_signs(fv, 1.0, 50, 0).all()
 
 
 def test_dephase_flip_frequency_within_three_sigma():
-    comp = HyperComponent(PolarizationBell.PHI_PLUS, 1.0)
-    rng = np.random.default_rng(5)
+    fv = FidelityVector(1.0, 0.0, 0.0, 0.0)
     n = 10_000
-    flips = sum(
-        spatial_dephase(comp, 0.3, rng).spatial_sign == -1 for _ in range(n)
-    )
+    flips = int(np.count_nonzero(dephased_signs(fv, 0.3, n, 5)))
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(flips / n - 0.3) <= 3 * sigma
 

@@ -1,11 +1,13 @@
 """The table-driven engine against its references.
 
 ``run_protocol`` draws the substreams in chunks of pairs and gathers
-every pair's fate from precomputed tables into int8 columns; the per-stage
-functions remain the single-pair reference. These tests check the tables
-against the tensor oracle and explicit projector algebra, each column of
-a run against the per-pair objects the composed stage functions return,
-and the columnar transcript against the per-message rules of ``Message``.
+every pair's fate from ``pair_table()`` into int8 columns. These tests
+check the table against the tensor oracle and explicit projector
+algebra, and each column and the wire bytes of a run against a per-pair
+loop that draws in the engine's order and samples every pair from the
+tensor oracle, not from the table, so that a wrong table fails it. They
+check the columnar transcript against the per-message rules of
+``Message``.
 """
 
 import contextlib
@@ -24,7 +26,6 @@ from hypothesis import strategies as st
 
 from hyperdistill import (
     EPS_ORACLE,
-    BellClass,
     DeviceParams,
     FidelityVector,
     HyperComponent,
@@ -34,18 +35,13 @@ from hyperdistill import (
     PolarizationBell,
     QndOutcome,
     Transcript,
-    alice_announce_angles,
     audit,
-    bob1_measure,
     build_branch_table,
-    handoff_single_server,
     measure_probes,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
     projector,
-    run_distillation,
-    run_distribution,
     run_protocol,
     sample_component,
     trace_distance,
@@ -59,7 +55,6 @@ from hyperdistill.protocol import (
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
     Violation,
-    _rotated_basis_projection,
     analytic_phi_probability,
     inferred_phi_probability,
     pair_table,
@@ -69,7 +64,6 @@ from hyperdistill.states import ENSEMBLE_ORDER, bell_vector, inverse_cdf, mixed_
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
-PHI, PSI = BellClass.PHI, BellClass.PSI
 MIXED = FidelityVector(0.7, 0.1, 0.15, 0.05)
 
 
@@ -95,12 +89,12 @@ def test_readout_tables_match_oracle(case):
             assert table.phi[case, r] == (phi_weight > 0.5)
 
 
-def projector_bit_probability(amplitudes, sent_angle, bit):
-    """Born weight of Bob1's bit from the full 4x4 projector on the pair."""
+def projector_bit_probability(rho, sent_angle, bit):
+    """Born weight of Bob1's bit from the full 4x4 projector on the pair's
+    density matrix ``rho``."""
     sign = 1.0 if bit == 0 else -1.0
     phi = np.array([1.0, sign * np.exp(-1j * sent_angle)]) / math.sqrt(2.0)
     proj = np.kron(np.outer(phi, phi.conj()), np.eye(2))
-    rho = np.outer(amplitudes, np.conj(amplitudes))
     return float(np.trace(proj @ rho @ proj).real)
 
 
@@ -114,19 +108,10 @@ def test_bob1_rows_match_projector_algebra(case):
         bit0, zero_weight = table.bit0[case, r], table.zero_weight[case, r]
         for a, angle in enumerate(SIGNED_ANGLES):
             for bit in (0, 1):
-                p = projector_bit_probability(state.amplitudes, angle, bit)
+                p = projector_bit_probability(projector(state).entries, angle, bit)
                 expected = p if bit == 0 else 1.0 - p
                 assert abs((bit0[a] if bit == 0 else 1.0 - bit0[a]) - expected) <= EPS_ORACLE
                 assert zero_weight[a, bit] == (p <= 1e-12)
-
-
-def test_bob1_block_equals_rotated_basis_projection():
-    table = pair_table()
-    for c, r in zip(*np.nonzero(table.survives)):
-        for a, angle in enumerate(SIGNED_ANGLES):
-            p0, residual0, residual1 = _rotated_basis_projection(table.states[c][r], angle)
-            assert table.bit0[c, r, a] == p0, (c, r, a)
-            assert table.zero_weight[c, r, a].tolist() == [residual0 is None, residual1 is None]
 
 
 def test_fidelity_entries_equal_bell_overlaps():
@@ -218,35 +203,7 @@ def test_inverse_cdf_array_path_equals_scalar_path(weights, draws):
     assert all(weights[i] > 0.0 for i in expected)
 
 
-# --- engine against the composed stage functions -------------------------------------
-
-
-def reference_run(m, fv, params, dephase_p, evil_bob_flip_p, seed):
-    """The pipeline as the composition of the single-pair stage functions."""
-    root = np.random.SeedSequence(seed)
-    rng_dist, rng_qnd, rng_angle, rng_meas = (
-        np.random.default_rng(child) for child in root.spawn(4)
-    )
-    transcript = Transcript()
-    components = run_distribution(m, fv, dephase_p, rng_dist, transcript)
-    records = run_distillation(
-        components, params, rng_qnd, transcript, evil_bob_flip_p
-    )
-    rounds = alice_announce_angles(
-        [record.inferred_class for record in records], rng_angle, transcript
-    )
-    residuals = []
-    for bqc_round, record in zip(rounds, records):
-        bqc_round.a_bit, residual = bob1_measure(
-            record.pair, bqc_round.sent_angle, rng_meas, transcript
-        )
-        residuals.append(residual)
-    summary = handoff_single_server(rounds, residuals, transcript)
-    return components, records, rounds, residuals, summary, transcript
-
-
-def state_key(state):
-    return tuple(state.amplitudes), state.basis_labels
+# --- engine against a per-pair run sampled from the tensor oracle ----------------------
 
 
 @pytest.mark.parametrize(
@@ -314,11 +271,94 @@ NOISE_SETTINGS = {
 }
 
 
+@functools.cache
+def oracle_case(c):
+    """Readout probabilities in OUTCOME_PAIRS order, and the surviving
+    polarization states, of case ``c``, from the tensor oracle alone."""
+    kind, sign = CASES[c]
+    rho = oracle_evolve(HyperComponent(kind, 1.0, sign), DeviceParams())
+    dist = oracle_outcome_distribution(rho)
+    return (
+        [dist[pair] for pair in OUTCOME_PAIRS],
+        [oracle_conditional_pol_state(rho, pair) for pair in OUTCOME_PAIRS],
+    )
+
+
+@functools.cache
+def oracle_bit0(c, r, sent_angle):
+    """Bob1's bit-0 weight on the oracle's surviving state."""
+    return projector_bit_probability(oracle_case(c)[1][r].entries, sent_angle, 0)
+
+
+def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed):
+    """The run drawn pair by pair, in the engine's order from its four
+    substreams, with each pair's readout, state and bit taken from the
+    tensor oracle. Returns the expected columns and wire bytes.
+    """
+    rng_dist, rng_qnd, rng_angle, rng_meas = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
+    )
+    names = ("case", "readout", "recorded", "reported", "inferred_phi", "theta_index",
+             "signed_angle_index", "a_bit", "true_phi")
+    columns = {name: [] for name in names}
+    outcomes, angles = [], []
+    for _ in range(m):
+        c = 2 * inverse_cdf(fv.as_tuple(), rng_dist.random())
+        if dephase_p > 0.0:
+            c += rng_dist.random() < dephase_p
+        probs, states = oracle_case(c)
+        r = inverse_cdf(probs, rng_qnd.random())
+        a, b = OUTCOME_PAIRS[r]
+        if homodyne_error > 0.0:
+            a = a.flipped() if rng_qnd.random() < homodyne_error else a
+            b = b.flipped() if rng_qnd.random() < homodyne_error else b
+        recorded = OUTCOME_PAIRS.index((a, b))
+        if evil_bob_flip_p > 0.0:
+            a = a.flipped() if rng_qnd.random() < evil_bob_flip_p else a
+        phi = a is b
+        k = int(rng_angle.integers(8))
+        sent = (1.0 if phi else -1.0) * (k * (math.pi / 4)) + 0.0
+        bit = 0 if rng_meas.random() < oracle_bit0(c, r, sent) else 1
+        state = states[r].entries
+        row = (c, r, recorded, OUTCOME_PAIRS.index((a, b)), phi, k, 8 * (not phi) + k, bit,
+               (state[0, 0] + state[3, 3]).real > 0.5)
+        for name, value in zip(names, row):
+            columns[name].append(value)
+        outcomes.append((a, b))
+        angles.append(sent)
+
+    lines = [f"Distribution|Source|{bob}|quantum_marker|{j}"
+             for j in range(1, m + 1) for bob in ("Bob1", "Bob2")]
+    lines += [f"Distillation|{bob}|Alice|qnd_outcome|{outcome.value}"
+              for pair in outcomes for bob, outcome in zip(("Bob1", "Bob2"), pair)]
+    lines += [f"AngleAnnouncement|Alice|Bob1|angle|{angle!r}" for angle in angles]
+    lines += [f"ResultReport|Bob1|Alice|result_bit|{bit}" for bit in columns["a_bit"]]
+    lines.append("Handoff|Alice|Bob2|control|begin_single_server")
+    wire = "".join(f"{seq}|{line}\n" for seq, line in enumerate(lines, start=1))
+    return columns, wire.encode("ascii")
+
+
+def assert_engine_equals_oracle_reference(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed):
+    columns, wire = oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed)
+    run = run_protocol(m, fv, DeviceParams(homodyne_error), dephase_p, evil_bob_flip_p, seed)
+    assert run.transcript.to_bytes() == wire
+    lines = wire.decode("ascii").splitlines()
+    assert run.transcript.messages == tuple(map(Message.from_line, lines))
+    for name, values in columns.items():
+        assert getattr(run, name).tolist() == values, name
+    assert run.audit_report == audit(Transcript.from_lines(lines))
+    assert run.audit_report.passed
+    if fv.f3 == 0.0:
+        assert all(c // 2 != 3 for c in columns["case"])
+    return run
+
+
 @pytest.mark.parametrize("setting", sorted(NOISE_SETTINGS))
 @pytest.mark.parametrize("m", [1, 2, 257])
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
 def test_engine_equals_composed_stage_functions(setting, m, seed):
-    assert_engine_equals_composed_stage_functions(m, *NOISE_SETTINGS[setting], seed)
+    # The stages composed pair by pair, each sampled from the oracle.
+    assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS[setting], seed)
 
 
 @pytest.mark.parametrize("size, m", [(1, 7), (3, 11), (4096, 2 * 4096 + 3)])
@@ -326,7 +366,7 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
     # Odd block sizes split a pair's two distribution and two distillation
     # messages between blocks, and every size leaves a short last chunk.
     with mock.patch.object(protocol, "_BLOCK_LINES", size):
-        run = assert_engine_equals_composed_stage_functions(m, *NOISE_SETTINGS["all"], 5)
+        run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
     blocks = run.transcript._blocks
     assert [len(block.phase) for block in blocks] == [
         min(size, count - i) for count in (2 * m, 2 * m, m, m, 1)
@@ -338,58 +378,32 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
     assert run.inferred_phi.dtype == np.dtype(bool)
 
 
-def assert_engine_equals_composed_stage_functions(
-    m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
-):
-    params = DeviceParams(homodyne_error=homodyne_error)
-    components, records, rounds, residuals, summary, transcript = reference_run(
-        m, fv, params, dephase_p, evil_bob_flip_p, seed
-    )
-    run = run_protocol(m, fv, params, dephase_p, evil_bob_flip_p, seed)
-    assert run.transcript.to_bytes() == transcript.to_bytes()
-    assert run.transcript.messages == transcript.messages
-    table = pair_table()
-    case, readout = run.case.tolist(), run.readout.tolist()
-    assert case == [CASES.index((c.pol, c.spatial_sign)) for c in components]
-    assert run.recorded.tolist() == [
-        OUTCOME_PAIRS.index((r.pair.outcome_a, r.pair.outcome_b)) for r in records
-    ]
-    assert run.reported.tolist() == [
-        OUTCOME_PAIRS.index((r.reported_a, r.reported_b)) for r in records
-    ]
-    assert [PHI if phi else PSI for phi in run.inferred_phi.tolist()] == [
-        r.inferred_class for r in records
-    ] == [r.bell_class for r in rounds]
-    assert [PHI if phi else PSI for phi in run.true_phi.tolist()] == [
-        r.true_class for r in records
-    ]
-    assert [state_key(table.states[c][r]) for c, r in zip(case, readout)] == [
-        state_key(r.pair.pol_state) for r in records
-    ]
-    assert [float(table.probs[c, r]) for c, r in zip(case, readout)] == [
-        r.pair.probability for r in records
-    ]
-    assert run.theta_index.tolist() == [r.theta_index for r in rounds]
-    assert [SIGNED_ANGLES[a] for a in run.signed_angle_index.tolist()] == [
-        r.sent_angle for r in rounds
-    ]
-    assert run.a_bit.tolist() == [r.a_bit for r in rounds]
-    run_residuals = [
-        state_key(_rotated_basis_projection(table.states[c][r], SIGNED_ANGLES[a])[1 + bit])
-        for c, r, a, bit in zip(
-            case, readout, run.signed_angle_index.tolist(), run.a_bit.tolist()
-        )
-    ]
-    assert run_residuals == [state_key(s) for s in residuals]
-    assert run_residuals == [state_key(s) for s in summary.residuals]
-    phi_count = int(np.count_nonzero(run.inferred_phi))
-    assert (len(run.case), phi_count, len(run.case) - phi_count) == (
-        summary.pair_count, summary.phi_count, summary.psi_count,
-    )
-    assert run.audit_report == audit(transcript)
-    if fv.f3 == 0.0:
-        assert all(c // 2 != 3 for c in case)
-    return run
+def rigged(array, index, value):
+    array = np.array(array)
+    array[index] = value
+    return array
+
+
+#: Wrong tables a run meets: each changes what happens to a PhiPlus pair
+#: (case 0), which most pairs of the clean setting are.
+RIGGED_TABLES = {
+    # Bob1's weights as for a product state, not an entangled pair.
+    "bit0": lambda t: t._replace(
+        bit0=rigged(t.bit0, (0, 0), np.cos(np.array(SIGNED_ANGLES) / 2) ** 2)),
+    # Unequal same-readout weights.
+    "probs": lambda t: t._replace(probs=rigged(t.probs, 0, (0.75, 0.0, 0.0, 0.25))),
+    # The ground-truth class of a surviving state inverted.
+    "phi": lambda t: t._replace(phi=rigged(t.phi, 0, ~t.phi[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGGED_TABLES))
+def test_oracle_reference_fails_on_a_wrong_pair_table(name):
+    table = RIGGED_TABLES[name](pair_table())
+    with mock.patch.object(protocol, "pair_table", lambda: table):
+        with pytest.raises(AssertionError):
+            assert_engine_equals_oracle_reference(257, *NOISE_SETTINGS["clean"], 0)
+    assert_engine_equals_oracle_reference(257, *NOISE_SETTINGS["clean"], 0)
 
 
 def test_engine_keeps_the_stage_checks():
@@ -398,9 +412,6 @@ def test_engine_keeps_the_stage_checks():
     for dephase_p in (1.5, -0.5, math.nan):
         with pytest.raises(ValueError, match="dephasing probability"):
             run_protocol(3, MIXED, dephase_p=dephase_p)
-    for dephase_p in (-0.5, math.nan):
-        with pytest.raises(ValueError, match="dephasing probability"):
-            run_distribution(3, MIXED, dephase_p, np.random.default_rng(0), Transcript())
     with pytest.raises(ValueError, match="evil_bob_flip_p"):
         run_protocol(3, MIXED, evil_bob_flip_p=-0.1)
 
