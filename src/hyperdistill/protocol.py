@@ -138,15 +138,11 @@ _LINE_MIDDLES = np.array(
     dtype=object,
 )
 
-#: Middle bytes of each (phase, sender, recipient), flattened in C order
-#: and zero padded to the widest; ``_MIDDLE_PAD`` marks the padding.
-_MIDDLE_BYTES = [middle.encode("ascii") for middle in _LINE_MIDDLES.ravel().tolist()]
-_MIDDLE_WIDTH = max(map(len, _MIDDLE_BYTES))
-_MIDDLE_LENGTHS = np.array([len(middle) for middle in _MIDDLE_BYTES])
-_MIDDLE_TEMPLATES = np.frombuffer(
-    b"".join(middle.ljust(_MIDDLE_WIDTH, b"\0") for middle in _MIDDLE_BYTES), np.uint8
-).reshape(len(_MIDDLE_BYTES), _MIDDLE_WIDTH)
-_MIDDLE_PAD = np.arange(_MIDDLE_WIDTH) >= _MIDDLE_LENGTHS[:, None]
+#: Middle bytes of each (phase, sender, recipient), flattened in C order,
+#: their lengths and the widest.
+_MIDDLE_ROWS = [np.frombuffer(middle.encode("ascii"), np.uint8) for middle in _LINE_MIDDLES.flat]
+_MIDDLE_LENGTHS = np.array([len(middle) for middle in _MIDDLE_ROWS])
+_MIDDLE_WIDTH = int(_MIDDLE_LENGTHS.max())
 
 #: Offset of the byte that tells the phase names apart, and the party
 #: names; the code of a phase or party keyed by that byte.
@@ -268,7 +264,9 @@ def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
     or has a middle (the text between seq and payload) other than a valid
     one. The valid middles have a known phase and parties, the phase's
     payload kind and no self-message, so a block that passes gives what
-    ``Message.from_line`` gives line by line.
+    ``Message.from_line`` gives line by line. One byte of each field picks a
+    line's candidate middle; each candidate present is then compared, as one
+    byte row, with all of the block's lines that picked it.
     """
     if len(text) > _MAX_BLOCK_TEXT or not text.isascii() or "\r" in text:
         return None
@@ -306,24 +304,31 @@ def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
     if digits.max() > 9:
         return None
     seq = digits @ 10 ** np.arange(width - 1, -1, -1)
-    if int(seq[0]) <= prev or np.any(seq[1:] <= seq[:-1]):
+    if int(seq[0]) <= prev or (seq[1:] <= seq[:-1]).any():
         return None
 
-    # Middle: the candidate codes keyed by one byte of each field, then an
-    # exact comparison with that candidate's wire text.
+    # Middle: the candidate code keyed by one byte of each field, then one
+    # exact comparison per code present (one or two in an engine block).
     phase = _PHASE_OF_BYTE[buf[first_pipe + 1 + _PHASE_KEY_AT]]
     sender = _PARTY_OF_BYTE[buf[pipes[:, 1] + 1 + _PARTY_KEY_AT]]
     recipient = _PARTY_OF_BYTE[buf[pipes[:, 2] + 1 + _PARTY_KEY_AT]]
-    if np.any(sender == recipient):
+    if (sender == recipient).any():
         return None
     code = (phase * len(PARTIES) + sender) * len(PARTIES) + recipient
-    windows = np.lib.stride_tricks.sliding_window_view(buf, _MIDDLE_WIDTH)
-    if np.any(pipes[:, 4] - first_pipe - 1 != _MIDDLE_LENGTHS[code]) or not np.all(
-        (windows[first_pipe + 1] == _MIDDLE_TEMPLATES[code]) | _MIDDLE_PAD[code]
-    ):
+    if (pipes[:, 4] - first_pipe - 1 != _MIDDLE_LENGTHS[code]).any():
         return None
+    # Row i of this view is the buffer from byte i on.
+    windows = np.ndarray((len(buf) - _MIDDLE_WIDTH + 1, _MIDDLE_WIDTH), np.uint8, buf,
+                         strides=(1, 1))
+    present = np.flatnonzero(np.bincount(code)).tolist()
+    for c in present:
+        at = first_pipe + 1 if len(present) == 1 else first_pipe[code == c] + 1
+        if (windows[at, :_MIDDLE_LENGTHS[c]] != _MIDDLE_ROWS[c]).any():
+            return None
 
-    bounds = np.stack([pipes[:, 4] + 1, stops], axis=1).astype(np.int32)
+    bounds = np.empty((n, 2), np.int32)
+    bounds[:, 0] = pipes[:, 4] + 1
+    bounds[:, 1] = stops
     first, last = int(seq[0]), int(seq[-1])
     seqs = range(first, last + 1) if last - first == n - 1 else seq.tolist()
     return _Block(seqs, phase, sender, recipient, _Payloads(text, bounds))

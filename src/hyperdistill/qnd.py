@@ -273,7 +273,6 @@ def measure_probes(
 # -1 (s = 1); readout r is OUTCOME_PAIRS[r], so r = 2*a + b with the
 # outcome codes SHIFT = 0 and NO_SHIFT = 1 of each server.
 
-OUTCOMES = (QndOutcome.SHIFT, QndOutcome.NO_SHIFT)
 CASES = tuple((kind, sign) for kind in ENSEMBLE_ORDER for sign in (1, -1))
 
 

@@ -703,6 +703,99 @@ def test_block_too_long_for_int32_offsets_takes_the_line_parser():
         assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
 
 
+#: A noisy run across every phase boundary, with the four valid message
+#: bodies that break one audit rule each, as the benchmark injects them.
+SEVERAL_CODES = [
+    f"{seq}|{body}\n" for seq, body in enumerate([
+        *(line.split("|", 1)[1]
+          for line in run_protocol(3, MIXED, seed=2, **NOISY).transcript.to_lines()),
+        "Distillation|Bob1|Bob2|qnd_outcome|Shift",
+        "Distillation|Alice|Bob1|qnd_outcome|NoShift",
+        "AngleAnnouncement|Alice|Bob2|angle|0.7853981633974483",
+        "ResultReport|Bob2|Alice|result_bit|0",
+    ], 1)
+]
+MIDDLE_DEFECTS = [
+    "unknown phase", "unknown sender", "unknown recipient", "near-miss phase", "near-miss party",
+    "party name too long", "kind of another phase", "unknown kind", "kind with a suffix",
+    "self message",
+]
+
+
+def middle_code(line):
+    """The column codes of a valid line's middle, which sort as the block
+    parser's code for it does."""
+    msg = Message.from_line(line)
+    return (protocol._PHASE_CODE[msg.phase], protocol._PARTY_CODE[msg.sender],
+            protocol._PARTY_CODE[msg.recipient])
+
+
+def with_middle(line, middle):
+    seq, _, rest = line.partition("|")
+    return f"{seq}|{middle}|{rest.rsplit('|', 1)[1]}"
+
+
+def code_group_lines(lines):
+    """The index of a line in the first code group of ``lines``, in one
+    neither first nor last, and of the last line."""
+    codes = [middle_code(line) for line in lines]
+    present = sorted(set(codes))
+    assert len(present) >= 3
+    return {
+        "first group": codes.index(present[0]),
+        "middle group": codes.index(present[len(present) // 2]),
+        "last line": len(lines) - 1,
+    }
+
+
+def assert_refused_as_message_parsing_refuses(lines):
+    assert protocol._parse_block(*joined(lines), 0) is None
+    with pytest.raises(ValueError) as expected:
+        reference_from_lines(lines)
+    with pytest.raises(ValueError) as got:
+        Transcript.from_lines(lines)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("place", ["first group", "middle group", "last line"])
+@pytest.mark.parametrize("name", MIDDLE_DEFECTS)
+def test_bad_middle_is_refused_in_any_code_group(name, place):
+    assert protocol._parse_block(*joined(SEVERAL_CODES), 0) is not None
+    (bad_line,) = BAD_TRANSCRIPTS[name]
+    bad_middle = bad_line.split("|", 1)[1].rsplit("|", 1)[0]
+    lines = list(SEVERAL_CODES)
+    at = code_group_lines(lines)[place]
+    lines[at] = with_middle(lines[at], bad_middle)
+    assert_refused_as_message_parsing_refuses(lines)
+
+
+@pytest.mark.parametrize("place", ["first group", "middle group", "last line"])
+def test_middle_one_byte_off_is_refused_in_any_code_group(place):
+    # Same length and same key bytes as the line's own middle, so only the
+    # comparison of that line's code group can refuse it.
+    lines = list(SEVERAL_CODES)
+    at = code_group_lines(lines)[place]
+    middle = lines[at].split("|", 1)[1].rsplit("|", 1)[0]
+    lines[at] = with_middle(lines[at], middle[:-1] + chr(ord(middle[-1]) ^ 1))
+    assert_refused_as_message_parsing_refuses(lines)
+
+
+def test_block_of_every_valid_middle_stays_on_the_byte_path():
+    middles = [
+        f"{phase.value}|{sender.value}|{recipient.value}|{protocol.PAYLOAD_KIND_FOR_PHASE[phase]}"
+        for phase, sender, recipient in itertools.product(Phase, Party, Party)
+        if sender is not recipient
+    ]
+    assert len(middles) == 60
+    order = np.random.default_rng(0).permutation(len(middles))
+    lines = [f"{seq}|{middles[i]}|{seq}\n" for seq, i in enumerate(order.tolist(), 1)]
+    block = protocol._parse_block(*joined(lines), 0)
+    assert block is not None and isinstance(block.payload, protocol._Payloads)
+    transcript = Transcript.from_lines(lines)
+    assert all(isinstance(b.payload, protocol._Payloads) for b in transcript._blocks)
+    assert views(transcript) == reference_views(reference_from_lines(lines))
+
+
 def test_from_lines_checks_order_across_parse_blocks():
     size = protocol._BLOCK_LINES
     lines = run_protocol(size // 6 + 1, MIXED, seed=4).transcript.to_bytes().decode().splitlines(True)
@@ -939,6 +1032,30 @@ def traced_write_peak(transcript, path):
 def test_transcript_write_memory_stays_flat(tmp_path):
     small, large = (
         traced_write_peak(run_protocol(pairs, MIXED, seed=5).transcript, tmp_path / "t.log")
+        for pairs in (5000, 80000)
+    )
+    assert large <= 1.5 * small
+
+
+def traced_parse_work(transcript, path):
+    """Peak bytes that Python allocates while ``from_lines`` parses the
+    written file of ``transcript``, less what the parsed copy keeps."""
+    write_transcript(transcript, str(path))
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parsed = Transcript.from_lines(fh)
+        kept, peak = tracemalloc.get_traced_memory()
+        del parsed  # alive until now, so that ``kept`` counts it
+        return peak - kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_parse_memory_stays_flat(tmp_path):
+    # Parsing holds one block's arrays at a time, whatever the file's size.
+    small, large = (
+        traced_parse_work(run_protocol(pairs, MIXED, seed=5, **NOISY).transcript, tmp_path / "t.log")
         for pairs in (5000, 80000)
     )
     assert large <= 1.5 * small
