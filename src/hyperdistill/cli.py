@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -265,7 +266,7 @@ def emit_report(doc: dict, output_format: str, destination: str | None) -> None:
 def write_transcript(transcript: Transcript, destination: str) -> None:
     try:
         with open(destination, "wb") as fh:
-            fh.writelines(transcript.iter_bytes())
+            transcript.write(fh)
     except OSError as exc:
         raise OSError(f"cannot write transcript to {destination!r}: {exc}") from exc
 
@@ -288,14 +289,14 @@ def _sweep_single(args: tuple[RunConfig, int]) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
-    """Run ``cfg.sweep`` consecutive seeds in parallel worker processes."""
+    """Run ``cfg.sweep`` consecutive seeds in parallel, one worker per seed and CPU at most."""
     n = int(cfg.sweep or 1)
     seeds = [cfg.seed + i for i in range(n)]
     jobs = [(cfg, seed) for seed in seeds]
     if n == 1:
         runs = [_sweep_single(jobs[0])]
     else:
-        with ProcessPoolExecutor() as pool:
+        with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
             runs = list(pool.map(_sweep_single, jobs))
     analytic = runs[0]["analytic_phi_probability"]
     expected = inferred_phi_probability(

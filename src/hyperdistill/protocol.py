@@ -510,16 +510,28 @@ class Transcript:
     def to_lines(self) -> list[str]:
         return [line for block in self._sealed_blocks() for line in _render(block)]
 
-    def iter_bytes(self) -> Iterator[bytes]:
-        """The wire bytes, one block at a time; one newline when empty."""
+    def _wire(self) -> Iterator[bytes | np.ndarray]:
+        """``iter_bytes``, with an engine block as a uint8 array."""
         blocks = self._sealed_blocks()
         if not blocks:
             yield b"\n"
         for block in blocks:
-            yield ("\n".join(_render(block)) + "\n").encode("utf-8")
+            if isinstance(block.payload, _PairPayloads):
+                from .render import render_pairs  # imported by the first engine block
+                yield render_pairs(block)
+            else:
+                yield ("\n".join(_render(block)) + "\n").encode("utf-8")
+
+    def iter_bytes(self) -> Iterator[bytes]:
+        """The wire bytes, one block at a time; one newline when empty."""
+        return map(bytes, self._wire())
+
+    def write(self, fh: io.BufferedIOBase) -> None:
+        """Write the wire bytes to a binary file, one block at a time."""
+        fh.writelines(self._wire())
 
     def to_bytes(self) -> bytes:
-        return b"".join(self.iter_bytes())
+        return b"".join(self._wire())
 
     @classmethod
     def from_lines(cls, lines: Iterable[str] | io.TextIOBase) -> "Transcript":

@@ -441,6 +441,9 @@ def test_sweep_parent_reads_the_runs_not_the_pair_table(monkeypatch):
     reports = expected["runs"]
 
     class PrecomputedPool:
+        def __init__(self, max_workers):
+            pass
+
         def __enter__(self):
             return self
 
@@ -455,6 +458,33 @@ def test_sweep_parent_reads_the_runs_not_the_pair_table(monkeypatch):
     protocol.pair_table.cache_clear()
     assert run_sweep(cfg) == expected
     assert protocol.pair_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("seeds, cpus, workers", [(2, 8, 2), (3, 2, 2), (3, None, 1)])
+def test_sweep_pool_has_no_more_workers_than_seeds_or_cpus(tmp_path, seeds, cpus, workers):
+    # A pool forks all of its workers at once, whatever the task count.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    out = tmp_path / "sweep.json"
+    with mock.patch.object(cli, "ProcessPoolExecutor", SerialPool), mock.patch.object(
+        os, "cpu_count", return_value=cpus
+    ):
+        assert main(["--pairs", "20", "--sweep", str(seeds), "--out", str(out)]) == 0
+    assert asked == [workers]
+    assert json.loads(out.read_text())["sweep_aggregate"]["seeds"] == seeds
 
 
 def test_main_sweep(tmp_path):
@@ -636,3 +666,25 @@ def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
     result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr
     assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == 2
+
+
+def test_program_entry_freezes_the_start_up_objects(tmp_path):
+    # ``python -m hyperdistill`` freezes what the imports made; ``main``
+    # called in-process, as the tests and the traced benchmark call it,
+    # leaves the collector as it found it.
+    code = (
+        "import gc, runpy, sys\n"
+        "from hyperdistill.cli import main\n"
+        "before = gc.get_freeze_count()\n"
+        "assert main(['--pairs', '1', '--out', sys.argv[1]]) == 0\n"
+        "assert gc.get_freeze_count() == before, (before, gc.get_freeze_count())\n"
+        "sys.argv = ['hyperdistill', '--pairs', '1', '--out', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('hyperdistill', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert gc.get_freeze_count() > before, gc.get_freeze_count()\n"
+    )
+    result = run_python(code, str(tmp_path / "report.json"))
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["pair_count"] == 1

@@ -46,7 +46,7 @@ from hyperdistill import (
     sample_component,
     trace_distance,
 )
-from hyperdistill import protocol
+from hyperdistill import protocol, render
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
@@ -1017,6 +1017,100 @@ def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
     assert path.read_bytes() == transcript.to_bytes()
     with open(path, encoding="utf-8") as fh:
         assert Transcript.from_lines(fh).to_bytes() == transcript.to_bytes()
+
+
+# --- rendering engine blocks from byte tables ---------------------------------------
+
+ENGINE_PHASES = {Phase.DISTRIBUTION, Phase.DISTILLATION, Phase.ANGLE_ANNOUNCEMENT,
+                 Phase.RESULT_REPORT}
+
+
+def fstring_bytes(block):
+    """A block rendered line by line by ``_render``."""
+    return ("\n".join(protocol._render(block)) + "\n").encode("utf-8")
+
+
+def engine_blocks(transcript):
+    blocks = [block for block in transcript._sealed_blocks()
+              if isinstance(block.payload, protocol._PairPayloads)]
+    assert {protocol.PHASES[block.phase[0]] for block in blocks} == ENGINE_PHASES
+    return blocks
+
+
+def assert_byte_render_equals_fstring_render(transcript):
+    for block in engine_blocks(transcript):
+        assert render.render_pairs(block).tobytes() == fstring_bytes(block)
+    assert transcript.to_bytes() == reference_bytes(transcript.messages)
+
+
+def run_from_seq(first_seq, m, **noise):
+    """A run whose transcript's seqs start at ``first_seq``."""
+
+    class Preset(Transcript):
+        def __init__(self):
+            super().__init__()
+            self._last_seq = first_seq - 1
+
+    with mock.patch.object(protocol, "Transcript", Preset):
+        return run_protocol(m, MIXED, seed=4, **noise)
+
+
+@pytest.mark.parametrize("noise", [{}, NOISY], ids=["clean", "noisy"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4095, protocol._BLOCK_LINES])
+def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
+    # An odd block size starts blocks mid-pair in the two-message phases.
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        transcript = run_protocol(size + 5, MIXED, seed=2, **noise).transcript
+        blocks = engine_blocks(transcript)
+        assert all(len(block.phase) <= size for block in blocks)
+        assert any(block.payload.skip for block in blocks) == (size % 2 == 1)
+        assert_byte_render_equals_fstring_render(transcript)
+
+
+@pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
+@pytest.mark.parametrize("size", [3, protocol._BLOCK_LINES])
+def test_byte_render_equals_fstring_render_across_decades(first_seq, size):
+    # 19 seqs from first_seq cross 9 -> 10, 999 999 -> 1 000 000,
+    # 9 999 999 -> 10 000 000, 99 999 999 -> 100 000 000 (a second
+    # eight-digit write) and 10**18 - 1 -> 10**18 (a third).
+    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+        transcript = run_from_seq(first_seq, 3, **NOISY).transcript
+        assert [msg.seq for msg in transcript.messages] == list(range(first_seq, first_seq + 19))
+        assert_byte_render_equals_fstring_render(transcript)
+
+
+def test_byte_render_writes_pair_numbers_across_a_decade():
+    transcript = run_protocol(10_003, MIXED, seed=1).transcript
+    assert any(
+        9_999 in block.payload.codes and 10_000 in block.payload.codes
+        for block in engine_blocks(transcript) if block.payload.table is None
+    )
+    assert_byte_render_equals_fstring_render(transcript)
+
+
+def test_byte_render_writes_all_sixteen_angles_in_one_block():
+    transcript = run_protocol(protocol._BLOCK_LINES, MIXED, seed=3).transcript
+    [angles] = [block for block in engine_blocks(transcript)
+                if protocol.PHASES[block.phase[0]] is Phase.ANGLE_ANNOUNCEMENT]
+    assert sorted(set(angles.payload.codes.tolist())) == list(range(len(SIGNED_ANGLES)))
+    assert render.render_pairs(angles).tobytes() == fstring_bytes(angles)
+
+
+def test_every_engine_block_is_written_from_byte_tables(tmp_path):
+    transcript = run_protocol(5000, MIXED, seed=7, **NOISY).transcript
+    path = tmp_path / "t.log"
+    with mock.patch.object(protocol, "_render", wraps=protocol._render) as fstring:
+        write_transcript(transcript, str(path))
+    # Only the handoff, appended message by message, takes the f-strings.
+    assert [call.args[0].payload for call in fstring.call_args_list] == [["begin_single_server"]]
+    assert path.read_bytes() == reference_bytes(transcript.messages)
+
+
+def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
+    transcript = appended(run_protocol(50, MIXED, seed=7, **NOISY).transcript, 3)
+    chunks = list(transcript.iter_bytes())
+    assert all(type(chunk) is bytes for chunk in chunks)
+    assert transcript.to_bytes() == b"".join(chunks) == reference_bytes(transcript.messages)
 
 
 def traced_write_peak(transcript, path):
