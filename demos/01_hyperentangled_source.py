@@ -9,6 +9,7 @@ the path part survives intact.
 import numpy as np
 
 from hyperdistill import (
+    ENSEMBLE_ORDER,
     FidelityVector,
     PolarizationBell,
     bell_vector,
@@ -16,9 +17,9 @@ from hyperdistill import (
     fidelity,
     hyper_source_state,
     mixed_ensemble,
-    sample_component,
     spatial_vector,
 )
+from hyperdistill.states import inverse_cdf
 
 print("=" * 72)
 print("The four polarization Bell states")
@@ -61,13 +62,11 @@ print("=" * 72)
 print("Sampling pairs from the mixture (seeded, reproducible)")
 print("=" * 72)
 rng = np.random.default_rng(7)
-draws = [sample_component(fv, rng).pol.value for _ in range(12)]
-print("first dozen draws:", draws)
-counts = {k.value: 0 for k in PolarizationBell}
+slots = inverse_cdf(fv.as_tuple(), rng.random(12))
+print("first dozen draws:", [ENSEMBLE_ORDER[i].value for i in slots])
 rng = np.random.default_rng(7)
 n = 20_000
-for _ in range(n):
-    counts[sample_component(fv, rng).pol.value] += 1
+counts = np.bincount(inverse_cdf(fv.as_tuple(), rng.random(n)), minlength=4)
 print(f"empirical frequencies over {n} draws:")
-for name, count in counts.items():
-    print(f"  {name:9s} {count / n:.4f}")
+for kind, count in zip(ENSEMBLE_ORDER, counts):
+    print(f"  {kind.value:9s} {count / n:.4f}")

@@ -1,99 +1,58 @@
-"""Inside the nondemolition device: branches, readouts, collapse.
+"""Inside the nondemolition device: readouts and collapse, case by case.
 
 Each server routes its photon by spatial mode through a cross-Kerr cell
 shared with a coherent probe. The probe phase can only take the classes
 +theta, 0, -theta, and the X-quadrature readout cannot tell +theta from
 -theta, so each server ends up with a binary record: Shift or NoShift.
-Same records on both sides mean the pair survived in the Phi class,
-different records mean the Psi class - and the identification costs no
-photons.
+A photon shifts its probe exactly when its polarization matches its path
+(H on the first path, V on the second), so the readout is a parity
+check. Same records on both sides mean the pair survived in the Phi
+class, different records mean the Psi class - and the identification
+costs no photons.
 """
-
-import numpy as np
 
 from hyperdistill import (
     DeviceParams,
     HyperComponent,
-    PolarizationBell,
-    build_branch_table,
-    conditional_pol_state,
-    measure_probes,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
-    outcome_distribution,
     projector,
     trace_distance,
 )
+from hyperdistill.protocol import pair_table
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 
+table = pair_table()
 
-def show_table(kind, spatial_sign=1):
-    comp = HyperComponent(kind, 1.0, spatial_sign=spatial_sign)
-    table = build_branch_table(comp)
-    tag = "" if spatial_sign == 1 else "  (spatially dephased)"
+print("=" * 72)
+print("Readouts and surviving states of each case (Bell kind x spatial sign)")
+print("=" * 72)
+for c, (kind, sign) in enumerate(CASES):
+    tag = "" if sign == 1 else "  (spatially dephased)"
     print(f"--- {kind.value}{tag} ---")
-    print("  amplitude  pols   paths   probe quanta")
-    for b in table.branches:
-        print(
-            f"  {b.amplitude.real:+.2f}       {b.pol_a}{b.pol_b}     "
-            f"{b.mode_a},{b.mode_b}   ({b.quantum_a:+d}, {b.quantum_b:+d})"
-        )
-    dist = outcome_distribution(table)
-    print("  joint readout probabilities:")
-    for (oa, ob), p in dist.items():
-        if p > 1e-12:
-            print(f"    ({oa.value:7s}, {ob.value:7s}) : {p:.2f}")
-            state = conditional_pol_state(table, (oa, ob))
-            print(f"      surviving polarization state: {state}")
+    for r, (oa, ob) in enumerate(OUTCOME_PAIRS):
+        if table.survives[c, r]:
+            print(f"  ({oa.value:7s}, {ob.value:7s}) : {table.probs[c, r]:.2f}"
+                  f"  -> {table.states[c][r]}")
     print()
 
-
-print("=" * 72)
-print("Branch decomposition of each Bell component inside the devices")
-print("=" * 72)
-for kind in PolarizationBell:
-    show_table(kind)
-
 print("A spatial phase flip on the inbound pair moves the surviving state")
-print("to the opposite phase within its class:")
+print("to the opposite phase within its class, and leaves the readouts alone.")
 print()
-show_table(PolarizationBell.PHI_PLUS, spatial_sign=-1)
 
-print("=" * 72)
-print("Sampling one pair through the devices")
-print("=" * 72)
-rng = np.random.default_rng(11)
-table = build_branch_table(HyperComponent(PolarizationBell.PHI_PLUS, 1.0))
-for _ in range(4):
-    pair = measure_probes(table, DeviceParams(), rng)
-    print(
-        f"readouts ({pair.outcome_a.value}, {pair.outcome_b.value})  "
-        f"output ports ({pair.output_mode_a}, {pair.output_mode_b})  "
-        f"state {pair.pol_state}"
-    )
-
-print()
 print("=" * 72)
 print("Cross-check against the full-Hilbert-space oracle")
 print("=" * 72)
-params = DeviceParams()
 worst_p = 0.0
 worst_t = 0.0
-for kind in PolarizationBell:
-    for sign in (1, -1):
-        comp = HyperComponent(kind, 1.0, spatial_sign=sign)
-        table = build_branch_table(comp)
-        dist = outcome_distribution(table)
-        rho = oracle_evolve(comp, params)
-        oracle_dist = oracle_outcome_distribution(rho)
-        worst_p = max(
-            worst_p, max(abs(dist[k] - oracle_dist[k]) for k in dist)
-        )
-        for readout, p in dist.items():
-            if p < 1e-12:
-                continue
-            engine = projector(conditional_pol_state(table, readout))
+for c, (kind, sign) in enumerate(CASES):
+    rho = oracle_evolve(HyperComponent(kind, 1.0, spatial_sign=sign), DeviceParams())
+    oracle_dist = oracle_outcome_distribution(rho)
+    for r, readout in enumerate(OUTCOME_PAIRS):
+        worst_p = max(worst_p, abs(table.probs[c, r] - oracle_dist[readout]))
+        if table.survives[c, r]:
             oracle = oracle_conditional_pol_state(rho, readout)
-            worst_t = max(worst_t, trace_distance(engine, oracle))
+            worst_t = max(worst_t, trace_distance(projector(table.states[c][r]), oracle))
 print(f"largest probability deviation over all 8 cases: {worst_p:.2e}")
 print(f"largest conditional-state trace distance:       {worst_t:.2e}")

@@ -31,21 +31,14 @@ from .states import (
     ensemble_polarization_density,
     hyper_source_state,
     mixed_ensemble,
-    sample_component,
     spatial_vector,
 )
 from .qnd import (
     DeviceParams,
-    DistilledPair,
     QndOutcome,
-    build_branch_table,
-    conditional_pol_state,
-    measure_probes,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
-    outcome_distribution,
-    same_outcome_probability,
 )
 from .protocol import (
     BellClass,
@@ -94,19 +87,12 @@ __all__ = [
     "ensemble_polarization_density",
     "hyper_source_state",
     "mixed_ensemble",
-    "sample_component",
     "spatial_vector",
     "DeviceParams",
-    "DistilledPair",
     "QndOutcome",
-    "build_branch_table",
-    "conditional_pol_state",
-    "measure_probes",
     "oracle_conditional_pol_state",
     "oracle_evolve",
     "oracle_outcome_distribution",
-    "outcome_distribution",
-    "same_outcome_probability",
     "BellClass",
     "Message",
     "Party",

@@ -31,16 +31,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import EPS_NORM, StateVector
-from .qnd import (
-    CASES,
-    OUTCOME_PAIRS,
-    DeviceParams,
-    build_branch_table,
-    conditional_pol_state,
-    outcome_distribution,
+from .linalg import EPS_NORM, StateVector, canonical_phase
+from .qnd import CASES, OUTCOME_PAIRS, DeviceParams
+from .states import (
+    ENSEMBLE_ORDER,
+    POLARIZATION_PAIR_LABELS,
+    FidelityVector,
+    bell_vector,
+    inverse_cdf,
 )
-from .states import ENSEMBLE_ORDER, FidelityVector, HyperComponent, bell_vector, inverse_cdf
 
 
 class Party(Enum):
@@ -629,22 +628,35 @@ class PairTable(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def pair_table() -> PairTable:
-    """Build the PairTable once, from the branch engine.
+    """Build the PairTable once, straight from the Bell amplitudes.
 
-    The states are the shared instances ``conditional_pol_state``
-    returns. Bob1's block projects every surviving state onto his rotated
-    basis at every signed angle in one numpy expression.
+    A photon shifts its probe exactly when its polarization index (H = 0,
+    V = 1) equals its path index, and the readout codes are SHIFT = 0 and
+    NO_SHIFT = 1. So the term (pa, pb) of a case's Bell vector that takes
+    path t, with spatial amplitude (1, sign)[t]/sqrt(2), lands in readout
+    row r = 2 (pa ^ t) + (pb ^ t). A row's squared norm is the readout's
+    Born probability, and the normalised row its surviving state. Bob1's
+    block projects every surviving state onto his rotated basis at every
+    signed angle in one numpy expression.
     """
-    tables = [build_branch_table(HyperComponent(kind, 1.0, sign)) for kind, sign in CASES]
-    probs = np.array([list(outcome_distribution(table).values()) for table in tables])
-    states = tuple(
-        tuple(conditional_pol_state(table, pair) for pair in OUTCOME_PAIRS)
-        for table in tables
-    )
+    rows = np.zeros((len(CASES), len(OUTCOME_PAIRS), 4), dtype=complex)
+    for c, (kind, sign) in enumerate(CASES):
+        for t, spatial in enumerate(np.array((1.0, sign)) / math.sqrt(2.0)):
+            for i, amp in enumerate(bell_vector(kind).amplitudes):
+                pa, pb = divmod(i, 2)
+                rows[c, 2 * (pa ^ t) + (pb ^ t), i] += complex(amp) * spatial
+    probs = np.sum(np.abs(rows) ** 2, axis=-1)
     if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
         raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
-    if any(state is not None and state.dim != 4 for row in states for state in row):
-        raise RuntimeError("surviving state is not a two-qubit state")
+    states = tuple(
+        tuple(
+            StateVector(canonical_phase(row / norm), POLARIZATION_PAIR_LABELS)
+            if (norm := float(np.linalg.norm(row))) > EPS_NORM
+            else None
+            for row in case_rows
+        )
+        for case_rows in rows
+    )
     survives = np.array([[state is not None for state in row] for row in states])
     phi = np.array([
         [state is not None and state_bell_class(state) is BellClass.PHI for state in row]

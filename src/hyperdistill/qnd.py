@@ -10,31 +10,23 @@ magnitude of the shift but not its sign, so each server records one of
 two outcomes, "Shift" or "NoShift", and routes the photon to its upper
 output port on NoShift or its lower port on Shift.
 
-Two independent implementations are provided. The branch engine tracks
-the exact four-branch decomposition of a noisy pair through the device.
-``oracle_evolve`` rebuilds the same physics by explicit tensor evolution
-over the photon register joined with a three-level phase-class register
-per probe, and is used to cross-validate the engine.
+``protocol.pair_table`` reads each case's readouts and surviving states
+straight off the Bell amplitudes. ``oracle_evolve`` rebuilds the same
+physics by explicit tensor evolution over the photon register joined
+with a three-level phase-class register per probe; it shares no code
+with the table and is the reference the table is checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import EPS_NORM, DensityMatrix, StateVector, canonical_phase, partial_trace
-from .states import (
-    ENSEMBLE_ORDER,
-    POLARIZATION_PAIR_LABELS,
-    HyperComponent,
-    PolarizationBell,
-    bell_vector,
-    inverse_cdf,
-)
+from .linalg import EPS_NORM, DensityMatrix, partial_trace
+from .states import ENSEMBLE_ORDER, HyperComponent, bell_vector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -45,9 +37,6 @@ class QndOutcome(Enum):
     SHIFT = "Shift"
     NO_SHIFT = "NoShift"
 
-    def flipped(self) -> "QndOutcome":
-        return QndOutcome.SHIFT if self is QndOutcome.NO_SHIFT else QndOutcome.NO_SHIFT
-
 
 #: Fixed enumeration order of joint outcomes (A, B).
 OUTCOME_PAIRS = (
@@ -56,13 +45,6 @@ OUTCOME_PAIRS = (
     (QndOutcome.NO_SHIFT, QndOutcome.SHIFT),
     (QndOutcome.NO_SHIFT, QndOutcome.NO_SHIFT),
 )
-
-
-def output_mode(outcome: QndOutcome, side: str) -> str:
-    """Output port for one photon: upper (5) on NoShift, lower (6) on Shift."""
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    return f"{side}5" if outcome is QndOutcome.NO_SHIFT else f"{side}6"
 
 
 @dataclass(frozen=True)
@@ -84,186 +66,12 @@ class DeviceParams:
             )
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One term of the joint photon-probe expansion after the Kerr cells."""
-
-    amplitude: complex
-    pol_a: str
-    pol_b: str
-    mode_a: str
-    mode_b: str
-    quantum_a: int
-    quantum_b: int
-
-    @property
-    def outcome_a(self) -> QndOutcome:
-        return QndOutcome.SHIFT if self.quantum_a != 0 else QndOutcome.NO_SHIFT
-
-    @property
-    def outcome_b(self) -> QndOutcome:
-        return QndOutcome.SHIFT if self.quantum_b != 0 else QndOutcome.NO_SHIFT
-
-
-@dataclass(frozen=True)
-class BranchTable:
-    """Four-branch decomposition of one pair inside the two devices."""
-
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self):
-        if len(self.branches) != 4:
-            raise ValueError(f"expected 4 branches, got {len(self.branches)}")
-        total = sum(abs(b.amplitude) ** 2 for b in self.branches)
-        if abs(total - 1.0) > EPS_NORM:
-            raise ValueError(f"branch weights sum to {total!r}, expected 1")
-
-
 def _probe_quantum(pol: str, path: int) -> int:
     if pol == "H" and path == 1:
         return 1
     if pol == "V" and path == 2:
         return -1
     return 0
-
-
-@functools.lru_cache(maxsize=None)
-def _branch_table(kind: PolarizationBell, spatial_sign: int) -> BranchTable:
-    pol_vec = bell_vector(kind)
-    pol_terms = [
-        (label.split(" ")[0], label.split(" ")[1], complex(amp))
-        for amp, label in zip(pol_vec.amplitudes, pol_vec.basis_labels)
-        if abs(amp) > 0.0
-    ]
-    branches = []
-    for path, spat_amp in ((1, _INV_SQRT2), (2, spatial_sign * _INV_SQRT2)):
-        for pol_a, pol_b, pol_amp in pol_terms:
-            branches.append(
-                Branch(
-                    amplitude=pol_amp * spat_amp,
-                    pol_a=pol_a,
-                    pol_b=pol_b,
-                    mode_a=f"a{path + 2}",
-                    mode_b=f"b{path + 2}",
-                    quantum_a=_probe_quantum(pol_a, path),
-                    quantum_b=_probe_quantum(pol_b, path),
-                )
-            )
-    return BranchTable(tuple(branches))
-
-
-def build_branch_table(component: HyperComponent) -> BranchTable:
-    """Expand one pair component into its four photon-probe branches."""
-    return _branch_table(component.pol, component.spatial_sign)
-
-
-@functools.lru_cache(maxsize=256)
-def _distribution_tuple(table: BranchTable) -> tuple[float, float, float, float]:
-    dist = {pair: 0.0 for pair in OUTCOME_PAIRS}
-    for branch in table.branches:
-        dist[(branch.outcome_a, branch.outcome_b)] += abs(branch.amplitude) ** 2
-    return tuple(dist[pair] for pair in OUTCOME_PAIRS)
-
-
-def outcome_distribution(
-    table: BranchTable,
-) -> dict[tuple[QndOutcome, QndOutcome], float]:
-    """Exact joint probability of the two servers' readouts."""
-    return dict(zip(OUTCOME_PAIRS, _distribution_tuple(table)))
-
-
-def same_outcome_probability(table: BranchTable) -> float:
-    """Probability that both servers record the same readout."""
-    dist = outcome_distribution(table)
-    return (
-        dist[(QndOutcome.SHIFT, QndOutcome.SHIFT)]
-        + dist[(QndOutcome.NO_SHIFT, QndOutcome.NO_SHIFT)]
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def conditional_pol_state(
-    table: BranchTable, pair: tuple[QndOutcome, QndOutcome]
-) -> StateVector | None:
-    """Polarization state of the surviving photons given a joint readout.
-
-    Returns None when the readout pair has zero probability. Results are
-    cached and shared; state vectors are immutable.
-    """
-    amps = np.zeros(4, dtype=complex)
-    index = {("H", "H"): 0, ("H", "V"): 1, ("V", "H"): 2, ("V", "V"): 3}
-    for branch in table.branches:
-        if (branch.outcome_a, branch.outcome_b) == pair:
-            amps[index[(branch.pol_a, branch.pol_b)]] += branch.amplitude
-    norm = float(np.linalg.norm(amps))
-    if norm <= EPS_NORM:
-        return None
-    return StateVector(canonical_phase(amps / norm), POLARIZATION_PAIR_LABELS)
-
-
-@dataclass(frozen=True)
-class DistilledPair:
-    """Post-measurement record for one pair.
-
-    ``outcome_a``/``outcome_b`` are the recorded readouts (after any
-    homodyne misclassification), the output modes follow them, and
-    ``pol_state`` is the exact surviving two-qubit polarization state.
-    ``probability`` is the Born probability of the realized readout pair.
-    """
-
-    outcome_a: QndOutcome
-    outcome_b: QndOutcome
-    output_mode_a: str
-    output_mode_b: str
-    pol_state: StateVector
-    probability: float
-
-    def __post_init__(self):
-        if self.pol_state.dim != 4:
-            raise ValueError(
-                f"pol_state must be a two-qubit state, got dim {self.pol_state.dim}"
-            )
-        if self.output_mode_a != output_mode(self.outcome_a, "a"):
-            raise ValueError(
-                f"mode {self.output_mode_a!r} inconsistent with {self.outcome_a}"
-            )
-        if self.output_mode_b != output_mode(self.outcome_b, "b"):
-            raise ValueError(
-                f"mode {self.output_mode_b!r} inconsistent with {self.outcome_b}"
-            )
-        if not (0.0 <= self.probability <= 1.0 + EPS_NORM):
-            raise ValueError(f"probability {self.probability!r} outside [0, 1]")
-
-
-def measure_probes(
-    table: BranchTable, params: DeviceParams, rng: np.random.Generator
-) -> DistilledPair:
-    """Sample both servers' probe readouts and collapse the pair.
-
-    Consumes one uniform draw for the joint readout and, only when
-    ``params.homodyne_error > 0``, one additional draw per server for
-    the misclassification flip.
-    """
-    probs = _distribution_tuple(table)
-    chosen = inverse_cdf(probs, float(rng.random()))
-    true_pair = OUTCOME_PAIRS[chosen]
-    state = conditional_pol_state(table, true_pair)
-    if state is None:
-        raise RuntimeError(f"sampled readout {true_pair} has no surviving branch")
-    recorded_a, recorded_b = true_pair
-    if params.homodyne_error > 0.0:
-        if float(rng.random()) < params.homodyne_error:
-            recorded_a = recorded_a.flipped()
-        if float(rng.random()) < params.homodyne_error:
-            recorded_b = recorded_b.flipped()
-    return DistilledPair(
-        outcome_a=recorded_a,
-        outcome_b=recorded_b,
-        output_mode_a=output_mode(recorded_a, "a"),
-        output_mode_b=output_mode(recorded_b, "b"),
-        pol_state=state,
-        probability=probs[chosen],
-    )
 
 
 # --- cases and readouts -------------------------------------------------------

@@ -193,11 +193,6 @@ def inverse_cdf(weights, u):
     return np.where(hits.any(axis=1), hits.argmax(axis=1), fallback)
 
 
-def sample_component(fv: FidelityVector, rng: np.random.Generator) -> HyperComponent:
-    """Draw one ensemble component with probability equal to its weight."""
-    return mixed_ensemble(fv)[inverse_cdf(fv.as_tuple(), float(rng.random()))]
-
-
 def ensemble_polarization_density(fv: FidelityVector) -> DensityMatrix:
     """Reconstruct the 4x4 polarization density matrix of the mixture."""
     return DensityMatrix.mixture(

@@ -20,15 +20,11 @@ from hyperdistill import (
     analytic_phi_probability,
     audit,
     bell_vector,
-    build_branch_table,
-    conditional_pol_state,
     execute_run,
     fidelity,
-    measure_probes,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
-    outcome_distribution,
     projector,
     run_protocol,
     trace_distance,
@@ -45,6 +41,7 @@ from hyperdistill.protocol import (
     SIGNED_ANGLES,
     pair_table,
 )
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -101,37 +98,25 @@ def test_criterion_2_deterministic_success():
 
 
 def test_criterion_3_component_state_checks():
+    table = pair_table()
     ok = True
-    phi_plus_table = build_branch_table(HyperComponent(PolarizationBell.PHI_PLUS, 1.0))
-    for pair in ((S, S), (N, N)):
-        state = conditional_pol_state(phi_plus_table, pair)
-        ok &= (
-            abs(
-                fidelity(projector(state), bell_vector(PolarizationBell.PHI_PLUS))
-                - 1.0
-            )
-            <= 1e-12
-        )
-    psi_plus_table = build_branch_table(HyperComponent(PolarizationBell.PSI_PLUS, 1.0))
-    for pair in ((S, N), (N, S)):
-        state = conditional_pol_state(psi_plus_table, pair)
-        ok &= (
-            abs(
-                fidelity(projector(state), bell_vector(PolarizationBell.PSI_PLUS))
-                - 1.0
-            )
-            <= 1e-12
-        )
+    for kind, pairs in (
+        (PolarizationBell.PHI_PLUS, ((S, S), (N, N))),
+        (PolarizationBell.PSI_PLUS, ((S, N), (N, S))),
+    ):
+        states = table.states[CASES.index((kind, 1))]
+        for pair in pairs:
+            state = states[OUTCOME_PAIRS.index(pair)]
+            ok &= abs(fidelity(projector(state), bell_vector(kind)) - 1.0) <= 1e-12
     # minus components: class span preserved, exact phases match the oracle
     for kind, pairs, outside in (
         (PolarizationBell.PHI_MINUS, ((S, S), (N, N)), (1, 2)),
         (PolarizationBell.PSI_MINUS, ((S, N), (N, S)), (0, 3)),
     ):
-        component = HyperComponent(kind, 1.0)
-        table = build_branch_table(component)
-        rho = oracle_evolve(component, DeviceParams())
+        states = table.states[CASES.index((kind, 1))]
+        rho = oracle_evolve(HyperComponent(kind, 1.0), DeviceParams())
         for pair in pairs:
-            state = conditional_pol_state(table, pair)
+            state = states[OUTCOME_PAIRS.index(pair)]
             ok &= all(abs(state.amplitudes[i]) <= 1e-12 for i in outside)
             oracle_state = oracle_conditional_pol_state(rho, pair)
             ok &= fidelity(oracle_state, state) >= 1.0 - 1e-12
@@ -139,39 +124,35 @@ def test_criterion_3_component_state_checks():
 
 
 def test_criterion_4_routing_rule():
-    rng = np.random.default_rng(404)
-    params = DeviceParams()
+    # In the oracle's 64 indices (pol-A, port-A, pol-B, port-B, outcome-A,
+    # outcome-B), port 0 is the upper port (a5, b5) and outcome 0 is
+    # NoShift: every photon must leave by the port its outcome names.
     exceptions = 0
-    per_component = 2500  # 4 components x 2500 = 1e4 sampled pairs
-    for kind in PolarizationBell:
-        table = build_branch_table(HyperComponent(kind, 1.0))
-        for _ in range(per_component):
-            pair = measure_probes(table, params, rng)
-            if (pair.outcome_a is N) != (pair.output_mode_a == "a5"):
-                exceptions += 1
-            if (pair.outcome_b is N) != (pair.output_mode_b == "b5"):
-                exceptions += 1
+    for component in ALL_CASES:
+        rho = oracle_evolve(component, DeviceParams())
+        diag = np.diag(rho.entries).real.reshape(2, 2, 2, 2, 2, 2)
+        _, port_a, _, port_b, out_a, out_b = np.indices(diag.shape)
+        exceptions += np.count_nonzero(diag[(port_a != out_a) | (port_b != out_b)])
     report(4, "upper-mode routing rule", exceptions == 0)
 
 
 def test_criterion_5_oracle_equivalence():
     started = time.perf_counter()
+    table = pair_table()
     params = DeviceParams()
     ok = True
-    for component in ALL_CASES:
-        table = build_branch_table(component)
-        dist = outcome_distribution(table)
-        rho = oracle_evolve(component, params)
+    for c, (kind, sign) in enumerate(CASES):
+        rho = oracle_evolve(HyperComponent(kind, 1.0, sign), params)
         oracle_dist = oracle_outcome_distribution(rho)
-        ok &= all(abs(dist[k] - oracle_dist[k]) <= 1e-10 for k in dist)
-        for pair, prob in dist.items():
-            if prob < 1e-12:
+        for r, pair in enumerate(OUTCOME_PAIRS):
+            ok &= abs(table.probs[c, r] - oracle_dist[pair]) <= 1e-10
+            if table.probs[c, r] < 1e-12:
                 continue
-            engine_state = projector(conditional_pol_state(table, pair))
+            engine_state = projector(table.states[c][r])
             oracle_state = oracle_conditional_pol_state(rho, pair)
             ok &= trace_distance(engine_state, oracle_state) <= 1e-10
     runtime_ok = time.perf_counter() - started < 1.0
-    report(5, "branch engine vs full-Hilbert oracle", ok and runtime_ok)
+    report(5, "pair table vs full-Hilbert oracle", ok and runtime_ok)
 
 
 def _violation_message(kind, seq):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with warnings raised as errors
+as the test suite raises them."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True,
+        text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr[-2000:]

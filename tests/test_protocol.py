@@ -139,7 +139,7 @@ def test_evil_bob_inverts_inferred_classes():
     assert not run.inferred_phi.any()
     for recorded, reported in zip(run.recorded.tolist(), run.reported.tolist()):
         a, b = OUTCOME_PAIRS[recorded]
-        assert OUTCOME_PAIRS[reported] == (a.flipped(), b)
+        assert OUTCOME_PAIRS[reported] == ({S: N, N: S}[a], b)
 
 
 # --- class inference -------------------------------------------------------------

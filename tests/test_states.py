@@ -18,10 +18,10 @@ from hyperdistill import (
     projector,
     reorder_subsystems,
     run_protocol,
-    sample_component,
     spatial_vector,
     tensor,
 )
+from hyperdistill.states import inverse_cdf
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -148,33 +148,27 @@ def test_ensemble_weights_sum_to_one(raw):
 def test_deterministic_mixture_always_returns_leading_component():
     fv = FidelityVector(1.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(123)
-    for _ in range(100):
-        assert sample_component(fv, rng).pol is PolarizationBell.PHI_PLUS
+    slots = inverse_cdf(fv.as_tuple(), rng.random(100))
+    assert all(ENSEMBLE_ORDER[i] is PolarizationBell.PHI_PLUS for i in slots)
 
 
 def test_sampling_frequency_within_three_sigma():
     fv = FidelityVector(0.5, 0.0, 0.5, 0.0)
     rng = np.random.default_rng(42)
     n = 10_000
-    hits = sum(
-        sample_component(fv, rng).pol is PolarizationBell.PHI_PLUS
-        for _ in range(n)
-    )
+    slots = inverse_cdf(fv.as_tuple(), rng.random(n))
+    hits = int(np.count_nonzero(slots == ENSEMBLE_ORDER.index(PolarizationBell.PHI_PLUS)))
     sigma = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * sigma
 
 
 def test_same_seed_gives_identical_draws():
     fv = FidelityVector(0.4, 0.3, 0.2, 0.1)
-    first = [
-        sample_component(fv, np.random.default_rng(9)).pol for _ in range(1)
-    ]
-    rng_a = np.random.default_rng(99)
-    rng_b = np.random.default_rng(99)
-    seq_a = [sample_component(fv, rng_a).pol for _ in range(500)]
-    seq_b = [sample_component(fv, rng_b).pol for _ in range(500)]
-    assert seq_a == seq_b
-    assert first  # draws are values, not generators
+    first = inverse_cdf(fv.as_tuple(), np.random.default_rng(9).random(1))
+    seq_a = inverse_cdf(fv.as_tuple(), np.random.default_rng(99).random(500))
+    seq_b = inverse_cdf(fv.as_tuple(), np.random.default_rng(99).random(500))
+    assert seq_a.tolist() == seq_b.tolist()
+    assert len(first) == 1
 
 
 def test_sampling_converges_at_four_sigma():
@@ -184,12 +178,10 @@ def test_sampling_converges_at_four_sigma():
         raw = np.maximum(maker.dirichlet((2.0, 2.0, 2.0, 2.0)), 0.05)
         fv = FidelityVector.from_components((raw / raw.sum()).tolist())
         rng = np.random.default_rng(100 + seed)
-        counts = dict.fromkeys(PolarizationBell, 0)
-        for _ in range(n):
-            counts[sample_component(fv, rng).pol] += 1
-        for kind, weight in zip(ENSEMBLE_ORDER, fv.as_tuple()):
+        counts = np.bincount(inverse_cdf(fv.as_tuple(), rng.random(n)), minlength=4)
+        for count, weight in zip(counts, fv.as_tuple()):
             sigma = math.sqrt(weight * (1.0 - weight) / n)
-            assert abs(counts[kind] / n - weight) <= 4 * sigma
+            assert abs(count / n - weight) <= 4 * sigma
 
 
 # --- spatial dephasing ------------------------------------------------------------

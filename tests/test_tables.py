@@ -12,6 +12,7 @@ check the columnar transcript against the per-message rules of
 
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -36,14 +37,11 @@ from hyperdistill import (
     QndOutcome,
     Transcript,
     audit,
-    build_branch_table,
-    measure_probes,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
     projector,
     run_protocol,
-    sample_component,
     trace_distance,
 )
 from hyperdistill import protocol, render
@@ -59,11 +57,12 @@ from hyperdistill.protocol import (
     inferred_phi_probability,
     pair_table,
 )
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS, same_outcome_probability
+from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 from hyperdistill.states import ENSEMBLE_ORDER, bell_vector, inverse_cdf, mixed_ensemble
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
+FLIPPED = {S: N, N: S}
 MIXED = FidelityVector(0.7, 0.1, 0.15, 0.05)
 
 
@@ -153,6 +152,30 @@ def test_impossible_readouts_are_marked_and_never_read():
             run_protocol(3, FidelityVector(1, 0, 0, 0))
 
 
+#: sha256 of each pair_table() array's bytes, and of the surviving states'
+#: amplitudes in case and readout order. A table built another way must
+#: give the same bytes, or change these digests on purpose.
+PAIR_TABLE_SHA256 = {
+    "probs": "0cb7b280a4980ce29e048f462b4583b7f763294c7c6e1af68507c0417b638bf1",
+    "survives": "02edeb3bb74046e415b314ec9e6c6a7caffd891fb1b652ab05a7e0aaaaf7b72a",
+    "phi": "f69d05ee81336a0dbc728159bd5b58f1c7ac51fdc46030afb95166979767c418",
+    "fidelity": "7ce46d10e2636b2deeafbe161c1ef08faf206b61374f27a743922afb507ba469",
+    "bit0": "048d6752ba55e3de8078ece07a7667bb882f72b4d0038d7409c46b49f93ece88",
+    "zero_weight": "5cced6b03195ff8e2c6c71b1b82be44a85cd8710032ca90347e9e2ea24aa599a",
+    "states": "7abc8f4d2749fb5ad84d0373643c12b756e20cf16948fdc6152347485ef3c527",
+}
+
+
+def test_pair_table_bytes_are_pinned():
+    table = pair_table()
+    blobs = {name: getattr(table, name).tobytes() for name in table._fields if name != "states"}
+    blobs["states"] = b"".join(
+        state.amplitudes.tobytes() for row in table.states for state in row if state is not None
+    )
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    assert digests == PAIR_TABLE_SHA256
+
+
 def test_signed_angles_follow_the_announcement_rule():
     for s, sign in enumerate((1.0, -1.0)):
         for k in range(8):
@@ -163,25 +186,13 @@ def test_signed_angles_follow_the_announcement_rule():
 # --- the shared inverse-CDF choice -----------------------------------------------------
 
 
-class StubRng:
-    """Returns the largest double below 1 for every uniform draw."""
-
-    def random(self):
-        return 0.9999999999999999
-
-
-def test_sample_component_fallback_skips_zero_weight_slot():
-    fv = FidelityVector(0.7, 0.1, 0.2 - 5e-13, 0.0)
-    assert sum(fv.as_tuple()) <= StubRng().random()
-    assert sample_component(fv, StubRng()).pol is PolarizationBell.PSI_PLUS
-
-
-def test_measure_probes_fallback_skips_zero_weight_readout():
+def test_table_readout_fallback_skips_zero_weight_readout():
     # the readout weights of a Psi pair sum to 1 - 4e-16, and the last
     # readout pair (NoShift, NoShift) cannot occur
-    table = build_branch_table(HyperComponent(PolarizationBell.PSI_PLUS, 1.0))
-    pair = measure_probes(table, DeviceParams(), StubRng())
-    assert (pair.outcome_a, pair.outcome_b) == (N, S)
+    probs = pair_table().probs[CASES.index((PolarizationBell.PSI_PLUS, 1))]
+    u = np.array([0.9999999999999999])
+    assert probs.sum() <= u[0]
+    assert inverse_cdf(probs, u).tolist() == [OUTCOME_PAIRS.index((N, S))]
 
 
 def test_table_path_fallback_skips_zero_weight_slot():
@@ -227,15 +238,18 @@ def test_inferred_phi_probability_matches_enumeration(fv):
         assert expected == pytest.approx(total, abs=1e-12), (dephase_p, e, m)
 
 
-def branch_engine_phi_probability(fv, dephase_p):
-    """Same-readout probability summed component by component, then by sign."""
+def branch_sum_phi_probability(fv, dephase_p):
+    """Same-readout probability summed component by component, then by
+    sign, from the (Shift, Shift) and (NoShift, NoShift) entries of
+    ``pair_table().probs``."""
+    probs = pair_table().probs
     total = 0.0
     for component in mixed_ensemble(fv):
         for sign, sign_p in ((1, 1.0 - dephase_p), (-1, dephase_p)):
             if sign_p == 0.0 or component.weight == 0.0:
                 continue
-            table = build_branch_table(HyperComponent(component.pol, component.weight, sign))
-            total += component.weight * sign_p * same_outcome_probability(table)
+            c = CASES.index((component.pol, sign))
+            total += component.weight * sign_p * (probs[c, 0] + probs[c, 3])
     return total
 
 
@@ -244,9 +258,22 @@ def branch_engine_phi_probability(fv, dephase_p):
 )
 @pytest.mark.parametrize("dephase_p", [0, 0.05, 0.3, 1])
 def test_analytic_phi_probability_equals_branch_engine_sum(fv, dephase_p):
-    assert analytic_phi_probability(fv, dephase_p) == branch_engine_phi_probability(
+    assert analytic_phi_probability(fv, dephase_p) == branch_sum_phi_probability(
         fv, dephase_p
     )
+
+
+@pytest.mark.parametrize(
+    "fv", [MIXED, FidelityVector(1, 0, 0, 0), FidelityVector(0.25, 0.25, 0.5, 0)]
+)
+@pytest.mark.parametrize("dephase_p", [0, 0.05, 0.3, 1])
+def test_analytic_phi_probability_equals_oracle_sum(fv, dephase_p):
+    total = 0.0
+    for c, (_, sign) in enumerate(CASES):
+        weight = fv.as_tuple()[c // 2] * (1.0 - dephase_p if sign == 1 else dephase_p)
+        probs = oracle_case(c)[0]
+        total += weight * (probs[0] + probs[3])  # (Shift, Shift) + (NoShift, NoShift)
+    assert abs(analytic_phi_probability(fv, dephase_p) - total) <= EPS_ORACLE
 
 
 @pytest.mark.parametrize("dephase_p", [-0.5, 2.0, math.nan])
@@ -310,11 +337,11 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
         r = inverse_cdf(probs, rng_qnd.random())
         a, b = OUTCOME_PAIRS[r]
         if homodyne_error > 0.0:
-            a = a.flipped() if rng_qnd.random() < homodyne_error else a
-            b = b.flipped() if rng_qnd.random() < homodyne_error else b
+            a = FLIPPED[a] if rng_qnd.random() < homodyne_error else a
+            b = FLIPPED[b] if rng_qnd.random() < homodyne_error else b
         recorded = OUTCOME_PAIRS.index((a, b))
         if evil_bob_flip_p > 0.0:
-            a = a.flipped() if rng_qnd.random() < evil_bob_flip_p else a
+            a = FLIPPED[a] if rng_qnd.random() < evil_bob_flip_p else a
         phi = a is b
         k = int(rng_angle.integers(8))
         sent = (1.0 if phi else -1.0) * (k * (math.pi / 4)) + 0.0
