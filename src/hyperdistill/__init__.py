@@ -40,16 +40,8 @@ from .qnd import (
     oracle_evolve,
     oracle_outcome_distribution,
 )
-from .protocol import (
-    BellClass,
-    Message,
-    Party,
-    Phase,
-    Transcript,
-    analytic_phi_probability,
-    audit,
-    run_protocol,
-)
+from .wire import Message, Party, Phase, Transcript
+from .protocol import BellClass, analytic_phi_probability, audit, run_protocol
 
 __version__ = "0.1.0"
 

@@ -26,7 +26,6 @@ from .protocol import (
     DRAWS_PER_PAIR,
     MAX_PAIRS,
     ProtocolRun,
-    Transcript,
     analytic_phi_probability,
     inferred_phi_probability,
     pair_chunks,
@@ -35,6 +34,7 @@ from .protocol import (
 )
 from .qnd import DeviceParams
 from .states import FidelityVector
+from .wire import Transcript
 
 DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)

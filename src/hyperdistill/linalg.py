@@ -80,7 +80,7 @@ class StateVector:
 
     def __repr__(self) -> str:
         terms = [
-            f"({amp:.4g})|{label}>"
+            f"({amp + 0:.4g})|{label}>"  # + 0 turns a -0.0 part into 0.0
             for amp, label in zip(self.amplitudes, self.basis_labels)
             if abs(amp) > 1e-9
         ]

@@ -5,7 +5,7 @@ import functools
 
 import numpy as np
 
-from .protocol import _LINE_MIDDLES, _Block
+from .wire import _LINE_MIDDLES, _Block
 
 
 #: The four zero-padded ASCII digits of each of 0 to 9999, as one uint32.
@@ -45,20 +45,21 @@ def render_pairs(block: _Block) -> np.ndarray:
     key, and for a distribution marker the pair number and a newline. Numbers go in first,
     for rows and newlines to cover their leading zeros; no write puts two bytes in one place."""
     payloads, table = block.payload, block.payload.table
-    width, skip, n = payloads.width, payloads.skip, payloads.count
-    # Party cycles repeat with each pair: message j has the middle of line j - skip.
-    at = [min((j - skip) % width, n - 1) for j in range(width)]
-    middles = tuple(_LINE_MIDDLES[block.phase[at], block.sender[at], block.recipient[at]])
+    width, codes = payloads.width, payloads.codes
+    n = width * len(codes)
+    # A block holds whole pairs, and its party cycles repeat with each pair.
+    phase, sender, recipient = block.phase[:width], block.sender[:width], block.recipient[:width]
+    middles = tuple(_LINE_MIDDLES[phase, sender, recipient])
     payload_rows = None if table is None else tuple(map(tuple, table.tolist()))
     rows, row_lengths = _suffix_rows(middles, payload_rows)
-    codes = np.zeros(len(payloads.codes), np.int8) if table is None else payloads.codes
-    places = np.tile(np.arange(width, dtype=np.int8), len(codes))
-    key = (np.repeat(codes * width, width) + places)[skip:skip + n]
+    key = np.tile(np.arange(width, dtype=np.int8), len(codes))
+    if table is not None:
+        key += np.repeat(codes * width, width)
     seqs = np.arange(block.seq[0], block.seq[0] + n)
     seq_lengths = _decimal_lengths(seqs)
     lengths = seq_lengths + row_lengths[key]
     if table is None:
-        numbers = payloads.codes[0] + np.arange(skip, skip + n) // width
+        numbers = codes[0] + np.arange(n) // width
         lengths += _decimal_lengths(numbers) + 1
     ends = np.cumsum(lengths) + 3  # room for the leading zeros of the first seq
     widest = row_lengths.max()  # row i of ``windows`` is buf[i:i + widest]

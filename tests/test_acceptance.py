@@ -35,13 +35,11 @@ from hyperdistill.protocol import (
     VIOLATION_ANGLE_TO_BOB2,
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
-    Message,
-    Phase,
-    Party,
     SIGNED_ANGLES,
     pair_table,
 )
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS
+from hyperdistill.wire import Message, Party, Phase
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT

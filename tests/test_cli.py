@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdistill import cli, protocol
+from hyperdistill import cli, protocol, wire
 from hyperdistill import (
     FidelityVector,
     RunConfig,
@@ -291,7 +291,7 @@ def test_outputs_do_not_depend_on_the_chunk_size(size):
     cfg = RunConfig(pairs=1000, fidelities=FidelityVector(0.5, 0, 0.5, 0),
                     homodyne_error=0.1, evil_bob_flip_p=0.1, seed=21)
     report, transcript = execute_run(cfg)
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         chunked_report, chunked_transcript = execute_run(cfg)
     assert serialize_report(chunked_report, "json") == serialize_report(report, "json")
     assert chunked_transcript.to_bytes() == transcript.to_bytes()
@@ -631,7 +631,8 @@ def run_python(code, *args):
 
 def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
     # Run the package as ``python -m hyperdistill`` does, then look at what
-    # the start imported: only a sweep needs the pool.
+    # the start imported: only a sweep needs the pool, and only a written
+    # transcript needs the renderer.
     code = (
         "import runpy, sys\n"
         "sys.argv = ['hyperdistill', '--pairs', '1', '--out', sys.argv[1]]\n"
@@ -642,6 +643,7 @@ def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
         "assert 'hyperdistill.cli' in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'hyperdistill.render' not in sys.modules\n"
     )
     result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every name it defines at module level is named somewhere else.
+every name it defines at module level is named somewhere else, and the
+wire format imports nothing from the engine or the CLI.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules:
 each module but ``__init__``, which imports to re-export, is parsed with
@@ -42,6 +43,43 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def imported_modules(source):
+    """Modules of the package that ``source`` imports, or imports names from."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"hyperdistill.{node.module or ''}" if node.level else node.module or ""
+            names = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        modules.update(name.split(".")[1] for name in names if name.startswith("hyperdistill."))
+    return modules
+
+
+@pytest.mark.parametrize("name", ["wire", "render"])
+def test_wire_format_stands_below_the_engine(name):
+    # The engine and the audit build on the wire format and its renderer,
+    # not the other way round.
+    source = (pathlib.Path(hyperdistill.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    assert imported_modules(source) & {"protocol", "cli"} == set()
+
+
+def test_imported_modules_finds_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from . import cli\n"
+        "from .protocol import audit\n"
+        "def f():\n"
+        "    from hyperdistill import linalg\n"
+        "    from hyperdistill.qnd import CASES\n"
+        "    import hyperdistill.states\n"
+    )
+    assert imported_modules(source) == {"cli", "linalg", "protocol", "qnd", "states"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

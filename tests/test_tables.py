@@ -44,7 +44,7 @@ from hyperdistill import (
     run_protocol,
     trace_distance,
 )
-from hyperdistill import protocol, render
+from hyperdistill import protocol, render, wire
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
@@ -174,6 +174,14 @@ def test_pair_table_bytes_are_pinned():
     )
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
     assert digests == PAIR_TABLE_SHA256
+
+
+def test_surviving_states_print_no_negative_zero():
+    # The pinned states keep -0.0 imaginary parts from canonical_phase;
+    # printed, they must not read as if they carried a phase.
+    states = [state for row in pair_table().states for state in row if state is not None]
+    assert any(np.signbit(state.amplitudes.imag).any() for state in states)
+    assert not [repr(state) for state in states if "-0j" in repr(state)]
 
 
 def test_signed_angles_follow_the_announcement_rule():
@@ -390,15 +398,18 @@ def test_engine_equals_composed_stage_functions(setting, m, seed):
 
 @pytest.mark.parametrize("size, m", [(1, 7), (3, 11), (4096, 2 * 4096 + 3)])
 def test_engine_equals_composed_stage_functions_across_chunks(size, m):
-    # Odd block sizes split a pair's two distribution and two distillation
-    # messages between blocks, and every size leaves a short last chunk.
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    # Engine blocks hold whole pairs: a two-message phase takes size // 2
+    # pairs a block, at least one. Every size leaves a short last chunk,
+    # and the engine draws its chunks at the transcript's block size.
+    with mock.patch.object(wire, "_BLOCK_LINES", 3):
+        assert list(protocol.pair_chunks(7)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
     blocks = run.transcript._blocks
     assert [len(block.phase) for block in blocks] == [
-        min(size, count - i) for count in (2 * m, 2 * m, m, m, 1)
-        for i in range(0, count, size)
-    ]
+        width * min(max(1, size // width), m - i) for width in (2, 2, 1, 1)
+        for i in range(0, m, max(1, size // width))
+    ] + [1]
     columns = (run.case, run.readout, run.recorded, run.reported, run.theta_index,
                run.signed_angle_index, run.a_bit)
     assert [column.dtype for column in columns] == [np.dtype(np.int8)] * len(columns)
@@ -654,8 +665,8 @@ def reference_views(messages):
 @contextlib.contextmanager
 def sizes(read_chars, block_lines):
     """Parse with these read and block sizes."""
-    with mock.patch.object(protocol, "_READ_CHARS", read_chars), mock.patch.object(
-        protocol, "_BLOCK_LINES", block_lines
+    with mock.patch.object(wire, "_READ_CHARS", read_chars), mock.patch.object(
+        wire, "_BLOCK_LINES", block_lines
     ):
         yield
 
@@ -663,8 +674,8 @@ def sizes(read_chars, block_lines):
 @settings(max_examples=300, deadline=None)
 @given(
     mutated_transcripts(),
-    st.sampled_from([1, 2, 5, protocol._BLOCK_LINES]),
-    st.sampled_from([7, protocol._READ_CHARS]),
+    st.sampled_from([1, 2, 5, wire._BLOCK_LINES]),
+    st.sampled_from([7, wire._READ_CHARS]),
 )
 def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines, read_chars):
     with sizes(read_chars, block_lines):
@@ -688,7 +699,7 @@ def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, end
         lines[size:size] = [blank] * size
     else:
         lines[at:at] = [blank] * (2 if place == "block boundary" else 1)
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         transcript = Transcript.from_lines(lines)
     expected = reference_from_lines(lines)
     assert transcript.messages == expected
@@ -696,7 +707,7 @@ def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, end
     assert transcript.to_bytes() == reference_bytes(expected)
     if not blank.strip("\n"):
         # An empty line leaves its block on the byte path.
-        assert all(isinstance(b.payload, protocol._Payloads) for b in transcript._blocks)
+        assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
 
 
 def joined(lines):
@@ -706,7 +717,7 @@ def joined(lines):
 
 @pytest.mark.parametrize("form", ["file", "file without final newline", "list"])
 def test_block_parser_takes_every_block_of_a_run(form):
-    size = protocol._BLOCK_LINES
+    size = wire._BLOCK_LINES
     transcript = run_protocol(size // 3 + 1, MIXED, seed=6, **NOISY).transcript
     if form == "list":
         lines = transcript.to_lines()
@@ -716,7 +727,7 @@ def test_block_parser_takes_every_block_of_a_run(form):
     assert len(lines) > 2 * size
     for start in range(0, len(lines), size):
         chunk = lines[start:start + size]
-        block = protocol._parse_block(*joined(chunk), start)
+        block = wire._parse_block(*joined(chunk), start)
         assert block is not None, start
         assert block.seq == range(start + 1, start + len(chunk) + 1)
     assert Transcript.from_lines(lines).to_bytes() == transcript.to_bytes()
@@ -724,9 +735,9 @@ def test_block_parser_takes_every_block_of_a_run(form):
 
 def test_block_too_long_for_int32_offsets_takes_the_line_parser():
     lines = run_protocol(2, MIXED, seed=3).transcript.to_lines()
-    assert protocol._parse_block(*joined(lines), 0) is not None
-    with mock.patch.object(protocol, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
-        assert protocol._parse_block(*joined(lines), 0) is None
+    assert wire._parse_block(*joined(lines), 0) is not None
+    with mock.patch.object(wire, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
+        assert wire._parse_block(*joined(lines), 0) is None
         assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
 
 
@@ -753,8 +764,8 @@ def middle_code(line):
     """The column codes of a valid line's middle, which sort as the block
     parser's code for it does."""
     msg = Message.from_line(line)
-    return (protocol._PHASE_CODE[msg.phase], protocol._PARTY_CODE[msg.sender],
-            protocol._PARTY_CODE[msg.recipient])
+    return (wire._PHASE_CODE[msg.phase], wire._PARTY_CODE[msg.sender],
+            wire._PARTY_CODE[msg.recipient])
 
 
 def with_middle(line, middle):
@@ -776,7 +787,7 @@ def code_group_lines(lines):
 
 
 def assert_refused_as_message_parsing_refuses(lines):
-    assert protocol._parse_block(*joined(lines), 0) is None
+    assert wire._parse_block(*joined(lines), 0) is None
     with pytest.raises(ValueError) as expected:
         reference_from_lines(lines)
     with pytest.raises(ValueError) as got:
@@ -787,7 +798,7 @@ def assert_refused_as_message_parsing_refuses(lines):
 @pytest.mark.parametrize("place", ["first group", "middle group", "last line"])
 @pytest.mark.parametrize("name", MIDDLE_DEFECTS)
 def test_bad_middle_is_refused_in_any_code_group(name, place):
-    assert protocol._parse_block(*joined(SEVERAL_CODES), 0) is not None
+    assert wire._parse_block(*joined(SEVERAL_CODES), 0) is not None
     (bad_line,) = BAD_TRANSCRIPTS[name]
     bad_middle = bad_line.split("|", 1)[1].rsplit("|", 1)[0]
     lines = list(SEVERAL_CODES)
@@ -809,22 +820,22 @@ def test_middle_one_byte_off_is_refused_in_any_code_group(place):
 
 def test_block_of_every_valid_middle_stays_on_the_byte_path():
     middles = [
-        f"{phase.value}|{sender.value}|{recipient.value}|{protocol.PAYLOAD_KIND_FOR_PHASE[phase]}"
+        f"{phase.value}|{sender.value}|{recipient.value}|{wire.PAYLOAD_KIND_FOR_PHASE[phase]}"
         for phase, sender, recipient in itertools.product(Phase, Party, Party)
         if sender is not recipient
     ]
     assert len(middles) == 60
     order = np.random.default_rng(0).permutation(len(middles))
     lines = [f"{seq}|{middles[i]}|{seq}\n" for seq, i in enumerate(order.tolist(), 1)]
-    block = protocol._parse_block(*joined(lines), 0)
-    assert block is not None and isinstance(block.payload, protocol._Payloads)
+    block = wire._parse_block(*joined(lines), 0)
+    assert block is not None and isinstance(block.payload, wire._Payloads)
     transcript = Transcript.from_lines(lines)
-    assert all(isinstance(b.payload, protocol._Payloads) for b in transcript._blocks)
+    assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
     assert views(transcript) == reference_views(reference_from_lines(lines))
 
 
 def test_from_lines_checks_order_across_parse_blocks():
-    size = protocol._BLOCK_LINES
+    size = wire._BLOCK_LINES
     lines = run_protocol(size // 6 + 1, MIXED, seed=4).transcript.to_bytes().decode().splitlines(True)
     assert len(lines) > size
     lines.insert(size, lines[size - 1])
@@ -942,7 +953,7 @@ def handle_outcome(parse, open_handle, path):
 
 #: (read size, block size) pairs: several reads per line and several
 #: lines per read, then the program's own.
-SIZES = [(7, 2), (64, 3), (protocol._READ_CHARS, protocol._BLOCK_LINES)]
+SIZES = [(7, 2), (64, 3), (wire._READ_CHARS, wire._BLOCK_LINES)]
 
 
 @pytest.mark.parametrize("handle", sorted(HANDLES))
@@ -989,11 +1000,11 @@ def test_text_file_that_parses_is_read_in_chunks(name):
 
 
 def test_run_of_several_blocks_is_read_in_chunks():
-    data = run_protocol(protocol._BLOCK_LINES // 3 + 1, MIXED, seed=6, **NOISY).transcript.to_bytes()
-    with mock.patch.object(protocol, "_READ_CHARS", len(data) // 5):
+    data = run_protocol(wire._BLOCK_LINES // 3 + 1, MIXED, seed=6, **NOISY).transcript.to_bytes()
+    with mock.patch.object(wire, "_READ_CHARS", len(data) // 5):
         transcript = Transcript.from_lines(ReadOnlyInChunks(data.decode()))
     assert transcript.to_bytes() == data
-    assert [len(block.phase) for block in transcript._blocks[:-1]] == [protocol._BLOCK_LINES] * 2
+    assert [len(block.phase) for block in transcript._blocks[:-1]] == [wire._BLOCK_LINES] * 2
 
 
 def test_empty_transcript_renders_one_newline():
@@ -1027,11 +1038,11 @@ WRITTEN = {
 }
 
 
-@pytest.mark.parametrize("size", [3, protocol._BLOCK_LINES])
+@pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
 def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
     path = tmp_path / "messages.log"
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         transcript = WRITTEN[name](size)
         write_transcript(transcript, str(path))
     blocks = transcript._blocks
@@ -1054,13 +1065,13 @@ ENGINE_PHASES = {Phase.DISTRIBUTION, Phase.DISTILLATION, Phase.ANGLE_ANNOUNCEMEN
 
 def fstring_bytes(block):
     """A block rendered line by line by ``_render``."""
-    return ("\n".join(protocol._render(block)) + "\n").encode("utf-8")
+    return ("\n".join(wire._render(block)) + "\n").encode("utf-8")
 
 
 def engine_blocks(transcript):
     blocks = [block for block in transcript._sealed_blocks()
-              if isinstance(block.payload, protocol._PairPayloads)]
-    assert {protocol.PHASES[block.phase[0]] for block in blocks} == ENGINE_PHASES
+              if isinstance(block.payload, wire._PairPayloads)]
+    assert {wire.PHASES[block.phase[0]] for block in blocks} == ENGINE_PHASES
     return blocks
 
 
@@ -1083,24 +1094,31 @@ def run_from_seq(first_seq, m, **noise):
 
 
 @pytest.mark.parametrize("noise", [{}, NOISY], ids=["clean", "noisy"])
-@pytest.mark.parametrize("size", [1, 2, 3, 4095, protocol._BLOCK_LINES])
+@pytest.mark.parametrize("size", [1, 2, 3, 4095, wire._BLOCK_LINES])
 def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
-    # An odd block size starts blocks mid-pair in the two-message phases.
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    # Every engine block holds whole pairs, even at an odd block size: it
+    # starts with the first message of a pair, which in each phase goes
+    # between the same two parties. At size 1 a block still takes a whole
+    # two-message pair.
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         transcript = run_protocol(size + 5, MIXED, seed=2, **noise).transcript
         blocks = engine_blocks(transcript)
-        assert all(len(block.phase) <= size for block in blocks)
-        assert any(block.payload.skip for block in blocks) == (size % 2 == 1)
+        assert all(len(block.phase) <= max(size, 2) for block in blocks)
+        heads = {}
+        for block in blocks:
+            head = (block.phase[0], block.sender[0], block.recipient[0])
+            assert heads.setdefault(head[0], head) == head
+            assert len(block.phase) == block.payload.width * len(block.payload.codes)
         assert_byte_render_equals_fstring_render(transcript)
 
 
 @pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
-@pytest.mark.parametrize("size", [3, protocol._BLOCK_LINES])
+@pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 def test_byte_render_equals_fstring_render_across_decades(first_seq, size):
     # 19 seqs from first_seq cross 9 -> 10, 999 999 -> 1 000 000,
     # 9 999 999 -> 10 000 000, 99 999 999 -> 100 000 000 (a second
     # eight-digit write) and 10**18 - 1 -> 10**18 (a third).
-    with mock.patch.object(protocol, "_BLOCK_LINES", size):
+    with mock.patch.object(wire, "_BLOCK_LINES", size):
         transcript = run_from_seq(first_seq, 3, **NOISY).transcript
         assert [msg.seq for msg in transcript.messages] == list(range(first_seq, first_seq + 19))
         assert_byte_render_equals_fstring_render(transcript)
@@ -1116,9 +1134,9 @@ def test_byte_render_writes_pair_numbers_across_a_decade():
 
 
 def test_byte_render_writes_all_sixteen_angles_in_one_block():
-    transcript = run_protocol(protocol._BLOCK_LINES, MIXED, seed=3).transcript
+    transcript = run_protocol(wire._BLOCK_LINES, MIXED, seed=3).transcript
     [angles] = [block for block in engine_blocks(transcript)
-                if protocol.PHASES[block.phase[0]] is Phase.ANGLE_ANNOUNCEMENT]
+                if wire.PHASES[block.phase[0]] is Phase.ANGLE_ANNOUNCEMENT]
     assert sorted(set(angles.payload.codes.tolist())) == list(range(len(SIGNED_ANGLES)))
     assert render.render_pairs(angles).tobytes() == fstring_bytes(angles)
 
@@ -1126,7 +1144,7 @@ def test_byte_render_writes_all_sixteen_angles_in_one_block():
 def test_every_engine_block_is_written_from_byte_tables(tmp_path):
     transcript = run_protocol(5000, MIXED, seed=7, **NOISY).transcript
     path = tmp_path / "t.log"
-    with mock.patch.object(protocol, "_render", wraps=protocol._render) as fstring:
+    with mock.patch.object(wire, "_render", wraps=wire._render) as fstring:
         write_transcript(transcript, str(path))
     # Only the handoff, appended message by message, takes the f-strings.
     assert [call.args[0].payload for call in fstring.call_args_list] == [["begin_single_server"]]
@@ -1135,9 +1153,9 @@ def test_every_engine_block_is_written_from_byte_tables(tmp_path):
 
 def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
     transcript = appended(run_protocol(50, MIXED, seed=7, **NOISY).transcript, 3)
-    chunks = list(transcript.iter_bytes())
-    assert all(type(chunk) is bytes for chunk in chunks)
-    assert transcript.to_bytes() == b"".join(chunks) == reference_bytes(transcript.messages)
+    written = io.BytesIO()
+    transcript.write(written)
+    assert written.getvalue() == transcript.to_bytes() == reference_bytes(transcript.messages)
 
 
 def traced_write_peak(transcript, path):
