@@ -5,12 +5,10 @@ import functools
 
 import numpy as np
 
-from .wire import _LINE_MIDDLES, _Block
-
+from .wire import _LINE_MIDDLES, _Block, _decimal_lengths, _digit_words
 
 #: The four zero-padded ASCII digits of each of 0 to 9999, as one uint32.
-_DIGITS = np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
-_DIGIT_WORDS = (_DIGITS + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_DIGIT_WORDS = _digit_words()
 
 
 @functools.lru_cache(maxsize=None)
@@ -21,12 +19,6 @@ def _suffix_rows(middles: tuple[str, ...], payloads: tuple[tuple[str, ...], ...]
         f"|{middle}|{payload}\n" for row in payloads for middle, payload in zip(middles, row)]
     rows = [np.frombuffer(text.encode("utf-8"), np.uint8) for text in texts]
     return rows, np.array([len(row) for row in rows])
-
-
-def _decimal_lengths(values: np.ndarray) -> np.ndarray | int:
-    """Number of digits of each of the non-decreasing positive ``values``."""
-    first, last = len(str(values[0])), len(str(values[-1]))
-    return first + sum(values >= 10**digits for digits in range(first, last))
 
 
 def _put_decimal(buf: np.ndarray, stops: np.ndarray, values: np.ndarray) -> None:

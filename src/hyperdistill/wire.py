@@ -13,6 +13,7 @@ parses saved lines straight into columns, one block at a time.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -118,10 +119,10 @@ _LINE_MIDDLES = np.array(
 )
 
 #: Middle bytes of each (phase, sender, recipient), flattened in C order,
-#: their lengths and the widest.
-_MIDDLE_ROWS = [np.frombuffer(middle.encode("ascii"), np.uint8) for middle in _LINE_MIDDLES.flat]
-_MIDDLE_LENGTHS = np.array([len(middle) for middle in _MIDDLE_ROWS])
-_MIDDLE_WIDTH = int(_MIDDLE_LENGTHS.max())
+#: with the ``|`` that ends them; the middles' lengths and the widest row.
+_MIDDLE_ROWS = [np.frombuffer(f"{middle}|".encode("ascii"), np.uint8) for middle in _LINE_MIDDLES.flat]
+_MIDDLE_LENGTHS = np.array([len(row) - 1 for row in _MIDDLE_ROWS])
+_MIDDLE_WIDTH = int(_MIDDLE_LENGTHS.max()) + 1
 
 #: Offset of the byte that tells the phase names apart, and the party
 #: names; the code of a phase or party keyed by that byte.
@@ -133,9 +134,31 @@ _PARTY_OF_BYTE = np.zeros(256, dtype=np.int8)
 _PARTY_OF_BYTE[[ord(party.value[_PARTY_KEY_AT]) for party in PARTIES]] = range(len(PARTIES))
 assert len(set(_PHASE_OF_BYTE.tolist())) == len(PHASES)
 assert len(set(_PARTY_OF_BYTE.tolist())) == len(PARTIES)
+#: Offset of the sender's key byte from a line's first pipe, by phase, and
+#: of the recipient's from the sender's, by sender.
+_SENDER_KEY_AT = np.array([len(phase.value) + 2 + _PARTY_KEY_AT for phase in PHASES])
+_RECIPIENT_KEY_AFTER = np.array([len(party.value) + 1 for party in PARTIES])
 
-#: Longest seq the block parser decodes; longer ones are left to ``int``.
+#: Longest seq the block parser checks; longer ones are left to ``int``.
 _SEQ_DIGITS = 15
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four zero-padded ASCII digits of each of 0 to 9999, as one uint32;
+    built on first use, so that a start never builds it."""
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _decimal_lengths(values: np.ndarray) -> np.ndarray | int:
+    """Number of digits of each of the non-decreasing positive ``values``."""
+    first, last = len(str(values[0])), len(str(values[-1]))
+    return first + sum(values >= 10**digits for digits in range(first, last))
+
+
+#: The bytes of a uint32 word that lie at or after byte ``i``, as row ``i``.
+_WORD_MASKS = ((np.arange(4) >= np.arange(4)[:, None]) * np.uint8(255)).view(np.uint32).ravel()
 
 #: Most messages a transcript block holds, most lines the parser reads
 #: at once, and most pairs a run draws at once. Every pass over a run or
@@ -147,22 +170,23 @@ _BLOCK_LINES = 4096
 #: more than one block of a written transcript.
 _READ_CHARS = 2**18
 
-#: Longest block text whose payload offsets fit the int32 offset column.
+#: Longest padded block text whose payload offsets fit the int32 offset column.
 _MAX_BLOCK_TEXT = np.iinfo(np.int32).max
 
 
 class _Payloads:
     """Payloads of a parsed block, kept as (start, stop) offsets into the
-    block's text and cut out as ``str`` only when iterated."""
+    block's bytes as the parser padded them, and cut out as ``str`` only
+    when iterated."""
 
     __slots__ = ("text", "bounds")
 
-    def __init__(self, text: str, bounds: np.ndarray):
+    def __init__(self, text: bytes, bounds: np.ndarray):
         self.text = text
         self.bounds = bounds  # int32, one (start, stop) row per message
 
     def __iter__(self) -> Iterator[str]:
-        text = self.text
+        text = self.text.decode("ascii")
         return (text[start:stop] for start, stop in self.bounds.tolist())
 
 
@@ -215,27 +239,37 @@ def _block_of(messages: list[Message]) -> _Block:
     )
 
 
-def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
+def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block | None:
     """Columns of the wire lines that follow seq ``prev``.
 
-    ``text`` is the lines joined and ``ends`` the offset in it where each
+    ``text`` is the lines joined, as a str or as a view of the bytes of
+    ASCII text with no ``"\\r"``, and ``ends`` the offset in it where each
     line ends. Works on the bytes of the whole block and drops empty lines
-    (``""`` and ``"\\n"``). Returns None when the block is too long for int32
-    offsets, or a line is not plain ASCII, holds a ``"\\r"`` or a newline
-    anywhere but at its end, does not have exactly five ``|``, has a seq
-    that is not 1 to 15 digits above ``prev`` and above the seq before it,
-    or has a middle (the text between seq and payload) other than a valid
-    one. The valid middles have a known phase and parties, the phase's
-    payload kind and no self-message, so a block that passes gives what
-    ``Message.from_line`` gives line by line. One byte of each field picks a
-    line's candidate middle; each candidate present is then compared, as one
-    byte row, with all of the block's lines that picked it.
+    (``""`` and ``"\\n"``). Returns None when the block is too long for
+    int32 offsets, a str is not plain ASCII or holds a ``"\\r"``, a line
+    holds a newline anywhere but at its end, the seqs are not one
+    consecutive run above ``prev`` of 1 to 15 digits with no leading zero,
+    a line's middle (the text between seq and payload) is not a valid one,
+    or a payload holds a ``|``. The valid middles have a known phase and
+    parties, the phase's payload kind and no self-message, so a block that
+    passes gives what ``Message.from_line`` gives line by line. One byte of
+    each field picks a line's candidate middle; each candidate present is
+    then compared, as one byte row, with all of the block's lines that
+    picked it.
     """
-    if len(text) > _MAX_BLOCK_TEXT or not text.isascii() or "\r" in text:
+    if isinstance(text, str):
+        if not text.isascii() or "\r" in text:
+            return None
+        text = text.encode("ascii")
+    # Zero padding keeps every fixed-width read below inside the buffer; in
+    # front, the three bytes that a first seq's leading word reaches back.
+    # Offsets from here on are into ``data``, three past those into ``text``.
+    data = b"".join((bytes(3), text, bytes(_SEQ_DIGITS + _MIDDLE_WIDTH)))
+    if len(data) > _MAX_BLOCK_TEXT:
         return None
-    # Zero padding keeps every fixed-width read below inside the buffer.
-    buf = np.frombuffer(text.encode("ascii") + bytes(_MIDDLE_WIDTH), np.uint8)
-    starts = np.concatenate(([0], ends[:-1]))
+    buf = np.frombuffer(data, np.uint8)
+    ends = ends + 3
+    starts = np.concatenate(([3], ends[:-1]))
     lengths = ends - starts
     newline = (lengths > 0) & (buf[ends - 1] == ord("\n"))
     if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
@@ -246,39 +280,43 @@ def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
     n = len(starts)
     if not n:
         return _block_of([])
-    pipes = np.flatnonzero(buf == ord("|"))
-    if len(pipes) != 5 * n:
-        return None
-    pipes = pipes.reshape(n, 5)
 
-    # Seq: 1 to 15 digits before the first pipe, read right-aligned at the
-    # width of the longest. These checks also keep each line's five pipes
-    # inside it: after a line with more, the next line's first pipe falls
-    # before that line starts; after a line with fewer, a pipe taken from
-    # a later line falls inside the next seq.
-    first_pipe = pipes[:, 0]
-    seq_length = first_pipe - starts
-    width = int(seq_length.max())
-    if seq_length.min() < 1 or width > _SEQ_DIGITS:
+    # Seq: the first line's, then one more on each line. The digit counts
+    # of the run place each line's first pipe, and its digits are compared
+    # four at a time as uint32 words, masking the bytes before the line.
+    head = data[starts[0]:starts[0] + _SEQ_DIGITS + 1].partition(b"|")[0]
+    first = int(head) if head.isdigit() and len(head) <= _SEQ_DIGITS else 0
+    if not prev < first <= 10**_SEQ_DIGITS - n:
         return None
-    digit_at = first_pipe[:, None] + np.arange(-width, 0)
-    in_seq = digit_at >= starts[:, None]
-    digits = np.where(in_seq, buf.take(digit_at, mode="clip") - ord("0"), 0)
-    if digits.max() > 9:
+    seqs = np.arange(first, first + n)
+    first_pipe = starts + _decimal_lengths(seqs)
+    if (buf[first_pipe] != ord("|")).any():
         return None
-    seq = digits @ 10 ** np.arange(width - 1, -1, -1)
-    if int(seq[0]) <= prev or (seq[1:] <= seq[:-1]).any():
-        return None
+    words = np.ndarray((len(buf) - 3,), np.uint32, buf, strides=(1,))
+    digit_words = _digit_words()
+    values, at, left = seqs, first_pipe - 4, first_pipe - starts
+    while len(values):
+        tens = values // 10**4
+        wrong = words[at] ^ digit_words.take(values - tens * 10**4)
+        if left[0] < 4:  # some words hold bytes before their line
+            wrong &= _WORD_MASKS.take(np.maximum(4 - left, 0))
+        if wrong.any():
+            return None
+        more = np.searchsorted(tens, 1)  # the first value with digits left
+        values, at, left = tens[more:], at[more:] - 4, left[more:] - 4
 
     # Middle: the candidate code keyed by one byte of each field, then one
-    # exact comparison per code present (one or two in an engine block).
-    phase = _PHASE_OF_BYTE[buf[first_pipe + 1 + _PHASE_KEY_AT]]
-    sender = _PARTY_OF_BYTE[buf[pipes[:, 1] + 1 + _PARTY_KEY_AT]]
-    recipient = _PARTY_OF_BYTE[buf[pipes[:, 2] + 1 + _PARTY_KEY_AT]]
+    # exact comparison per code present (one or two in an engine block),
+    # which also proves the pipes inside the middle and the one after it.
+    phase = _PHASE_OF_BYTE.take(buf[first_pipe + 1 + _PHASE_KEY_AT])
+    sender_key = first_pipe + _SENDER_KEY_AT.take(phase)
+    sender = _PARTY_OF_BYTE.take(buf[sender_key])
+    recipient = _PARTY_OF_BYTE.take(buf[sender_key + _RECIPIENT_KEY_AFTER.take(sender)])
     if (sender == recipient).any():
         return None
     code = (phase * len(PARTIES) + sender) * len(PARTIES) + recipient
-    if (pipes[:, 4] - first_pipe - 1 != _MIDDLE_LENGTHS[code]).any():
+    last_pipe = first_pipe + 1 + _MIDDLE_LENGTHS.take(code)
+    if (last_pipe >= stops).any():
         return None
     # Row i of this view is the buffer from byte i on.
     windows = np.ndarray((len(buf) - _MIDDLE_WIDTH + 1, _MIDDLE_WIDTH), np.uint8, buf,
@@ -286,20 +324,24 @@ def _parse_block(text: str, ends: np.ndarray, prev: int) -> _Block | None:
     present = np.flatnonzero(np.bincount(code)).tolist()
     for c in present:
         at = first_pipe + 1 if len(present) == 1 else first_pipe[code == c] + 1
-        if (windows[at, :_MIDDLE_LENGTHS[c]] != _MIDDLE_ROWS[c]).any():
+        row = _MIDDLE_ROWS[c]
+        if (windows[at, :len(row)] != row).any():
             return None
+    # Each line holds the five pipes found above, so a sixth is in a payload.
+    if np.count_nonzero(buf == ord("|")) != 5 * n:
+        return None
 
     bounds = np.empty((n, 2), np.int32)
-    bounds[:, 0] = pipes[:, 4] + 1
+    bounds[:, 0] = last_pipe + 1
     bounds[:, 1] = stops
-    first, last = int(seq[0]), int(seq[-1])
-    seqs = range(first, last + 1) if last - first == n - 1 else seq.tolist()
-    return _Block(seqs, phase, sender, recipient, _Payloads(text, bounds))
+    return _Block(range(first, first + n), phase, sender, recipient, _Payloads(data, bounds))
 
 
-def _parse_messages(text: str, ends: np.ndarray, prev: int) -> list[Message]:
+def _parse_messages(text: str | memoryview, ends: np.ndarray, prev: int) -> list[Message]:
     """Parse the nonblank lines one by one; raises the error of the first
     bad line."""
+    if not isinstance(text, str):
+        text = str(text, "ascii")
     messages = []
     bounds = itertools.pairwise([0, *ends.tolist()])
     for line in filter(str.strip, (text[start:stop] for start, stop in bounds)):
@@ -318,21 +360,22 @@ def _list_blocks(lines: Iterable[str]) -> Iterator[tuple[str, np.ndarray]]:
         yield "".join(chunk), np.cumsum(np.fromiter(map(len, chunk), np.int64, len(chunk)))
 
 
-def _line_ends(text: str) -> np.ndarray:
-    """Offset just past each newline of ``text``."""
-    # "replace" encodes each non-ASCII character as one "?", so these
-    # byte offsets are character offsets.
-    buf = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
-    return np.flatnonzero(buf == ord("\n")) + 1
+def _joined(parts: list[str | bytes | memoryview]) -> str | memoryview:
+    """The parts joined: a str when one of them is, else a view of bytes."""
+    if any(isinstance(part, str) for part in parts):
+        return "".join(part if isinstance(part, str) else str(part, "ascii") for part in parts)
+    return memoryview(b"".join(parts))
 
 
-def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str, np.ndarray]]:
+def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str | memoryview, np.ndarray]]:
     """(text, line ends) of each ``_BLOCK_LINES`` lines of ``fh``, read
     ``_READ_CHARS`` characters at a time.
 
     The lines are those iterating ``fh`` gives as long as its text holds
     no ``"\\r"``, which may end a line too; raises ValueError at the first
-    chunk that holds one.
+    chunk that holds one. An ASCII chunk is encoded once, for its newline
+    scan and its blocks: a block whose chunks all were is a view of their
+    bytes joined, which the parser copies.
     """
     size = _BLOCK_LINES
     parts, part_ends = [], []  # text not yet cut into blocks, its line ends
@@ -340,13 +383,16 @@ def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str, np.ndarray]]:
     while chunk := fh.read(_READ_CHARS):
         if "\r" in chunk:
             raise ValueError("'\\r' in text: read it as lines")
-        parts.append(chunk)
-        part_ends.append(_line_ends(chunk) + length)
+        # "replace" encodes each non-ASCII character as one "?", so these
+        # byte offsets are character offsets; an ASCII chunk is kept as them.
+        data = chunk.encode("ascii", "replace")
+        parts.append(data if chunk.isascii() else chunk)
+        part_ends.append(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1 + length)
         length += len(chunk)
         count += len(part_ends[-1])
         if count < size:
             continue
-        text, ends = "".join(parts), np.concatenate(part_ends)
+        text, ends = _joined(parts), np.concatenate(part_ends)
         blocks, start, cut = [], 0, count - count % size
         for i in range(0, cut, size):
             stop = int(ends[i + size - 1])
@@ -354,14 +400,14 @@ def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str, np.ndarray]]:
             start = stop
         parts, part_ends = [text[start:]], [ends[cut:] - start]
         length, count = len(text) - start, count - cut
-        # Every block is cut before any is parsed, so that neither the
-        # chunk nor the joined text stays alive while they are.
-        del chunk, text
+        # The chunk is freed before any block is parsed; the joined text
+        # lives on only as long as its blocks do.
+        del chunk, data, text
         yield from blocks
-    text = "".join(parts)
+    text = _joined(parts)
     if text:
         ends = np.concatenate(part_ends)
-        if not text.endswith("\n"):
+        if not len(ends) or ends[-1] < len(text):
             ends = np.append(ends, len(text))
         yield text, ends
 
@@ -522,7 +568,7 @@ class Transcript:
         return cls._from_blocks(_list_blocks(lines))
 
     @classmethod
-    def _from_blocks(cls, blocks: Iterable[tuple[str, np.ndarray]]) -> "Transcript":
+    def _from_blocks(cls, blocks: Iterable[tuple[str | memoryview, np.ndarray]]) -> "Transcript":
         transcript = cls()
         prev = 0
         for text, ends in blocks:

@@ -741,17 +741,21 @@ def test_block_too_long_for_int32_offsets_takes_the_line_parser():
         assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
 
 
-#: A noisy run across every phase boundary, with the four valid message
-#: bodies that break one audit rule each, as the benchmark injects them.
+#: The four valid message bodies that break one audit rule each, as the
+#: benchmark injects them, keyed by the violation each raises.
+RULE_BREAKING_BODIES = {
+    VIOLATION_BOB_TO_BOB: "Distillation|Bob1|Bob2|qnd_outcome|Shift",
+    VIOLATION_ALICE_FEEDBACK: "Distillation|Alice|Bob1|qnd_outcome|NoShift",
+    VIOLATION_ANGLE_TO_BOB2: "AngleAnnouncement|Alice|Bob2|angle|0.7853981633974483",
+    VIOLATION_RESULT_FROM_BOB2: "ResultReport|Bob2|Alice|result_bit|0",
+}
+#: The message bodies of a noisy run across every phase boundary.
+RUN_BODIES = [
+    line.split("|", 1)[1] for line in run_protocol(3, MIXED, seed=2, **NOISY).transcript.to_lines()
+]
+#: That run, with the four rule-breaking bodies after it.
 SEVERAL_CODES = [
-    f"{seq}|{body}\n" for seq, body in enumerate([
-        *(line.split("|", 1)[1]
-          for line in run_protocol(3, MIXED, seed=2, **NOISY).transcript.to_lines()),
-        "Distillation|Bob1|Bob2|qnd_outcome|Shift",
-        "Distillation|Alice|Bob1|qnd_outcome|NoShift",
-        "AngleAnnouncement|Alice|Bob2|angle|0.7853981633974483",
-        "ResultReport|Bob2|Alice|result_bit|0",
-    ], 1)
+    f"{seq}|{body}\n" for seq, body in enumerate([*RUN_BODIES, *RULE_BREAKING_BODIES.values()], 1)
 ]
 MIDDLE_DEFECTS = [
     "unknown phase", "unknown sender", "unknown recipient", "near-miss phase", "near-miss party",
@@ -832,6 +836,69 @@ def test_block_of_every_valid_middle_stays_on_the_byte_path():
     transcript = Transcript.from_lines(lines)
     assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
     assert views(transcript) == reference_views(reference_from_lines(lines))
+
+
+def numbered(first, count=12):
+    """``count`` wire lines of a run's message bodies, numbered on from seq ``first``."""
+    bodies = itertools.cycle(RUN_BODIES)
+    return [f"{seq}|{body}\n" for seq, body in zip(range(first, first + count), bodies)]
+
+
+def assert_parses_as_message_parsing_does(lines):
+    got = parse_outcome(lambda lines: views(Transcript.from_lines(lines)), lines)
+    assert got == parse_outcome(lambda lines: reference_views(reference_from_lines(lines)), lines)
+
+
+@pytest.mark.parametrize("place", [1, 6, 11], ids=["second line", "mid-block", "last line"])
+@pytest.mark.parametrize("edit", ["gap", "repeat", "leading zero"])
+def test_seq_that_breaks_the_run_takes_the_line_parser(edit, place):
+    lines = numbered(1)
+    if edit == "leading zero":
+        lines[place] = "0" + lines[place]
+    else:
+        step = 1 if edit == "gap" else -1
+        lines[place:] = [
+            f"{int(seq) + step}|{rest}" for seq, rest in (line.split("|", 1) for line in lines[place:])
+        ]
+    assert wire._parse_block(*joined(lines), 0) is None
+    assert_parses_as_message_parsing_does(lines)
+
+
+@pytest.mark.parametrize(
+    "first, byte_path",
+    [(9_995, True), (99_999_995, True), (10**15 - 12, True), (10**15 - 6, False)],
+    ids=["9 999 to 10 000", "99 999 999 to 100 000 000", "last seq of 15 digits",
+         "last seq of 16 digits"],
+)
+def test_seq_run_across_a_decade_parses_as_message_parsing_does(first, byte_path):
+    lines = numbered(first)
+    block = wire._parse_block(*joined(lines), 0)
+    if byte_path:
+        assert block is not None and block.seq == range(first, first + len(lines))
+    else:
+        assert block is None
+    assert_parses_as_message_parsing_does(lines)
+
+
+def test_run_with_a_message_per_audit_rule_stays_on_the_byte_path(tmp_path):
+    # The replay benchmark's tampered file: a run's lines with one message
+    # per audit rule inserted, next to block boundaries, and seqs renumbered.
+    size = wire._BLOCK_LINES
+    transcript = run_protocol(size // 3 + 1, MIXED, seed=6, **NOISY).transcript
+    bodies = [line.split("|", 1)[1] for line in transcript.to_lines()]
+    slots = [7, size - 1, size + 2, len(bodies) + 3]  # the last one ends the file
+    for slot, body in zip(slots, RULE_BREAKING_BODIES.values()):
+        bodies.insert(slot, body)
+    path = tmp_path / "tampered.log"
+    path.write_text("".join(f"{seq}|{body}\n" for seq, body in enumerate(bodies, 1)))
+    with open(path, encoding="utf-8") as fh:
+        tampered = Transcript.from_lines(fh)
+    assert len(tampered._blocks) == -(-len(bodies) // size) == 3
+    assert all(isinstance(block.payload, wire._Payloads) for block in tampered._blocks)
+    assert [(v.kind, v.seq) for v in audit(tampered).violations] == [
+        (kind, slot + 1) for kind, slot in zip(RULE_BREAKING_BODIES, slots)
+    ]
+    assert tampered.to_bytes() == path.read_bytes()
 
 
 def test_from_lines_checks_order_across_parse_blocks():
