@@ -274,13 +274,99 @@ def write_transcript(transcript: Transcript, destination: str) -> None:
 # --- seed sweep --------------------------------------------------------------
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """A ``concurrent.futures.ProcessPoolExecutor``, imported on the first
-    call: only a sweep starts a pool, and the import would cost every
-    other start about 20 ms."""
-    from concurrent.futures import ProcessPoolExecutor as pool
+class ProcessPoolExecutor:
+    """A map-only pool of forked workers, one contiguous share of the jobs each.
 
-    return pool(*args, **kwargs)
+    Called as ``ProcessPoolExecutor(max_workers=k)``, used as a context
+    manager and mapped with ``.map``, as a ``concurrent.futures`` pool is:
+    ``serial_pool`` in ``perfbench/run.py`` and the tests replace it by this
+    name with a pool that maps in-process, so keep the name and the shape.
+
+    ``map`` splits the jobs into at most ``max_workers`` contiguous shares
+    and forks one child per share, all at once. Only each share's results
+    cross a pipe, so ``fn`` may be a closure and nothing is pickled on the
+    way in. The results come back in job order. An exception raised by
+    ``fn`` in a child is raised again here, with its type and message; a
+    child that exits without sending its results raises
+    ``ChildProcessError``. Every child is reaped before ``map`` returns or
+    raises. Needs POSIX ``os.fork``.
+    """
+
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs) -> list:
+        import pickle
+        import signal
+
+        jobs = list(jobs)
+        shares = min(self.max_workers, len(jobs))
+        bounds = [len(jobs) * i // shares for i in range(shares + 1)] if jobs else []
+        children = []  # (pid, read end of its pipe), in share order, until reaped
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                children.append(_fork_worker(fn, jobs[lo:hi]))
+            results = []
+            while children:
+                pid, pipe = children[0]
+                with pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code or not data:
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise ChildProcessError(
+                        f"sweep worker {pid} ended without sending its results ({how})"
+                    )
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results.extend(value)
+            return results
+        finally:
+            # Reached with children left only when something failed: stop
+            # and reap them, so that no worker outlives the sweep.
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_worker(fn, share: list):
+    """Fork a child that sends ``fn`` over ``share``, pickled, down a pipe;
+    return the child's pid and the read end of the pipe."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    # The child: whatever happens, it leaves by os._exit and never returns
+    # into the caller's code. Exit status 0 means the whole result was sent.
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, [fn(job) for job in share])
+        except Exception as exc:
+            payload = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _sweep_single(args: tuple[RunConfig, int]) -> dict:
@@ -289,7 +375,15 @@ def _sweep_single(args: tuple[RunConfig, int]) -> dict:
 
 
 def run_sweep(cfg: RunConfig) -> dict:
-    """Run ``cfg.sweep`` consecutive seeds in parallel, one worker per seed and CPU at most."""
+    """Run ``cfg.sweep`` consecutive seeds and aggregate their reports.
+
+    One seed runs in this process. More run in ``min(seeds, CPUs)`` forked
+    workers, each over one contiguous share of the seeds; the reports come
+    back in seed order, so the document is the same at every worker count.
+    The analytic probability is read from the first report, so a coordinator
+    that forks workers builds no ``pair_table()`` and imports no
+    ``numpy.random``.
+    """
     n = int(cfg.sweep or 1)
     seeds = [cfg.seed + i for i in range(n)]
     jobs = [(cfg, seed) for seed in seeds]

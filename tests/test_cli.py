@@ -497,6 +497,100 @@ def test_main_sweep(tmp_path):
     assert doc["sweep_aggregate"]["seeds"] == 2
 
 
+class SerialPool:
+    """The pool's seam, mapped in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_pool_gives_the_serial_bytes_in_seed_order(workers):
+    # 5 seeds over 2 or 3 workers make uneven shares
+    cfg = RunConfig(
+        pairs=300, fidelities=MIXED, dephase_p=0.05, homodyne_error=0.1,
+        evil_bob_flip_p=0.1, seed=11, sweep=5,
+    )
+    with mock.patch.object(cli, "ProcessPoolExecutor", SerialPool):
+        serial = run_sweep(cfg)
+    with mock.patch.object(os, "cpu_count", return_value=workers):
+        forked = run_sweep(cfg)
+    for output_format in ("json", "csv"):
+        assert serialize_report(forked, output_format) == serialize_report(serial, output_format)
+    assert_no_child_left()
+
+    def tagged(job):  # a closure: only results are pickled
+        return job + cfg.seed, os.getpid()
+
+    with cli.ProcessPoolExecutor(max_workers=workers) as pool:
+        values, pids = zip(*pool.map(tagged, range(5)))
+    assert values == (11, 12, 13, 14, 15)
+    assert os.getpid() not in pids
+    # each worker ran one contiguous share
+    assert len(set(pids)) == workers
+    assert sum(a != b for a, b in zip(pids, pids[1:])) == workers - 1
+    assert_no_child_left()
+
+
+def _fail_on_seed_one(failure):
+    def run(args):
+        if args[1] == 1:
+            if failure is None:
+                os._exit(3)
+            raise failure
+        return cli.execute_run(dataclasses.replace(args[0], seed=args[1], sweep=None))[0]
+
+    return run
+
+
+@pytest.mark.parametrize("failure", [OSError(5, "disk gone"), MemoryError("no room")])
+def test_fork_pool_raises_a_worker_exception_again(failure):
+    with pytest.raises(type(failure)) as raised:
+        with cli.ProcessPoolExecutor(max_workers=2) as pool:
+            pool.map(_fail_on_seed_one(failure), [(RunConfig(pairs=5), s) for s in range(4)])
+    assert type(raised.value) is type(failure)
+    assert str(raised.value) == str(failure)
+    assert_no_child_left()
+
+
+def test_fork_pool_worker_that_exits_without_results():
+    with pytest.raises(ChildProcessError, match=r"^sweep worker \d+ .* \(exit status 3\)$"):
+        with cli.ProcessPoolExecutor(max_workers=2) as pool:
+            pool.map(_fail_on_seed_one(None), [(RunConfig(pairs=5), s) for s in range(4)])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [(OSError(5, "disk gone"), "disk gone"), (MemoryError("no room"), "no room"),
+     (None, "(exit status 3)")],
+    ids=["OSError", "MemoryError", "os._exit(3)"],
+)
+def test_main_sweep_worker_failure_exits_1(tmp_path, capsys, failure, message):
+    out = tmp_path / "sweep.json"
+    with mock.patch.object(cli, "_sweep_single", _fail_on_seed_one(failure)):
+        assert main(["--pairs", "20", "--sweep", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert_no_child_left()
+
+
 # --- input hardening ----------------------------------------------------------------
 
 
@@ -661,7 +755,8 @@ def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
         "    runpy.run_module('hyperdistill', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "assert 'concurrent.futures' in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
         "loaded = {'_hashlib', 'hashlib', 'hmac', 'secrets', 'numpy.random'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
     )
