@@ -10,92 +10,36 @@ state evolution, the measurement statistics, the delegated-measurement
 rounds that follow, and the communication-security audit.
 """
 
-from .linalg import (
-    EPS_NORM,
-    EPS_ORACLE,
-    DensityMatrix,
-    StateVector,
-    fidelity,
-    partial_trace,
-    projector,
-    reorder_subsystems,
-    tensor,
-    trace_distance,
-)
-from .states import (
-    ENSEMBLE_ORDER,
-    FidelityVector,
-    HyperComponent,
-    PolarizationBell,
-    bell_vector,
-    ensemble_polarization_density,
-    hyper_source_state,
-    mixed_ensemble,
-    spatial_vector,
-)
-from .qnd import (
-    DeviceParams,
-    QndOutcome,
-    oracle_conditional_pol_state,
-    oracle_evolve,
-    oracle_outcome_distribution,
-)
-from .wire import Message, Party, Phase, Transcript
-from .protocol import BellClass, analytic_phi_probability, audit, run_protocol
+import importlib
 
 __version__ = "0.1.0"
 
-#: Names served from ``cli``, which is imported on first use: the CLI
-#: brings in a process pool that importing the library does not need.
-_CLI_NAMES = frozenset(
-    {"RunConfig", "execute_run", "emit_report", "main", "parse_config"}
-)
+#: Module of each public name. A name's module is imported on its first
+#: lookup, so ``import hyperdistill`` alone loads neither numpy nor the CLI.
+_MODULE_OF = {
+    **dict.fromkeys(("fidelity", "projector", "trace_distance"), "linalg"),
+    **dict.fromkeys((
+        "ENSEMBLE_ORDER", "FidelityVector", "HyperComponent", "PolarizationBell",
+        "bell_vector", "ensemble_polarization_density", "hyper_source_state",
+        "mixed_ensemble", "spatial_vector",
+    ), "states"),
+    **dict.fromkeys((
+        "DeviceParams", "QndOutcome", "oracle_conditional_pol_state", "oracle_evolve",
+        "oracle_outcome_distribution",
+    ), "qnd"),
+    **dict.fromkeys(("Message", "Party", "Phase", "Transcript"), "wire"),
+    **dict.fromkeys(("BellClass", "analytic_phi_probability", "audit", "run_protocol"), "protocol"),
+    **dict.fromkeys(("RunConfig", "execute_run", "main", "parse_config"), "cli"),
+}
+
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
-__all__ = [
-    "EPS_NORM",
-    "EPS_ORACLE",
-    "DensityMatrix",
-    "StateVector",
-    "fidelity",
-    "partial_trace",
-    "projector",
-    "reorder_subsystems",
-    "tensor",
-    "trace_distance",
-    "ENSEMBLE_ORDER",
-    "FidelityVector",
-    "HyperComponent",
-    "PolarizationBell",
-    "bell_vector",
-    "ensemble_polarization_density",
-    "hyper_source_state",
-    "mixed_ensemble",
-    "spatial_vector",
-    "DeviceParams",
-    "QndOutcome",
-    "oracle_conditional_pol_state",
-    "oracle_evolve",
-    "oracle_outcome_distribution",
-    "BellClass",
-    "Message",
-    "Party",
-    "Phase",
-    "Transcript",
-    "analytic_phi_probability",
-    "audit",
-    "run_protocol",
-    "RunConfig",
-    "execute_run",
-    "emit_report",
-    "main",
-    "parse_config",
-]
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

@@ -8,7 +8,7 @@ Psi-class pair. Alice then announces one signed angle per pair to Bob1
 only, Bob1 measures his qubit in that rotated basis and reports a bit,
 and the run ends with a single handoff marker to Bob2.
 
-Every classical exchange is appended to a transcript, whose wire format
+Every classical exchange is written to a transcript, whose wire format
 lives in ``wire``; the auditor re-reads it and fails the run if the
 servers talked to each other, if Alice fed anything back during
 distribution or distillation, if an angle went to Bob2, or if Bob2
@@ -187,7 +187,7 @@ def audit(transcript: Transcript) -> AuditReport:
     """
     alice, bob1, bob2 = (_PARTY_CODE[p] for p in (Party.ALICE, Party.BOB1, Party.BOB2))
     violations = []
-    for block in transcript._sealed_blocks():
+    for block in transcript._blocks:
         phase, sender, recipient = block.phase, block.sender, block.recipient
         to_bob = (recipient == bob1) | (recipient == bob2)
         rules = (
@@ -278,6 +278,9 @@ class ProtocolRun:
     ``pair_table().states[case][readout]``, and Bob2's residual qubit is
     what is left of it once Bob1's qubit is projected onto the state
     (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2) of the announced angle.
+    ``transcript`` holds the run's messages as engine blocks only, one
+    phase after another through the handoff, and ``audit_report`` is its
+    audit.
     """
 
     def __init__(
@@ -316,10 +319,11 @@ DRAWS_PER_PAIR = 4
 MAX_PAIRS = np.iinfo(np.intp).max // (DRAWS_PER_PAIR * np.dtype(np.float64).itemsize)
 
 #: Payload text of each joint readout (Bob1's, then Bob2's), of each
-#: signed angle and of each bit, one row per code.
+#: signed angle, of each bit and of the handoff, one row per code.
 _OUTCOME_PAYLOADS = np.array([[a.value, b.value] for a, b in OUTCOME_PAIRS], dtype=object)
 _ANGLE_PAYLOADS = np.array([[repr(angle)] for angle in SIGNED_ANGLES], dtype=object)
 _BIT_PAYLOADS = np.array([["0"], ["1"]], dtype=object)
+_HANDOFF_PAYLOADS = np.array([["begin_single_server"]], dtype=object)
 
 
 def run_protocol(
@@ -426,7 +430,10 @@ def run_protocol(
         Phase.RESULT_REPORT, (Party.BOB1,), (Party.ALICE,),
         _PairPayloads(_BIT_PAYLOADS, 1, a_bit),
     )
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "begin_single_server")
+    transcript._extend(
+        Phase.HANDOFF, (Party.ALICE,), (Party.BOB2,),
+        _PairPayloads(_HANDOFF_PAYLOADS, 1, np.zeros(1, np.int8)),
+    )
     return ProtocolRun(
         case, readout, recorded, reported, inferred_phi, theta_index, angle,
         a_bit, transcript,

@@ -13,6 +13,7 @@ density-matrix form is reconstructed on demand for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,8 +45,10 @@ _BELL_AMPLITUDES = {
 }
 
 
+@functools.cache
 def bell_vector(kind: PolarizationBell) -> StateVector:
-    """Polarization Bell state in the (HH, HV, VH, VV) basis."""
+    """Polarization Bell state in the (HH, HV, VH, VV) basis; one frozen
+    instance per kind."""
     return StateVector(_BELL_AMPLITUDES[kind], POLARIZATION_PAIR_LABELS)
 
 

@@ -6,9 +6,9 @@ A transcript keeps its messages as blocks of at most ``_BLOCK_LINES``
 rows of columns: phase, sender and recipient codes plus the payloads.
 An engine block holds whole pairs, with its payloads as codes into a
 small payload table; ``render.render_pairs`` writes it from byte tables,
-and ``render`` is imported on the first engine block written. Parsed and
-appended blocks render with the f-strings of ``_render``. ``from_lines``
-parses saved lines straight into columns, one block at a time.
+and ``render`` is imported on the first engine block written. Parsed
+blocks render with the f-strings of ``_render``. ``from_lines`` parses
+saved lines straight into columns, one block at a time.
 """
 
 from __future__ import annotations
@@ -421,7 +421,8 @@ def _render(block: _Block) -> list[str]:
 
 
 class Transcript:
-    """Append-only, strictly sequenced log of classical messages.
+    """Strictly sequenced log of classical messages: a run's, written by
+    the engine one phase at a time, or one parsed from wire lines.
 
     Messages are stored as blocks of at most ``_BLOCK_LINES`` rows of
     columns: phase, sender and recipient codes plus the payloads. A parsed
@@ -433,45 +434,19 @@ class Transcript:
 
     def __init__(self):
         self._blocks: list[_Block] = []
-        self._pending: list[Message] = []
         self._last_seq = 0
-
-    def _sealed_blocks(self) -> list[_Block]:
-        """All blocks, once the messages appended one by one form one."""
-        if self._pending:
-            self._blocks.append(_block_of(self._pending))
-            self._pending = []
-        return self._blocks
 
     @property
     def messages(self) -> tuple[Message, ...]:
         return tuple(
             Message(seq, PHASES[phase], PARTIES[sender], PARTIES[recipient],
                     PAYLOAD_KIND_FOR_PHASE[PHASES[phase]], payload)
-            for block in self._sealed_blocks()
+            for block in self._blocks
             for seq, phase, sender, recipient, payload in zip(
                 block.seq, block.phase.tolist(), block.sender.tolist(),
                 block.recipient.tolist(), block.payload,
             )
         )
-
-    def append(
-        self, phase: Phase, sender: Party, recipient: Party, payload: str
-    ) -> Message:
-        """Log one message; its payload kind is the one ``phase`` carries."""
-        msg = Message(
-            seq=self._last_seq + 1,
-            phase=phase,
-            sender=sender,
-            recipient=recipient,
-            payload_kind=PAYLOAD_KIND_FOR_PHASE[phase],
-            payload=payload,
-        )
-        self._pending.append(msg)
-        self._last_seq = msg.seq
-        if len(self._pending) >= _BLOCK_LINES:
-            self._sealed_blocks()
-        return msg
 
     def _extend(
         self,
@@ -500,11 +475,10 @@ class Transcript:
             column.setflags(write=False)
             columns.append(column)
         first = self._last_seq + 1
-        blocks = self._sealed_blocks()
         for i in range(0, len(codes), size):
             pairs = codes[i:i + size]
             count = width * len(pairs)
-            blocks.append(_Block(
+            self._blocks.append(_Block(
                 range(first + width * i, first + width * i + count),
                 *(column[:count] for column in columns),
                 _PairPayloads(table, width, pairs),
@@ -512,15 +486,14 @@ class Transcript:
         self._last_seq += width * len(codes)
 
     def to_lines(self) -> list[str]:
-        return [line for block in self._sealed_blocks() for line in _render(block)]
+        return [line for block in self._blocks for line in _render(block)]
 
     def _wire(self) -> Iterator[bytes | np.ndarray]:
         """The wire bytes, one block at a time, an engine block as a uint8
         array; one newline when empty."""
-        blocks = self._sealed_blocks()
-        if not blocks:
+        if not self._blocks:
             yield b"\n"
-        for block in blocks:
+        for block in self._blocks:
             if isinstance(block.payload, _PairPayloads):
                 from .render import render_pairs  # imported by the first engine block
                 yield render_pairs(block)

@@ -311,7 +311,7 @@ def test_transcript_file_reparses_and_audits(tmp_path):
 def test_emit_report_unwritable_destination():
     cfg = RunConfig(pairs=5, fidelities=MIXED, seed=1)
     report, _ = execute_run(cfg)
-    from hyperdistill import emit_report
+    from hyperdistill.cli import emit_report
 
     with pytest.raises(OSError, match="no/such/dir"):
         emit_report(report, "json", "no/such/dir/report.json")
@@ -701,11 +701,38 @@ def test_importing_the_package_leaves_the_cli_unloaded():
         "import sys, hyperdistill\n"
         "assert 'hyperdistill.cli' not in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "from hyperdistill import RunConfig, emit_report, execute_run, main, parse_config\n"
+        "from hyperdistill import RunConfig, execute_run, main, parse_config\n"
         "from hyperdistill import cli\n"
+        "from hyperdistill.cli import emit_report\n"
         "assert (RunConfig, emit_report, execute_run, main, parse_config) == (\n"
         "    cli.RunConfig, cli.emit_report, cli.execute_run, cli.main, cli.parse_config)\n"
         "assert all(hasattr(hyperdistill, name) for name in hyperdistill.__all__)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+#: Oracle internals and a CLI helper that the package does not serve;
+#: their modules do.
+UNSERVED_NAMES = ("EPS_NORM", "EPS_ORACLE", "DensityMatrix", "StateVector", "partial_trace",
+                  "reorder_subsystems", "tensor", "emit_report")
+
+
+def test_package_serves_its_names_lazily_from_their_modules():
+    code = (
+        "import importlib, sys, hyperdistill\n"
+        "loaded = [name for name in sys.modules\n"
+        "          if name.partition('.')[0] == 'numpy' or name.startswith('hyperdistill.')]\n"
+        "assert not loaded, loaded\n"
+        f"for name in {UNSERVED_NAMES!r}:\n"
+        "    assert not hasattr(hyperdistill, name), name\n"
+        "assert len(hyperdistill.__all__) == len(set(hyperdistill.__all__)) == 29\n"
+        "assert set(hyperdistill.__all__) <= set(dir(hyperdistill))\n"
+        "for name in hyperdistill.__all__:\n"
+        "    module = importlib.import_module('hyperdistill.' + hyperdistill._MODULE_OF[name])\n"
+        "    value = getattr(hyperdistill, name)\n"
+        "    assert value is vars(module)[name], name\n"
+        "    assert getattr(value, '__module__', module.__name__) == module.__name__, name\n"
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr

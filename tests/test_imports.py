@@ -3,10 +3,9 @@ every name it defines at module level is named somewhere else, and the
 wire format imports nothing from the engine or the CLI.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules:
-each module but ``__init__``, which imports to re-export, is parsed with
-``ast``. A module-level name counts as used if it appears as a whole
-word anywhere in the package, the tests, the demos or the benchmark
-other than where it is defined.
+each module is parsed with ``ast``. A module-level name counts as used
+if it appears as a whole word anywhere in the package, the tests, the
+demos or the benchmark other than where it is defined.
 """
 
 import ast
@@ -18,10 +17,7 @@ import pytest
 
 import hyperdistill
 
-MODULES = sorted(
-    path for path in pathlib.Path(hyperdistill.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+MODULES = sorted(pathlib.Path(hyperdistill.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(hyperdistill.__file__).parents[2]
 CORPUS = [
     path.read_text(encoding="utf-8")

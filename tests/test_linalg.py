@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdistill import (
+from hyperdistill import bell_vector, fidelity, projector, spatial_vector, trace_distance
+from hyperdistill.linalg import (
     EPS_NORM,
     DensityMatrix,
     StateVector,
-    bell_vector,
-    fidelity,
     partial_trace,
-    projector,
     reorder_subsystems,
-    spatial_vector,
     tensor,
-    trace_distance,
 )
 from hyperdistill.states import PolarizationBell
 

@@ -251,7 +251,7 @@ def test_oracle_photon_reduction_matches_brute_force():
     # Reduce the post-evolution joint state (photon x readout registers)
     # back to the photon part and check the library partial trace against
     # an explicit index contraction.
-    from hyperdistill import partial_trace
+    from hyperdistill.linalg import partial_trace
 
     rho = oracle_evolve(HyperComponent(PolarizationBell.PHI_PLUS, 1.0), DeviceParams())
     dims = (2, 2, 2, 2, 2, 2)

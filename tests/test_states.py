@@ -16,11 +16,10 @@ from hyperdistill import (
     hyper_source_state,
     mixed_ensemble,
     projector,
-    reorder_subsystems,
     run_protocol,
     spatial_vector,
-    tensor,
 )
+from hyperdistill.linalg import reorder_subsystems, tensor
 from hyperdistill.states import inverse_cdf
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -222,7 +221,7 @@ def test_full_state_matches_projector_marginals():
     comp = HyperComponent(PolarizationBell.PSI_PLUS, 1.0)
     rho = projector(comp.full_state())
     # polarization marginal equals the Bell projector
-    from hyperdistill import partial_trace
+    from hyperdistill.linalg import partial_trace
 
     pol = partial_trace(rho, keep=(0, 2), dims=(2, 2, 2, 2))
     expected = projector(bell_vector(PolarizationBell.PSI_PLUS))

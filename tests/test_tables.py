@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdistill import (
-    EPS_ORACLE,
     DeviceParams,
     FidelityVector,
     HyperComponent,
@@ -46,6 +45,7 @@ from hyperdistill import (
 )
 from hyperdistill import protocol, render, wire
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
+from hyperdistill.linalg import EPS_ORACLE
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
@@ -485,10 +485,11 @@ def reference_audit(messages):
 
 
 def test_audit_lists_a_two_rule_message_by_rule():
-    transcript = Transcript()
-    transcript.append(Phase.DISTRIBUTION, Party.SOURCE, Party.BOB1, "1")
-    transcript.append(Phase.RESULT_REPORT, Party.BOB2, Party.BOB1, "0")
-    transcript.append(Phase.ANGLE_ANNOUNCEMENT, Party.BOB1, Party.BOB2, "0.0")
+    transcript = Transcript.from_lines([
+        "1|Distribution|Source|Bob1|quantum_marker|1",
+        "2|ResultReport|Bob2|Bob1|result_bit|0",
+        "3|AngleAnnouncement|Bob1|Bob2|angle|0.0",
+    ])
     assert audit(transcript).violations == (
         Violation(VIOLATION_BOB_TO_BOB, 2, "Bob2 messaged Bob1"),
         Violation(VIOLATION_RESULT_FROM_BOB2, 2, "Bob2 reported a result bit"),
@@ -505,9 +506,12 @@ message_fields = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(message_fields, max_size=30), st.integers(0, 2**16))
 def test_columnar_audit_equals_per_message_rules(fields, seed):
-    transcript = run_protocol(2, MIXED, seed=seed).transcript
-    for phase, sender, recipient in fields:
-        transcript.append(phase, sender, recipient, "x")
+    lines = run_protocol(2, MIXED, seed=seed).transcript.to_lines()
+    lines += [
+        Message(seq, phase, sender, recipient, wire.PAYLOAD_KIND_FOR_PHASE[phase], "x").to_line()
+        for seq, (phase, sender, recipient) in enumerate(fields, len(lines) + 1)
+    ]
+    transcript = Transcript.from_lines(lines)
     report = audit(transcript)
     assert report.violations == reference_audit(transcript.messages)
     assert report.passed == (not report.violations)
@@ -922,27 +926,12 @@ def test_from_lines_keeps_gaps_blank_lines_and_wire_text():
     assert transcript.messages == reference_from_lines(lines)
     assert [msg.seq for msg in transcript.messages] == [3, 7, 8]
     assert transcript.to_lines() == [msg.to_line() for msg in reference_from_lines(lines)]
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "x")
-    assert transcript.messages[-1].seq == 9
-
-
-def test_append_after_from_lines_round_trips():
-    lines = [
-        "3|Distribution|Source|Bob1|quantum_marker|1",
-        "8|Distillation|Bob1|Alice|qnd_outcome|Shift",
-    ]
-    transcript = Transcript.from_lines(lines)
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "x")
-    transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, "y")
-    reparsed = Transcript.from_lines(transcript.to_lines())
-    assert reparsed.messages == transcript.messages
-    assert [msg.seq for msg in reparsed.messages] == [3, 8, 9, 10]
 
 
 @pytest.mark.parametrize("payload", ["x\ry", "x\r", "\r", "x\ny", "x|y"])
 def test_append_rejects_a_payload_the_file_would_not_give_back(payload):
     with pytest.raises(ValueError, match="payload must not contain"):
-        Transcript().append(Phase.HANDOFF, Party.ALICE, Party.BOB2, payload)
+        Message(1, Phase.HANDOFF, Party.ALICE, Party.BOB2, "control", payload)
 
 
 @pytest.mark.parametrize("text", [GOOD, ""], ids=["one line", "empty"])
@@ -1091,17 +1080,10 @@ ODD_LINES = [
 ]
 
 
-def appended(transcript, count):
-    for i in range(count):
-        transcript.append(Phase.HANDOFF, Party.ALICE, Party.BOB2, str(i))
-    return transcript
-
-
 WRITTEN = {
     "run of several blocks": lambda size: run_protocol(size // 2 + 1, MIXED, seed=8, **NOISY).transcript,
     "empty": lambda size: Transcript(),
     "parsed with gaps, non-ascii and empty payloads": lambda size: Transcript.from_lines(ODD_LINES),
-    "appended after parsing": lambda size: appended(Transcript.from_lines(ODD_LINES), size + 2),
 }
 
 
@@ -1126,9 +1108,6 @@ def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
 
 # --- rendering engine blocks from byte tables ---------------------------------------
 
-ENGINE_PHASES = {Phase.DISTRIBUTION, Phase.DISTILLATION, Phase.ANGLE_ANNOUNCEMENT,
-                 Phase.RESULT_REPORT}
-
 
 def fstring_bytes(block):
     """A block rendered line by line by ``_render``."""
@@ -1136,9 +1115,10 @@ def fstring_bytes(block):
 
 
 def engine_blocks(transcript):
-    blocks = [block for block in transcript._sealed_blocks()
-              if isinstance(block.payload, wire._PairPayloads)]
-    assert {wire.PHASES[block.phase[0]] for block in blocks} == ENGINE_PHASES
+    """The blocks of a run's transcript, which are engine blocks in every phase."""
+    blocks = transcript._blocks
+    assert all(isinstance(block.payload, wire._PairPayloads) for block in blocks)
+    assert {wire.PHASES[block.phase[0]] for block in blocks} == set(Phase)
     return blocks
 
 
@@ -1179,6 +1159,12 @@ def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
         assert_byte_render_equals_fstring_render(transcript)
 
 
+@pytest.mark.parametrize("m", [1, 2, wire._BLOCK_LINES, wire._BLOCK_LINES + 1])
+def test_a_run_writes_engine_blocks_only(m):
+    transcript = run_protocol(m, MIXED, seed=3, **NOISY).transcript
+    assert sum(len(block.phase) for block in engine_blocks(transcript)) == 6 * m + 1
+
+
 @pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
 @pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 def test_byte_render_equals_fstring_render_across_decades(first_seq, size):
@@ -1213,13 +1199,15 @@ def test_every_engine_block_is_written_from_byte_tables(tmp_path):
     path = tmp_path / "t.log"
     with mock.patch.object(wire, "_render", wraps=wire._render) as fstring:
         write_transcript(transcript, str(path))
-    # Only the handoff, appended message by message, takes the f-strings.
-    assert [call.args[0].payload for call in fstring.call_args_list] == [["begin_single_server"]]
+    fstring.assert_not_called()
     assert path.read_bytes() == reference_bytes(transcript.messages)
 
 
 def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
-    transcript = appended(run_protocol(50, MIXED, seed=7, **NOISY).transcript, 3)
+    lines = run_protocol(50, MIXED, seed=7, **NOISY).transcript.to_lines()
+    transcript = Transcript.from_lines(
+        lines + [f"{len(lines) + 1 + i}|Handoff|Alice|Bob2|control|{i}" for i in range(3)]
+    )
     written = io.BytesIO()
     transcript.write(written)
     assert written.getvalue() == transcript.to_bytes() == reference_bytes(transcript.messages)
