@@ -522,6 +522,8 @@ def parse_config(argv=None) -> RunConfig:
 
     seed = resolve(args.seed, "seed", DEFAULT_SEED)
     if args.entropy:
+        if args.seed is not None or "seed" in file_cfg:
+            parser.error("--entropy: cannot be combined with a seed from --seed or --config")
         # Imported here: secrets maps OpenSSL, which a seeded start does not need.
         import secrets
 

@@ -29,6 +29,9 @@ EPS_NORM = 1e-12
 #: Tolerance for cross-validation against the full-Hilbert-space oracle.
 EPS_ORACLE = 1e-10
 
+#: Smallest amplitude whose phase ``canonical_phase`` makes real positive.
+EPS_PHASE = 1e-9
+
 
 def _as_complex_array(values, shape_hint: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
@@ -215,10 +218,10 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-def canonical_phase(amplitudes: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible amplitude is real positive."""
+def canonical_phase(amplitudes: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first amplitude above ``EPS_PHASE`` is real positive."""
     amps = np.asarray(amplitudes, dtype=complex)
     for value in amps:
-        if abs(value) > tol:
+        if abs(value) > EPS_PHASE:
             return amps * (value.conjugate() / abs(value))
     return amps.copy()

@@ -41,8 +41,7 @@ from .states import (
     inverse_cdf,
 )
 from . import wire
-from .wire import (PARTIES, PHASES, Party, Phase, Transcript, _PairPayloads,
-                   _PARTY_CODE, _PHASE_CODE)
+from .wire import Party, Phase, Transcript, _PairPayloads
 
 
 class BellClass(Enum):
@@ -177,51 +176,45 @@ class AuditReport:
     violations: tuple[Violation, ...]
 
 
+def _route_violations(phase: Phase, sender: Party, recipient: Party) -> tuple[tuple[str, str], ...]:
+    """The (kind, description) of each rule a message of this route breaks,
+    in rule order: (a) any server-to-server message; (b) any Alice-to-server
+    message during distribution or distillation; (c) any angle announcement
+    addressed to Bob2; (d) any result report sent by Bob2."""
+    bobs = (Party.BOB1, Party.BOB2)
+    broken = []
+    if sender in bobs and recipient in bobs:
+        broken.append((VIOLATION_BOB_TO_BOB, f"{sender.value} messaged {recipient.value}"))
+    if sender is Party.ALICE and recipient in bobs and phase in (
+            Phase.DISTRIBUTION, Phase.DISTILLATION):
+        broken.append((VIOLATION_ALICE_FEEDBACK,
+                       f"Alice fed back to {recipient.value} during {phase.value}"))
+    if phase is Phase.ANGLE_ANNOUNCEMENT and recipient is Party.BOB2:
+        broken.append((VIOLATION_ANGLE_TO_BOB2, "angle announced to Bob2"))
+    if phase is Phase.RESULT_REPORT and sender is Party.BOB2:
+        broken.append((VIOLATION_RESULT_FROM_BOB2, "Bob2 reported a result bit"))
+    return tuple(broken)
+
+
+#: The rules each route breaks, and whether it breaks any, by route code.
+_ROUTE_VIOLATIONS = tuple(_route_violations(*route) for route in wire.ROUTES)
+_BREAKS_A_RULE = np.array(list(map(bool, _ROUTE_VIOLATIONS)))
+
+
 def audit(transcript: Transcript) -> AuditReport:
     """Check the communication constraints of the two-server setting.
 
-    Flags: (a) any server-to-server message; (b) any Alice-to-server
-    message during distribution or distillation; (c) any angle
-    announcement addressed to Bob2; (d) any result report sent by Bob2.
-    Violations are listed by message, then by rule.
+    Each message breaks the rules its route breaks, which
+    ``_route_violations`` states and ``_ROUTE_VIOLATIONS`` tabulates for
+    every route. Violations are listed by message, then by rule.
     """
-    alice, bob1, bob2 = (_PARTY_CODE[p] for p in (Party.ALICE, Party.BOB1, Party.BOB2))
-    violations = []
-    for block in transcript._blocks:
-        phase, sender, recipient = block.phase, block.sender, block.recipient
-        to_bob = (recipient == bob1) | (recipient == bob2)
-        rules = (
-            ((sender == bob1) | (sender == bob2)) & to_bob,
-            (sender == alice) & to_bob & (
-                (phase == _PHASE_CODE[Phase.DISTRIBUTION])
-                | (phase == _PHASE_CODE[Phase.DISTILLATION])
-            ),
-            (phase == _PHASE_CODE[Phase.ANGLE_ANNOUNCEMENT]) & (recipient == bob2),
-            (phase == _PHASE_CODE[Phase.RESULT_REPORT]) & (sender == bob2),
-        )
-        for i in np.flatnonzero(rules[0] | rules[1] | rules[2] | rules[3]).tolist():
-            seq = block.seq[i]
-            from_party, to_party = PARTIES[sender[i]], PARTIES[recipient[i]]
-            if rules[0][i]:
-                violations.append(Violation(
-                    VIOLATION_BOB_TO_BOB, seq,
-                    f"{from_party.value} messaged {to_party.value}",
-                ))
-            if rules[1][i]:
-                violations.append(Violation(
-                    VIOLATION_ALICE_FEEDBACK, seq,
-                    f"Alice fed back to {to_party.value} during "
-                    f"{PHASES[phase[i]].value}",
-                ))
-            if rules[2][i]:
-                violations.append(Violation(
-                    VIOLATION_ANGLE_TO_BOB2, seq, "angle announced to Bob2"
-                ))
-            if rules[3][i]:
-                violations.append(Violation(
-                    VIOLATION_RESULT_FROM_BOB2, seq, "Bob2 reported a result bit"
-                ))
-    return AuditReport(passed=not violations, violations=tuple(violations))
+    violations = tuple(
+        Violation(kind, block.seq[i], description)
+        for block in transcript._blocks
+        for i in np.flatnonzero(_BREAKS_A_RULE[block.route]).tolist()
+        for kind, description in _ROUTE_VIOLATIONS[block.route[i]]
+    )
+    return AuditReport(passed=not violations, violations=violations)
 
 
 # --- whole-run orchestration ------------------------------------------------

@@ -39,9 +39,8 @@ def render_pairs(block: _Block) -> np.ndarray:
     payloads, table = block.payload, block.payload.table
     width, codes = payloads.width, payloads.codes
     n = width * len(codes)
-    # A block holds whole pairs, and its party cycles repeat with each pair.
-    phase, sender, recipient = block.phase[:width], block.sender[:width], block.recipient[:width]
-    middles = tuple(_LINE_MIDDLES[phase, sender, recipient])
+    # A block holds whole pairs, and its routes repeat with each pair.
+    middles = tuple(_LINE_MIDDLES[block.route[:width]])
     payload_rows = None if table is None else tuple(map(tuple, table.tolist()))
     rows, row_lengths = _suffix_rows(middles, payload_rows)
     key = np.tile(np.arange(width, dtype=np.int8), len(codes))

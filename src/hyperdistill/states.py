@@ -24,6 +24,9 @@ from .linalg import EPS_NORM, DensityMatrix, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+#: Round-off in a sum of weights that ``from_components`` renormalizes away.
+EPS_WEIGHTS = 1e-9
+
 POLARIZATION_PAIR_LABELS = ("H H", "H V", "V H", "V V")
 SPATIAL_PAIR_LABELS = ("a1 b1", "a1 b2", "a2 b1", "a2 b2")
 
@@ -83,15 +86,15 @@ class FidelityVector:
             raise ValueError(f"weights sum to {total!r}, expected 1")
 
     @classmethod
-    def from_components(cls, values, tol: float = 1e-9) -> "FidelityVector":
-        """Build from four weights, renormalizing round-off up to ``tol``."""
+    def from_components(cls, values) -> "FidelityVector":
+        """Build from four weights, renormalizing round-off up to ``EPS_WEIGHTS``."""
         vals = [float(v) for v in values]
         if len(vals) != 4:
             raise ValueError(f"need exactly 4 weights, got {len(vals)}")
         if any(v < 0.0 or v > 1.0 for v in vals):
             raise ValueError(f"weights {vals} outside [0, 1]")
         total = sum(vals)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > EPS_WEIGHTS:
             raise ValueError(f"weights {vals} sum to {total!r}, expected 1")
         if abs(total - 1.0) <= EPS_NORM:
             return cls(*vals)

@@ -3,7 +3,8 @@ blocks, and the transcript that writes and parses them.
 
 A message is one line, ``seq|phase|sender|recipient|payload_kind|payload``.
 A transcript keeps its messages as blocks of at most ``_BLOCK_LINES``
-rows of columns: phase, sender and recipient codes plus the payloads.
+rows of two columns: each message's route code, its index into
+``ROUTES`` of (phase, sender, recipient), and the payloads.
 An engine block holds whole pairs, with its payloads as codes into a
 small payload table; ``render.render_pairs`` writes it from byte tables,
 and ``render`` is imported on the first engine block written. Parsed
@@ -95,32 +96,24 @@ class Message:
         )
 
 
-#: Column codes: a message's phase, sender and recipient are stored as
-#: indices into these tuples.
+#: Routes: a message's (phase, sender, recipient) is stored as its route
+#: code, its index into ``ROUTES``, which is (phase * 4 + sender) * 4 +
+#: recipient in the orders of ``PHASES`` and ``PARTIES``.
 PHASES = tuple(Phase)
 PARTIES = tuple(Party)
-_PHASE_CODE = {phase: i for i, phase in enumerate(PHASES)}
-_PARTY_CODE = {party: i for i, party in enumerate(PARTIES)}
+ROUTES = tuple(itertools.product(PHASES, PARTIES, PARTIES))
+_ROUTE_CODE = {route: i for i, route in enumerate(ROUTES)}
 
-#: Wire text between seq and payload for each (phase, sender, recipient).
+#: Wire text between seq and payload of each route.
 _LINE_MIDDLES = np.array(
-    [
-        [
-            [
-                f"{phase.value}|{sender.value}|{recipient.value}"
-                f"|{PAYLOAD_KIND_FOR_PHASE[phase]}"
-                for recipient in PARTIES
-            ]
-            for sender in PARTIES
-        ]
-        for phase in PHASES
-    ],
+    [f"{phase.value}|{sender.value}|{recipient.value}|{PAYLOAD_KIND_FOR_PHASE[phase]}"
+     for phase, sender, recipient in ROUTES],
     dtype=object,
 )
 
-#: Middle bytes of each (phase, sender, recipient), flattened in C order,
-#: with the ``|`` that ends them; the middles' lengths and the widest row.
-_MIDDLE_ROWS = [np.frombuffer(f"{middle}|".encode("ascii"), np.uint8) for middle in _LINE_MIDDLES.flat]
+#: Middle bytes of each route, with the ``|`` that ends them; the
+#: middles' lengths and the widest row.
+_MIDDLE_ROWS = [np.frombuffer(f"{middle}|".encode("ascii"), np.uint8) for middle in _LINE_MIDDLES]
 _MIDDLE_LENGTHS = np.array([len(row) - 1 for row in _MIDDLE_ROWS])
 _MIDDLE_WIDTH = int(_MIDDLE_LENGTHS.max()) + 1
 
@@ -213,12 +206,10 @@ class _PairPayloads:
 
 
 class _Block(NamedTuple):
-    """A run of messages held as columns; the phase fixes the payload kind."""
+    """A run of messages held as columns; a route's phase fixes the payload kind."""
 
     seq: Sequence[int]  # a range when the seqs are consecutive
-    phase: np.ndarray  # int8 indices into PHASES
-    sender: np.ndarray  # int8 indices into PARTIES
-    recipient: np.ndarray  # int8 indices into PARTIES
+    route: np.ndarray  # int8 indices into ROUTES
     payload: list[str] | _Payloads | _PairPayloads
 
 
@@ -232,9 +223,8 @@ def _seq_column(seqs: list[int]) -> Sequence[int]:
 def _block_of(messages: list[Message]) -> _Block:
     return _Block(
         _seq_column([msg.seq for msg in messages]),
-        np.array([_PHASE_CODE[msg.phase] for msg in messages], dtype=np.int8),
-        np.array([_PARTY_CODE[msg.sender] for msg in messages], dtype=np.int8),
-        np.array([_PARTY_CODE[msg.recipient] for msg in messages], dtype=np.int8),
+        np.array([_ROUTE_CODE[msg.phase, msg.sender, msg.recipient] for msg in messages],
+                 dtype=np.int8),
         [msg.payload for msg in messages],
     )
 
@@ -305,8 +295,8 @@ def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block 
         more = np.searchsorted(tens, 1)  # the first value with digits left
         values, at, left = tens[more:], at[more:] - 4, left[more:] - 4
 
-    # Middle: the candidate code keyed by one byte of each field, then one
-    # exact comparison per code present (one or two in an engine block),
+    # Middle: the candidate route keyed by one byte of each field, then one
+    # exact comparison per route present (one or two in an engine block),
     # which also proves the pipes inside the middle and the one after it.
     phase = _PHASE_OF_BYTE.take(buf[first_pipe + 1 + _PHASE_KEY_AT])
     sender_key = first_pipe + _SENDER_KEY_AT.take(phase)
@@ -314,17 +304,17 @@ def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block 
     recipient = _PARTY_OF_BYTE.take(buf[sender_key + _RECIPIENT_KEY_AFTER.take(sender)])
     if (sender == recipient).any():
         return None
-    code = (phase * len(PARTIES) + sender) * len(PARTIES) + recipient
-    last_pipe = first_pipe + 1 + _MIDDLE_LENGTHS.take(code)
+    route = (phase * len(PARTIES) + sender) * len(PARTIES) + recipient
+    last_pipe = first_pipe + 1 + _MIDDLE_LENGTHS.take(route)
     if (last_pipe >= stops).any():
         return None
     # Row i of this view is the buffer from byte i on.
     windows = np.ndarray((len(buf) - _MIDDLE_WIDTH + 1, _MIDDLE_WIDTH), np.uint8, buf,
                          strides=(1, 1))
-    present = np.flatnonzero(np.bincount(code)).tolist()
-    for c in present:
-        at = first_pipe + 1 if len(present) == 1 else first_pipe[code == c] + 1
-        row = _MIDDLE_ROWS[c]
+    present = np.flatnonzero(np.bincount(route)).tolist()
+    for r in present:
+        at = first_pipe + 1 if len(present) == 1 else first_pipe[route == r] + 1
+        row = _MIDDLE_ROWS[r]
         if (windows[at, :len(row)] != row).any():
             return None
     # Each line holds the five pipes found above, so a sixth is in a payload.
@@ -334,7 +324,7 @@ def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block 
     bounds = np.empty((n, 2), np.int32)
     bounds[:, 0] = last_pipe + 1
     bounds[:, 1] = stops
-    return _Block(range(first, first + n), phase, sender, recipient, _Payloads(data, bounds))
+    return _Block(range(first, first + n), route, _Payloads(data, bounds))
 
 
 def _parse_messages(text: str | memoryview, ends: np.ndarray, prev: int) -> list[Message]:
@@ -413,7 +403,7 @@ def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str | memoryview, np.ndarr
 
 
 def _render(block: _Block) -> list[str]:
-    middles = _LINE_MIDDLES[block.phase, block.sender, block.recipient].tolist()
+    middles = _LINE_MIDDLES[block.route].tolist()
     return [
         f"{seq}|{middle}|{payload}"
         for seq, middle, payload in zip(block.seq, middles, block.payload)
@@ -425,7 +415,7 @@ class Transcript:
     the engine one phase at a time, or one parsed from wire lines.
 
     Messages are stored as blocks of at most ``_BLOCK_LINES`` rows of
-    columns: phase, sender and recipient codes plus the payloads. A parsed
+    two columns: the route codes and the payloads. A parsed
     block keeps its payloads as offsets into its text, and an engine
     block as codes into a payload table. ``messages``, ``to_lines`` and
     ``write`` build their output from the columns on each call, one block
@@ -439,13 +429,10 @@ class Transcript:
     @property
     def messages(self) -> tuple[Message, ...]:
         return tuple(
-            Message(seq, PHASES[phase], PARTIES[sender], PARTIES[recipient],
-                    PAYLOAD_KIND_FOR_PHASE[PHASES[phase]], payload)
+            Message(seq, phase, sender, recipient, PAYLOAD_KIND_FOR_PHASE[phase], payload)
             for block in self._blocks
-            for seq, phase, sender, recipient, payload in zip(
-                block.seq, block.phase.tolist(), block.sender.tolist(),
-                block.recipient.tolist(), block.payload,
-            )
+            for seq, (phase, sender, recipient), payload in zip(
+                block.seq, map(ROUTES.__getitem__, block.route.tolist()), block.payload)
         )
 
     def _extend(
@@ -459,28 +446,26 @@ class Transcript:
         ``max(1, _BLOCK_LINES // width)`` whole pairs.
 
         Senders and recipients repeat the given cycles, whose lengths
-        divide the width. Each block's phase, sender and recipient columns
-        are prefixes of one read-only tiled column each, and its payloads
-        the codes of its pairs. The engine builds every block
+        divide the width. Each block's route column is a prefix of one
+        read-only column that tiles the routes of one pair, and its
+        payloads the codes of its pairs. The engine builds every block
         from fixed parties and payload tables, so the checks of
         ``Message`` are not repeated per message.
         """
         table, width, codes = payloads.table, payloads.width, payloads.codes
         size = max(1, _BLOCK_LINES // width)
         lines = width * min(size, len(codes))
-        columns = []
-        for cycle in ([_PHASE_CODE[phase]], [_PARTY_CODE[p] for p in senders],
-                      [_PARTY_CODE[p] for p in recipients]):
-            column = np.tile(np.array(cycle, dtype=np.int8), lines // len(cycle))
-            column.setflags(write=False)
-            columns.append(column)
+        cycle = [_ROUTE_CODE[phase, senders[j % len(senders)], recipients[j % len(recipients)]]
+                 for j in range(width)]
+        route = np.tile(np.array(cycle, dtype=np.int8), lines // width)
+        route.setflags(write=False)
         first = self._last_seq + 1
         for i in range(0, len(codes), size):
             pairs = codes[i:i + size]
             count = width * len(pairs)
             self._blocks.append(_Block(
                 range(first + width * i, first + width * i + count),
-                *(column[:count] for column in columns),
+                route[:count],
                 _PairPayloads(table, width, pairs),
             ))
         self._last_seq += width * len(codes)

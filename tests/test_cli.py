@@ -130,6 +130,23 @@ def test_entropy_seed_is_printed_and_reproduces_the_run(tmp_path, capsys):
     assert drawn.read_bytes() == rerun.read_bytes()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_entropy_with_an_explicit_seed_rejected(tmp_path, source):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"seed": 5}))
+    seed_args = ["--seed", "5"] if source == "flag" else ["--config", str(cfg_path)]
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['hyperdistill', *sys.argv[1:]]\n"
+        "runpy.run_module('hyperdistill', run_name='__main__')\n"
+    )
+    result = run_python(code, "--pairs", "2", *seed_args, "--entropy")
+    assert result.returncode == 2
+    assert "--entropy: cannot be combined with a seed from --seed or --config" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 #: A non-default value of every RunConfig field that the run itself reads.
 RUN_INPUTS = [
     ("pairs", 2001),

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdistill import (
@@ -406,7 +406,7 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
     blocks = run.transcript._blocks
-    assert [len(block.phase) for block in blocks] == [
+    assert [len(block.route) for block in blocks] == [
         width * min(max(1, size // width), m - i) for width in (2, 2, 1, 1)
         for i in range(0, m, max(1, size // width))
     ] + [1]
@@ -502,9 +502,13 @@ message_fields = st.tuples(
     st.sampled_from(list(Phase)), st.sampled_from(list(Party)), st.sampled_from(list(Party))
 ).filter(lambda fields: fields[1] is not fields[2])
 
+#: Every route a message may take: each row of the audit's route table.
+VALID_ROUTES = [route for route in wire.ROUTES if route[1] is not route[2]]
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(message_fields, max_size=30), st.integers(0, 2**16))
+@example(fields=VALID_ROUTES, seed=0)
 def test_columnar_audit_equals_per_message_rules(fields, seed):
     lines = run_protocol(2, MIXED, seed=seed).transcript.to_lines()
     lines += [
@@ -769,11 +773,9 @@ MIDDLE_DEFECTS = [
 
 
 def middle_code(line):
-    """The column codes of a valid line's middle, which sort as the block
-    parser's code for it does."""
+    """The route code of a valid line's middle, as the block parser keys it."""
     msg = Message.from_line(line)
-    return (wire._PHASE_CODE[msg.phase], wire._PARTY_CODE[msg.sender],
-            wire._PARTY_CODE[msg.recipient])
+    return wire._ROUTE_CODE[msg.phase, msg.sender, msg.recipient]
 
 
 def with_middle(line, middle):
@@ -829,14 +831,18 @@ def test_middle_one_byte_off_is_refused_in_any_code_group(place):
 def test_block_of_every_valid_middle_stays_on_the_byte_path():
     middles = [
         f"{phase.value}|{sender.value}|{recipient.value}|{wire.PAYLOAD_KIND_FOR_PHASE[phase]}"
-        for phase, sender, recipient in itertools.product(Phase, Party, Party)
-        if sender is not recipient
+        for phase, sender, recipient in VALID_ROUTES
     ]
     assert len(middles) == 60
     order = np.random.default_rng(0).permutation(len(middles))
     lines = [f"{seq}|{middles[i]}|{seq}\n" for seq, i in enumerate(order.tolist(), 1)]
     block = wire._parse_block(*joined(lines), 0)
     assert block is not None and isinstance(block.payload, wire._Payloads)
+    # The parser's code, keyed by one byte per field, is the route's index
+    # into ROUTES, as the line parser's _ROUTE_CODE has it.
+    codes = [wire._ROUTE_CODE[VALID_ROUTES[i]] for i in order.tolist()]
+    assert block.route.dtype == np.int8 and block.route.tolist() == codes
+    assert wire._block_of(wire._parse_messages(*joined(lines), 0)).route.tolist() == codes
     transcript = Transcript.from_lines(lines)
     assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
     assert views(transcript) == reference_views(reference_from_lines(lines))
@@ -1060,7 +1066,7 @@ def test_run_of_several_blocks_is_read_in_chunks():
     with mock.patch.object(wire, "_READ_CHARS", len(data) // 5):
         transcript = Transcript.from_lines(ReadOnlyInChunks(data.decode()))
     assert transcript.to_bytes() == data
-    assert [len(block.phase) for block in transcript._blocks[:-1]] == [wire._BLOCK_LINES] * 2
+    assert [len(block.route) for block in transcript._blocks[:-1]] == [wire._BLOCK_LINES] * 2
 
 
 def test_empty_transcript_renders_one_newline():
@@ -1095,7 +1101,7 @@ def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
         transcript = WRITTEN[name](size)
         write_transcript(transcript, str(path))
     blocks = transcript._blocks
-    assert all(len(block.phase) <= size for block in blocks)
+    assert all(len(block.route) <= size for block in blocks)
     if name == "run of several blocks":
         assert len(blocks) >= 3
         seqs = [msg.seq for msg in transcript.messages]
@@ -1118,7 +1124,7 @@ def engine_blocks(transcript):
     """The blocks of a run's transcript, which are engine blocks in every phase."""
     blocks = transcript._blocks
     assert all(isinstance(block.payload, wire._PairPayloads) for block in blocks)
-    assert {wire.PHASES[block.phase[0]] for block in blocks} == set(Phase)
+    assert {wire.ROUTES[block.route[0]][0] for block in blocks} == set(Phase)
     return blocks
 
 
@@ -1150,19 +1156,19 @@ def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         transcript = run_protocol(size + 5, MIXED, seed=2, **noise).transcript
         blocks = engine_blocks(transcript)
-        assert all(len(block.phase) <= max(size, 2) for block in blocks)
+        assert all(len(block.route) <= max(size, 2) for block in blocks)
         heads = {}
         for block in blocks:
-            head = (block.phase[0], block.sender[0], block.recipient[0])
-            assert heads.setdefault(head[0], head) == head
-            assert len(block.phase) == block.payload.width * len(block.payload.codes)
+            head = block.route[0]
+            assert heads.setdefault(wire.ROUTES[head][0], head) == head
+            assert len(block.route) == block.payload.width * len(block.payload.codes)
         assert_byte_render_equals_fstring_render(transcript)
 
 
 @pytest.mark.parametrize("m", [1, 2, wire._BLOCK_LINES, wire._BLOCK_LINES + 1])
 def test_a_run_writes_engine_blocks_only(m):
     transcript = run_protocol(m, MIXED, seed=3, **NOISY).transcript
-    assert sum(len(block.phase) for block in engine_blocks(transcript)) == 6 * m + 1
+    assert sum(len(block.route) for block in engine_blocks(transcript)) == 6 * m + 1
 
 
 @pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
@@ -1189,7 +1195,7 @@ def test_byte_render_writes_pair_numbers_across_a_decade():
 def test_byte_render_writes_all_sixteen_angles_in_one_block():
     transcript = run_protocol(wire._BLOCK_LINES, MIXED, seed=3).transcript
     [angles] = [block for block in engine_blocks(transcript)
-                if wire.PHASES[block.phase[0]] is Phase.ANGLE_ANNOUNCEMENT]
+                if wire.ROUTES[block.route[0]][0] is Phase.ANGLE_ANNOUNCEMENT]
     assert sorted(set(angles.payload.codes.tolist())) == list(range(len(SIGNED_ANGLES)))
     assert render.render_pairs(angles).tobytes() == fstring_bytes(angles)
 
