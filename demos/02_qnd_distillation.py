@@ -20,10 +20,18 @@ from hyperdistill import (
     projector,
     trace_distance,
 )
+from hyperdistill.linalg import StateVector
 from hyperdistill.protocol import pair_table
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS
+from hyperdistill.states import POLARIZATION_PAIR_LABELS
 
 table = pair_table()
+
+
+def surviving_state(c, r):
+    """The surviving state of case c after readout r, as a labelled vector."""
+    return StateVector(table.amplitudes[c, r], POLARIZATION_PAIR_LABELS)
+
 
 print("=" * 72)
 print("Readouts and surviving states of each case (Bell kind x spatial sign)")
@@ -34,7 +42,7 @@ for c, (kind, sign) in enumerate(CASES):
     for r, (oa, ob) in enumerate(OUTCOME_PAIRS):
         if table.survives[c, r]:
             print(f"  ({oa.value:7s}, {ob.value:7s}) : {table.probs[c, r]:.2f}"
-                  f"  -> {table.states[c][r]}")
+                  f"  -> {surviving_state(c, r)}")
     print()
 
 print("A spatial phase flip on the inbound pair moves the surviving state")
@@ -53,6 +61,6 @@ for c, (kind, sign) in enumerate(CASES):
         worst_p = max(worst_p, abs(table.probs[c, r] - oracle_dist[readout]))
         if table.survives[c, r]:
             oracle = oracle_conditional_pol_state(rho, readout)
-            worst_t = max(worst_t, trace_distance(projector(table.states[c][r]), oracle))
+            worst_t = max(worst_t, trace_distance(projector(surviving_state(c, r)), oracle))
 print(f"largest probability deviation over all 8 cases: {worst_p:.2e}")
 print(f"largest conditional-state trace distance:       {worst_t:.2e}")

@@ -377,9 +377,10 @@ def _sweep_single(args: tuple[RunConfig, int]) -> dict:
 def run_sweep(cfg: RunConfig) -> dict:
     """Run ``cfg.sweep`` consecutive seeds and aggregate their reports.
 
-    One seed runs in this process. More run in ``min(seeds, CPUs)`` forked
-    workers, each over one contiguous share of the seeds; the reports come
-    back in seed order, so the document is the same at every worker count.
+    One seed runs in this process. More run in forked workers, one per CPU
+    that this process may run on and at most one per seed, each over one
+    contiguous share of the seeds; the reports come back in seed order, so
+    the document is the same at every worker count.
     The analytic probability is read from the first report, so a coordinator
     that forks workers builds no ``pair_table()`` and imports no
     ``numpy.random``.
@@ -390,7 +391,9 @@ def run_sweep(cfg: RunConfig) -> dict:
     if n == 1:
         runs = [_sweep_single(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) as pool:
+        affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
             runs = list(pool.map(_sweep_single, jobs))
     analytic = runs[0]["analytic_phi_probability"]
     expected = inferred_phi_probability(

@@ -5,6 +5,7 @@ matrices, tensor products, subsystem reordering, partial traces,
 fidelity and trace distance. Dimensions are capped at ``MAX_DIM``
 because nothing in this simulator needs more than two photons with two
 binary degrees of freedom each plus two binary measurement registers.
+The tensor oracle is its one user; the engine reads only ``EPS_NORM``.
 
 Basis-label convention: every single-factor label is one whitespace-free
 token ("H", "V", "a1", ...); composite labels join factor tokens with a
@@ -28,9 +29,6 @@ EPS_NORM = 1e-12
 
 #: Tolerance for cross-validation against the full-Hilbert-space oracle.
 EPS_ORACLE = 1e-10
-
-#: Smallest amplitude whose phase ``canonical_phase`` makes real positive.
-EPS_PHASE = 1e-9
 
 
 def _as_complex_array(values, shape_hint: str) -> np.ndarray:
@@ -217,11 +215,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(eigs)))
 
-
-def canonical_phase(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first amplitude above ``EPS_PHASE`` is real positive."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    for value in amps:
-        if abs(value) > EPS_PHASE:
-            return amps * (value.conjugate() / abs(value))
-    return amps.copy()

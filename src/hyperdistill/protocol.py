@@ -17,8 +17,10 @@ reported a measured bit.
 This module holds the pair table, the analytic law, the engine and the
 audit. ``run_protocol`` is the one engine. It draws the substreams in
 chunks of pairs and gathers every pair's fate from ``pair_table()`` into
-int8 columns. Its reference is a per-pair run in the tests that samples
-from the tensor oracle of ``qnd``, which shares no code with the table.
+int8 columns. The table holds numpy arrays only, built from the Bell
+amplitudes of ``states.BELL_AMPLITUDES`` without the oracle's linear
+algebra. Its reference is a per-pair run in the tests that samples from
+the tensor oracle of ``qnd``, which shares no code with the table.
 """
 
 from __future__ import annotations
@@ -31,15 +33,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import EPS_NORM, StateVector, canonical_phase
+from .linalg import EPS_NORM
 from .qnd import CASES, OUTCOME_PAIRS, DeviceParams
-from .states import (
-    ENSEMBLE_ORDER,
-    POLARIZATION_PAIR_LABELS,
-    FidelityVector,
-    bell_vector,
-    inverse_cdf,
-)
+from .states import BELL_AMPLITUDES, ENSEMBLE_ORDER, FidelityVector, inverse_cdf
 from . import wire
 from .wire import Party, Phase, Transcript, _PairPayloads
 
@@ -56,13 +52,6 @@ ANGLE_STEP = math.pi / 4
 ANGLE_COUNT = 8
 
 
-def state_bell_class(state: StateVector) -> BellClass:
-    """Physical class of a two-qubit polarization state by span weight."""
-    amps = state.amplitudes
-    phi_weight = abs(amps[0]) ** 2 + abs(amps[3]) ** 2
-    return BellClass.PHI if phi_weight > 0.5 else BellClass.PSI
-
-
 #: The 16 announced angles: index ANGLE_COUNT*s + k is theta index k sent
 #: for a Phi-class (s = 0) or Psi-class (s = 1) pair.
 SIGNED_ANGLES = tuple(
@@ -74,15 +63,17 @@ class PairTable(NamedTuple):
     """What happens to a pair, by case, joint readout and signed angle.
 
     Case c is CASES[c] (a Bell kind and a spatial sign), readout r is
-    OUTCOME_PAIRS[r] and angle a is SIGNED_ANGLES[a]. A readout that
-    cannot occur has no state, does not survive, is not Phi-class, has
-    NaN fidelities and bit-0 probabilities, and both of its bits have
-    zero Born weight, so no lookup of it passes unnoticed. The arrays
-    are read-only.
+    OUTCOME_PAIRS[r] and angle a is SIGNED_ANGLES[a]. The surviving
+    state of a readout is its amplitudes over (HH, HV, VH, VV), with
+    the global phase that makes the first nonzero one real positive. A
+    readout that cannot occur has zero amplitudes, does not survive, is
+    not Phi-class, has NaN fidelities and bit-0 probabilities, and both
+    of its bits have zero Born weight, so no lookup of it passes
+    unnoticed. The arrays are read-only.
     """
 
     probs: np.ndarray  # (8, 4) Born probability of the readout
-    states: tuple[tuple[StateVector | None, ...], ...]  # surviving state
+    amplitudes: np.ndarray  # (8, 4, 4) complex surviving state
     survives: np.ndarray  # (8, 4) whether the readout can occur
     phi: np.ndarray  # (8, 4) whether the surviving state is Phi-class
     fidelity: np.ndarray  # (8, 4, 4) with each Bell state, in ENSEMBLE_ORDER
@@ -106,39 +97,28 @@ def pair_table() -> PairTable:
     rows = np.zeros((len(CASES), len(OUTCOME_PAIRS), 4), dtype=complex)
     for c, (kind, sign) in enumerate(CASES):
         for t, spatial in enumerate(np.array((1.0, sign)) / math.sqrt(2.0)):
-            for i, amp in enumerate(bell_vector(kind).amplitudes):
+            for i, amp in enumerate(BELL_AMPLITUDES[kind]):
                 pa, pb = divmod(i, 2)
                 rows[c, 2 * (pa ^ t) + (pb ^ t), i] += complex(amp) * spatial
     probs = np.sum(np.abs(rows) ** 2, axis=-1)
     if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
         raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
-    states = tuple(
-        tuple(
-            StateVector(canonical_phase(row / norm), POLARIZATION_PAIR_LABELS)
-            if (norm := float(np.linalg.norm(row))) > EPS_NORM
-            else None
-            for row in case_rows
-        )
-        for case_rows in rows
-    )
-    survives = np.array([[state is not None for state in row] for row in states])
-    phi = np.array([
-        [state is not None and state_bell_class(state) is BellClass.PHI for state in row]
-        for row in states
-    ])
+    survives = np.linalg.norm(rows, axis=-1) > EPS_NORM
 
+    amplitudes = np.zeros_like(rows)
     fidelity = np.full(probs.shape + (len(ENSEMBLE_ORDER),), np.nan)
-    psi = np.zeros(probs.shape + (2, 2), dtype=complex)
+    bells = np.array([BELL_AMPLITUDES[kind] for kind in ENSEMBLE_ORDER], dtype=complex)
     for c, r in zip(*np.nonzero(survives)):
-        amplitudes = states[c][r].amplitudes
-        fidelity[c, r] = [
-            abs(np.vdot(bell_vector(kind).amplitudes, amplitudes)) ** 2
-            for kind in ENSEMBLE_ORDER
-        ]
-        psi[c, r] = amplitudes.reshape(2, 2)
+        state = rows[c, r] / np.linalg.norm(rows[c, r])
+        lead = state[np.abs(state) > 1e-9][0]
+        amplitudes[c, r] = state = state * (lead.conjugate() / abs(lead))
+        # One vdot per Bell state: a batched overlap differs in the last bit.
+        fidelity[c, r] = [abs(np.vdot(bell, state)) ** 2 for bell in bells]
+    phi = np.abs(amplitudes[..., 0]) ** 2 + np.abs(amplitudes[..., 3]) ** 2 > 0.5
 
     # bra[a, s]: the bit-s basis state (|H> + (-1)^s e^{-i angle} |V>)/sqrt(2)
     # as a row vector, so that bra @ psi is Bob2's unnormalised residual.
+    psi = amplitudes.reshape(probs.shape + (2, 2))
     phase = np.exp(-1j * np.array(SIGNED_ANGLES))
     bra = np.empty((len(SIGNED_ANGLES), 2, 1, 2), dtype=complex)
     bra[:, :, 0, 0] = 1.0
@@ -150,9 +130,10 @@ def pair_table() -> PairTable:
     bit0[~survives] = np.nan
     zero_weight = np.linalg.norm(branch, axis=-1) <= 1e-9
 
-    for array in (probs, survives, phi, fidelity, bit0, zero_weight):
+    table = PairTable(probs, amplitudes, survives, phi, fidelity, bit0, zero_weight)
+    for array in table:
         array.setflags(write=False)
-    return PairTable(probs, states, survives, phi, fidelity, bit0, zero_weight)
+    return table
 
 
 # --- security audit ---------------------------------------------------------
@@ -268,8 +249,8 @@ class ProtocolRun:
     readouts agree (Alice infers a Phi-class pair), ``theta_index`` the
     angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index announced
     and ``a_bit`` the bit Bob1 reports. The surviving state of a pair is
-    ``pair_table().states[case][readout]``, and Bob2's residual qubit is
-    what is left of it once Bob1's qubit is projected onto the state
+    ``pair_table().amplitudes[case, readout]``, and Bob2's residual qubit
+    is what is left of it once Bob1's qubit is projected onto the state
     (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2) of the announced angle.
     ``transcript`` holds the run's messages as engine blocks only, one
     phase after another through the handoff, and ``audit_report`` is its

@@ -11,10 +11,11 @@ two outcomes, "Shift" or "NoShift", and routes the photon to its upper
 output port on NoShift or its lower port on Shift.
 
 ``protocol.pair_table`` reads each case's readouts and surviving states
-straight off the Bell amplitudes. ``oracle_evolve`` rebuilds the same
-physics by explicit tensor evolution over the photon register joined
-with a three-level phase-class register per probe; it shares no code
-with the table and is the reference the table is checked against.
+into plain arrays straight off ``states.BELL_AMPLITUDES``, with none of
+``linalg``. ``oracle_evolve`` rebuilds the same physics by explicit
+tensor evolution over the photon register joined with a three-level
+phase-class register per probe; it shares no code with the table and is
+the reference the table is checked against.
 """
 
 from __future__ import annotations

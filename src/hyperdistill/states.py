@@ -40,7 +40,9 @@ class PolarizationBell(Enum):
     PSI_MINUS = "PsiMinus"
 
 
-_BELL_AMPLITUDES = {
+#: Amplitudes of each Bell state over (HH, HV, VH, VV), as plain floats:
+#: the engine's table reads them as data, and ``bell_vector`` wraps them.
+BELL_AMPLITUDES = {
     PolarizationBell.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
     PolarizationBell.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
     PolarizationBell.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
@@ -52,7 +54,7 @@ _BELL_AMPLITUDES = {
 def bell_vector(kind: PolarizationBell) -> StateVector:
     """Polarization Bell state in the (HH, HV, VH, VV) basis; one frozen
     instance per kind."""
-    return StateVector(_BELL_AMPLITUDES[kind], POLARIZATION_PAIR_LABELS)
+    return StateVector(BELL_AMPLITUDES[kind], POLARIZATION_PAIR_LABELS)
 
 
 def spatial_vector(sign: int = 1) -> StateVector:
@@ -144,7 +146,7 @@ class HyperComponent:
         Factor order is photon-A polarization, photon-A spatial mode,
         photon-B polarization, photon-B spatial mode.
         """
-        pol = np.asarray(_BELL_AMPLITUDES[self.pol], dtype=complex).reshape(2, 2)
+        pol = np.asarray(BELL_AMPLITUDES[self.pol], dtype=complex).reshape(2, 2)
         spat = np.array(
             [[_INV_SQRT2, 0.0], [0.0, self.spatial_sign * _INV_SQRT2]], dtype=complex
         )

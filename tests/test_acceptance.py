@@ -30,6 +30,7 @@ from hyperdistill import (
     trace_distance,
 )
 from hyperdistill.cli import serialize_report
+from hyperdistill.linalg import StateVector
 from hyperdistill.protocol import (
     VIOLATION_ALICE_FEEDBACK,
     VIOLATION_ANGLE_TO_BOB2,
@@ -39,6 +40,7 @@ from hyperdistill.protocol import (
     pair_table,
 )
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS
+from hyperdistill.states import POLARIZATION_PAIR_LABELS
 from hyperdistill.wire import Message, Party, Phase
 
 S = QndOutcome.SHIFT
@@ -83,7 +85,7 @@ def test_criterion_2_deterministic_success():
     met = np.unique(4 * run.case.astype(int) + run.readout)
     normalized = all(
         table.survives[c // 4, c % 4]
-        and abs(float(np.sum(np.abs(table.states[c // 4][c % 4].amplitudes) ** 2)) - 1.0)
+        and abs(float(np.sum(np.abs(table.amplitudes[c // 4, c % 4]) ** 2)) - 1.0)
         <= 1e-12
         for c in met.tolist()
     )
@@ -102,19 +104,19 @@ def test_criterion_3_component_state_checks():
         (PolarizationBell.PHI_PLUS, ((S, S), (N, N))),
         (PolarizationBell.PSI_PLUS, ((S, N), (N, S))),
     ):
-        states = table.states[CASES.index((kind, 1))]
+        states = table.amplitudes[CASES.index((kind, 1))]
         for pair in pairs:
-            state = states[OUTCOME_PAIRS.index(pair)]
+            state = StateVector(states[OUTCOME_PAIRS.index(pair)], POLARIZATION_PAIR_LABELS)
             ok &= abs(fidelity(projector(state), bell_vector(kind)) - 1.0) <= 1e-12
     # minus components: class span preserved, exact phases match the oracle
     for kind, pairs, outside in (
         (PolarizationBell.PHI_MINUS, ((S, S), (N, N)), (1, 2)),
         (PolarizationBell.PSI_MINUS, ((S, N), (N, S)), (0, 3)),
     ):
-        states = table.states[CASES.index((kind, 1))]
+        states = table.amplitudes[CASES.index((kind, 1))]
         rho = oracle_evolve(HyperComponent(kind, 1.0), DeviceParams())
         for pair in pairs:
-            state = states[OUTCOME_PAIRS.index(pair)]
+            state = StateVector(states[OUTCOME_PAIRS.index(pair)], POLARIZATION_PAIR_LABELS)
             ok &= all(abs(state.amplitudes[i]) <= 1e-12 for i in outside)
             oracle_state = oracle_conditional_pol_state(rho, pair)
             ok &= fidelity(oracle_state, state) >= 1.0 - 1e-12
@@ -146,9 +148,9 @@ def test_criterion_5_oracle_equivalence():
             ok &= abs(table.probs[c, r] - oracle_dist[pair]) <= 1e-10
             if table.probs[c, r] < 1e-12:
                 continue
-            engine_state = projector(table.states[c][r])
+            engine_state = StateVector(table.amplitudes[c, r], POLARIZATION_PAIR_LABELS)
             oracle_state = oracle_conditional_pol_state(rho, pair)
-            ok &= trace_distance(engine_state, oracle_state) <= 1e-10
+            ok &= trace_distance(projector(engine_state), oracle_state) <= 1e-10
     runtime_ok = time.perf_counter() - started < 1.0
     report(5, "pair table vs full-Hilbert oracle", ok and runtime_ok)
 
@@ -232,7 +234,7 @@ def test_criterion_7_delegated_measurement_statistics():
     }
     for c, r, a, a_bit in met:
         theta = (a % 8) * math.pi / 4
-        amplitudes = table.states[c][r].amplitudes
+        amplitudes = table.amplitudes[c, r]
         sign = 1.0 if a_bit == 0 else -1.0
         phi = np.array([1.0, sign * np.exp(-1j * SIGNED_ANGLES[a])]) / math.sqrt(2.0)
         proj = np.kron(np.outer(phi, phi.conj()), np.eye(2))

@@ -477,8 +477,19 @@ def test_sweep_parent_reads_the_runs_not_the_pair_table(monkeypatch):
     assert protocol.pair_table.cache_info().currsize == 0
 
 
+def limit_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs; None stands for a platform
+    that reports neither an affinity nor a CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.mark.parametrize("seeds, cpus, workers", [(2, 8, 2), (3, 2, 2), (3, None, 1)])
-def test_sweep_pool_has_no_more_workers_than_seeds_or_cpus(tmp_path, seeds, cpus, workers):
+def test_sweep_pool_has_no_more_workers_than_seeds_or_cpus(
+        tmp_path, monkeypatch, seeds, cpus, workers):
     # A pool forks all of its workers at once, whatever the task count.
     asked = []
 
@@ -496,9 +507,8 @@ def test_sweep_pool_has_no_more_workers_than_seeds_or_cpus(tmp_path, seeds, cpus
             return map(fn, jobs)
 
     out = tmp_path / "sweep.json"
-    with mock.patch.object(cli, "ProcessPoolExecutor", SerialPool), mock.patch.object(
-        os, "cpu_count", return_value=cpus
-    ):
+    limit_cpus(monkeypatch, cpus)
+    with mock.patch.object(cli, "ProcessPoolExecutor", SerialPool):
         assert main(["--pairs", "20", "--sweep", str(seeds), "--out", str(out)]) == 0
     assert asked == [workers]
     assert json.loads(out.read_text())["sweep_aggregate"]["seeds"] == seeds
@@ -536,7 +546,7 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fork_pool_gives_the_serial_bytes_in_seed_order(workers):
+def test_fork_pool_gives_the_serial_bytes_in_seed_order(monkeypatch, workers):
     # 5 seeds over 2 or 3 workers make uneven shares
     cfg = RunConfig(
         pairs=300, fidelities=MIXED, dephase_p=0.05, homodyne_error=0.1,
@@ -544,8 +554,8 @@ def test_fork_pool_gives_the_serial_bytes_in_seed_order(workers):
     )
     with mock.patch.object(cli, "ProcessPoolExecutor", SerialPool):
         serial = run_sweep(cfg)
-    with mock.patch.object(os, "cpu_count", return_value=workers):
-        forked = run_sweep(cfg)
+    limit_cpus(monkeypatch, workers)
+    forked = run_sweep(cfg)
     for output_format in ("json", "csv"):
         assert serialize_report(forked, output_format) == serialize_report(serial, output_format)
     assert_no_child_left()

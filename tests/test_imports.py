@@ -41,9 +41,10 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def imported_modules(source):
-    """Modules of the package that ``source`` imports, or imports names from."""
-    modules = set()
+def package_imports(source):
+    """What ``source`` imports from the package, as (module,) for a whole
+    module and (module, name) for a name imported from one."""
+    imports = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -52,8 +53,15 @@ def imported_modules(source):
             names = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
         else:
             continue
-        modules.update(name.split(".")[1] for name in names if name.startswith("hyperdistill."))
-    return modules
+        imports.update(
+            tuple(name.split(".")[1:3]) for name in names if name.startswith("hyperdistill.")
+        )
+    return imports
+
+
+def imported_modules(source):
+    """Modules of the package that ``source`` imports, or imports names from."""
+    return {imported[0] for imported in package_imports(source)}
 
 
 @pytest.mark.parametrize("name", ["wire", "render"])
@@ -62,6 +70,32 @@ def test_wire_format_stands_below_the_engine(name):
     # not the other way round.
     source = (pathlib.Path(hyperdistill.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
     assert imported_modules(source) & {"protocol", "cli"} == set()
+
+
+#: All that the engine, the CLI and the wire format may import from the
+#: modules the tensor oracle is built on: constants, tables and plain types.
+ORACLE_VOCABULARY = {
+    ("linalg", "EPS_NORM"),
+    ("states", "BELL_AMPLITUDES"),
+    ("states", "ENSEMBLE_ORDER"),
+    ("states", "FidelityVector"),
+    ("states", "inverse_cdf"),
+    ("qnd", "CASES"),
+    ("qnd", "OUTCOME_PAIRS"),
+    ("qnd", "DeviceParams"),
+}
+
+
+def test_engine_imports_only_the_oracles_vocabulary():
+    # The oracle is the engine's independent reference only while the two
+    # share no code: no StateVector, no projector algebra, no oracle module.
+    package = pathlib.Path(hyperdistill.__file__).parent
+    imported = set().union(*(
+        package_imports((package / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("protocol", "cli", "wire", "render")
+    ))
+    oracle_side = {item for item in imported if item[0] in ("linalg", "states", "qnd")}
+    assert oracle_side == ORACLE_VOCABULARY
 
 
 def test_imported_modules_finds_every_form():
@@ -76,6 +110,9 @@ def test_imported_modules_finds_every_form():
         "    import hyperdistill.states\n"
     )
     assert imported_modules(source) == {"cli", "linalg", "protocol", "qnd", "states"}
+    assert package_imports(source) == {
+        ("cli",), ("protocol", "audit"), ("linalg",), ("qnd", "CASES"), ("states",),
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

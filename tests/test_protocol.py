@@ -95,12 +95,12 @@ def test_distribution_message_shape():
 
 def test_clean_input_distills_perfect_phi_pairs():
     run = run_protocol(50, PHI_PLUS_ONLY, seed=1)
-    states = pair_table().states
+    amplitudes = pair_table().amplitudes
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     assert run.inferred_phi.all() and run.true_phi.all()
     for c, r in zip(run.case.tolist(), run.readout.tolist()):
         np.testing.assert_allclose(
-            states[c][r].amplitudes, [inv_sqrt2, 0, 0, inv_sqrt2], atol=1e-12
+            amplitudes[c, r], [inv_sqrt2, 0, 0, inv_sqrt2], atol=1e-12
         )
 
 
@@ -227,9 +227,9 @@ def test_phi_pair_measurement_is_unbiased():
     sigma = math.sqrt(0.25 / n)
     assert abs(ones / n - 0.5) <= 3 * sigma
     # exact Born weights from the independent oracle
-    state = pair_table().states[run.case[0]][run.readout[0]]
+    amplitudes = pair_table().amplitudes[run.case[0], run.readout[0]]
     for angle in SIGNED_ANGLES:
-        p0, _ = projection_oracle(state.amplitudes, angle, 0)
+        p0, _ = projection_oracle(amplitudes, angle, 0)
         assert p0 == pytest.approx(0.5, abs=1e-12)
 
 
@@ -241,7 +241,7 @@ def assert_residuals_follow_the_angle(phi_class):
     table = pair_table()
     seen = 0
     for c, r in zip(*np.nonzero(table.survives & (table.phi == phi_class))):
-        amplitudes = table.states[c][r].amplitudes
+        amplitudes = table.amplitudes[c, r]
         for angle in SIGNED_ANGLES:
             phi = angle if phi_class else -angle
             signs = []

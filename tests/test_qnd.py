@@ -21,9 +21,10 @@ from hyperdistill import (
     run_protocol,
     trace_distance,
 )
+from hyperdistill.linalg import StateVector
 from hyperdistill.protocol import pair_table
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS
-from hyperdistill.states import inverse_cdf
+from hyperdistill.states import POLARIZATION_PAIR_LABELS, inverse_cdf
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 S = QndOutcome.SHIFT
@@ -38,10 +39,15 @@ ALL_CASES = [
 
 
 def case_row(kind, sign=1):
-    """Readout probabilities and surviving states of one case of pair_table()."""
+    """Readout probabilities and surviving states of one case of pair_table(),
+    a state being None where its readout cannot occur."""
     c = CASES.index((kind, sign))
     table = pair_table()
-    return table.probs[c], table.states[c]
+    states = tuple(
+        StateVector(amplitudes, POLARIZATION_PAIR_LABELS) if survives else None
+        for amplitudes, survives in zip(table.amplitudes[c], table.survives[c])
+    )
+    return table.probs[c], states
 
 
 def off_port_weight(rho):
@@ -215,11 +221,11 @@ def test_same_seed_reproduces_distilled_pairs():
 def test_homodyne_error_flips_record_not_state():
     phi_plus_only = FidelityVector(1.0, 0.0, 0.0, 0.0)
     run = run_protocol(500, phi_plus_only, DeviceParams(homodyne_error=0.4), seed=31)
-    states = pair_table().states
+    amplitudes = pair_table().amplitudes
     for c, r in zip(run.case.tolist(), run.readout.tolist()):
         # state untouched by misclassification
         np.testing.assert_allclose(
-            states[c][r].amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12
+            amplitudes[c, r], [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12
         )
     assert set(run.readout.tolist()) <= {SS, NN}
     # flips must actually happen at this error rate
@@ -227,11 +233,9 @@ def test_homodyne_error_flips_record_not_state():
 
 
 def test_bell_class_span_is_preserved():
-    for (kind, _), states in zip(CASES, pair_table().states):
-        for state in states:
-            if state is None:
-                continue
-            amps = state.amplitudes
+    table = pair_table()
+    for (kind, _), rows, survives in zip(CASES, table.amplitudes, table.survives):
+        for amps in rows[survives]:
             if kind in (PolarizationBell.PHI_PLUS, PolarizationBell.PHI_MINUS):
                 outside = abs(amps[1]) + abs(amps[2])
             else:

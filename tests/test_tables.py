@@ -45,7 +45,7 @@ from hyperdistill import (
 )
 from hyperdistill import protocol, render, wire
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
-from hyperdistill.linalg import EPS_ORACLE
+from hyperdistill.linalg import EPS_ORACLE, StateVector
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
@@ -58,7 +58,13 @@ from hyperdistill.protocol import (
     pair_table,
 )
 from hyperdistill.qnd import CASES, OUTCOME_PAIRS
-from hyperdistill.states import ENSEMBLE_ORDER, bell_vector, inverse_cdf, mixed_ensemble
+from hyperdistill.states import (
+    ENSEMBLE_ORDER,
+    POLARIZATION_PAIR_LABELS,
+    bell_vector,
+    inverse_cdf,
+    mixed_ensemble,
+)
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -80,9 +86,10 @@ def test_readout_tables_match_oracle(case):
         oracle_state = oracle_conditional_pol_state(rho, pair)
         assert table.survives[case, r] == (oracle_state is not None)
         if oracle_state is None:
-            assert table.states[case][r] is None
+            assert not table.amplitudes[case, r].any()
         else:
-            distance = trace_distance(projector(table.states[case][r]), oracle_state)
+            state = StateVector(table.amplitudes[case, r], POLARIZATION_PAIR_LABELS)
+            distance = trace_distance(projector(state), oracle_state)
             assert distance <= EPS_ORACLE
             phi_weight = (oracle_state.entries[0, 0] + oracle_state.entries[3, 3]).real
             assert table.phi[case, r] == (phi_weight > 0.5)
@@ -101,9 +108,8 @@ def projector_bit_probability(rho, sent_angle, bit):
 def test_bob1_rows_match_projector_algebra(case):
     table = pair_table()
     assert table.bit0.shape == (8, 4, 16) and table.zero_weight.shape == (8, 4, 16, 2)
-    for r, state in enumerate(table.states[case]):
-        if state is None:
-            continue
+    for r in np.flatnonzero(table.survives[case]):
+        state = StateVector(table.amplitudes[case, r], POLARIZATION_PAIR_LABELS)
         bit0, zero_weight = table.bit0[case, r], table.zero_weight[case, r]
         for a, angle in enumerate(SIGNED_ANGLES):
             for bit in (0, 1):
@@ -117,7 +123,7 @@ def test_fidelity_entries_equal_bell_overlaps():
     table = pair_table()
     assert table.fidelity.shape == (8, 4, 4)
     for c, r in zip(*np.nonzero(table.survives)):
-        amplitudes = table.states[c][r].amplitudes
+        amplitudes = table.amplitudes[c, r]
         for k, kind in enumerate(ENSEMBLE_ORDER):
             overlap = abs(np.vdot(bell_vector(kind).amplitudes, amplitudes)) ** 2
             assert table.fidelity[c, r, k] == overlap, (c, r, kind)
@@ -129,12 +135,12 @@ def test_impossible_readouts_are_marked_and_never_read():
     assert dead.sum() == 16
     assert np.all(table.probs[dead] == 0.0)
     assert not table.phi[dead].any()
-    assert [table.states[c][r] for c, r in zip(*np.nonzero(dead))] == [None] * 16
+    assert not table.amplitudes[dead].any()
     assert np.isnan(table.fidelity[dead]).all() and np.isnan(table.bit0[dead]).all()
     assert table.zero_weight[dead].all()
     assert not np.isnan(table.fidelity[~dead]).any() and not np.isnan(table.bit0[~dead]).any()
-    for array in (table.probs, table.survives, table.phi, table.fidelity, table.bit0,
-                  table.zero_weight):
+    for array in (table.probs, table.amplitudes, table.survives, table.phi, table.fidelity,
+                  table.bit0, table.zero_weight):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
 
@@ -152,9 +158,9 @@ def test_impossible_readouts_are_marked_and_never_read():
             run_protocol(3, FidelityVector(1, 0, 0, 0))
 
 
-#: sha256 of each pair_table() array's bytes, and of the surviving states'
-#: amplitudes in case and readout order. A table built another way must
-#: give the same bytes, or change these digests on purpose.
+#: sha256 of each pair_table() array's bytes, the amplitudes taken at the
+#: surviving states only, in case and readout order, under "states". A table
+#: built another way must give the same bytes, or change these digests on purpose.
 PAIR_TABLE_SHA256 = {
     "probs": "0cb7b280a4980ce29e048f462b4583b7f763294c7c6e1af68507c0417b638bf1",
     "survives": "02edeb3bb74046e415b314ec9e6c6a7caffd891fb1b652ab05a7e0aaaaf7b72a",
@@ -168,18 +174,21 @@ PAIR_TABLE_SHA256 = {
 
 def test_pair_table_bytes_are_pinned():
     table = pair_table()
-    blobs = {name: getattr(table, name).tobytes() for name in table._fields if name != "states"}
-    blobs["states"] = b"".join(
-        state.amplitudes.tobytes() for row in table.states for state in row if state is not None
-    )
+    blobs = {name: getattr(table, name).tobytes() for name in table._fields}
+    del blobs["amplitudes"]
+    blobs["states"] = table.amplitudes[table.survives].tobytes()
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
     assert digests == PAIR_TABLE_SHA256
 
 
 def test_surviving_states_print_no_negative_zero():
-    # The pinned states keep -0.0 imaginary parts from canonical_phase;
+    # The pinned states keep -0.0 imaginary parts from the phase rotation;
     # printed, they must not read as if they carried a phase.
-    states = [state for row in pair_table().states for state in row if state is not None]
+    table = pair_table()
+    states = [
+        StateVector(amplitudes, POLARIZATION_PAIR_LABELS)
+        for amplitudes in table.amplitudes[table.survives]
+    ]
     assert any(np.signbit(state.amplitudes.imag).any() for state in states)
     assert not [repr(state) for state in states if "-0j" in repr(state)]
 
@@ -288,6 +297,29 @@ def test_analytic_phi_probability_equals_oracle_sum(fv, dephase_p):
 def test_analytic_phi_probability_rejects_impossible_dephasing(dephase_p):
     with pytest.raises(ValueError, match=r"dephasing probability .* outside \[0, 1\]"):
         analytic_phi_probability(MIXED, dephase_p)
+
+
+@pytest.mark.parametrize(
+    "fv",
+    [FidelityVector(1, 0, 0, 0), MIXED, FidelityVector(0.25, 0.25, 0.5, 0),
+     FidelityVector(0, 0.3, 0.3, 0.4)],
+)
+@pytest.mark.parametrize("dephase_p", [0, 0.05, 0.3, 1])
+def test_alice_belief_holds_with_probability_of_the_unflipped_phases(fv, dephase_p):
+    # With no readout noise, Alice believes a Phi-class pair is PhiPlus and a
+    # Psi-class pair PsiPlus. Bit flips are removed, phase flips pass unseen:
+    # the pair is her belief with probability (F + F2)(1 - d) + (F1 + F3) d.
+    table = pair_table()
+    belief = {True: ENSEMBLE_ORDER.index(PolarizationBell.PHI_PLUS),
+              False: ENSEMBLE_ORDER.index(PolarizationBell.PSI_PLUS)}
+    total = 0.0
+    for c, (_, sign) in enumerate(CASES):
+        weight = fv.as_tuple()[c // 2] * (1.0 - dephase_p if sign == 1 else dephase_p)
+        for r in np.flatnonzero(table.survives[c]).tolist():
+            k = belief[bool(table.phi[c, r])]
+            total += weight * table.probs[c, r] * table.fidelity[c, r, k]
+    d = dephase_p
+    assert abs(total - ((fv.f + fv.f2) * (1 - d) + (fv.f1 + fv.f3) * d)) <= 1e-12
 
 
 def test_run_protocol_names_the_pair_bound():
