@@ -254,6 +254,8 @@ def emit_report(doc: dict, output_format: str, destination: str | None) -> None:
     """Serialize a report (or sweep document) to a path, or stdout when None."""
     payload = serialize_report(doc, output_format)
     if destination is None:
+        if sys.stdout is None:
+            raise OSError("cannot write report to stdout: it is closed")
         sys.stdout.write(payload.decode("utf-8"))
         return
     try:

@@ -9,11 +9,13 @@ An engine block holds whole pairs, with its payloads as codes into a
 small payload table; ``render.render_pairs`` writes it from byte tables,
 and ``render`` is imported on the first engine block written. Parsed
 blocks render with the f-strings of ``_render``. ``from_lines`` parses
-saved lines straight into columns, one block at a time.
+saved lines straight into columns, one block of bytes at a time, and
+keeps only the payloads' bytes of each.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
 import io
 import itertools
@@ -159,18 +161,18 @@ _WORD_MASKS = ((np.arange(4) >= np.arange(4)[:, None]) * np.uint8(255)).view(np.
 #: reporting, works one block or chunk at a time.
 _BLOCK_LINES = 4096
 
-#: Characters ``from_lines`` reads from a text file at a time, a little
-#: more than one block of a written transcript.
-_READ_CHARS = 2**18
+#: Bytes ``from_lines`` reads from a UTF-8 text file at a time, into its
+#: one buffer: a little more than one block of a written transcript.
+_READ_BYTES = 2**18
 
-#: Longest padded block text whose payload offsets fit the int32 offset column.
+#: Longest padded block text whose byte offsets fit the int32 payload gather.
 _MAX_BLOCK_TEXT = np.iinfo(np.int32).max
 
 
 class _Payloads:
-    """Payloads of a parsed block, kept as (start, stop) offsets into the
-    block's bytes as the parser padded them, and cut out as ``str`` only
-    when iterated."""
+    """Payloads of a parsed block, kept as their ASCII bytes back to back
+    and a (start, stop) row of offsets into them per message, and cut out
+    as ``str`` only when iterated."""
 
     __slots__ = ("text", "bounds")
 
@@ -229,28 +231,23 @@ def _block_of(messages: list[Message]) -> _Block:
     )
 
 
-def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block | None:
+def _parse_block(text: bytes | memoryview, ends: np.ndarray, prev: int) -> _Block | None:
     """Columns of the wire lines that follow seq ``prev``.
 
-    ``text`` is the lines joined, as a str or as a view of the bytes of
-    ASCII text with no ``"\\r"``, and ``ends`` the offset in it where each
-    line ends. Works on the bytes of the whole block and drops empty lines
-    (``""`` and ``"\\n"``). Returns None when the block is too long for
-    int32 offsets, a str is not plain ASCII or holds a ``"\\r"``, a line
-    holds a newline anywhere but at its end, the seqs are not one
-    consecutive run above ``prev`` of 1 to 15 digits with no leading zero,
-    a line's middle (the text between seq and payload) is not a valid one,
-    or a payload holds a ``|``. The valid middles have a known phase and
-    parties, the phase's payload kind and no self-message, so a block that
-    passes gives what ``Message.from_line`` gives line by line. One byte of
-    each field picks a line's candidate middle; each candidate present is
-    then compared, as one byte row, with all of the block's lines that
-    picked it.
+    ``text`` is the lines joined, as bytes with no ``"\\r"`` whose only
+    newlines end lines, as both framers give them, and ``ends`` the offset
+    in it where each line ends. Works on the bytes of the whole block and
+    drops empty lines (``""`` and ``"\\n"``). Returns None when the block
+    is too long for int32 offsets, the seqs are not one consecutive run
+    above ``prev`` of 1 to 15 digits with no leading zero, a line's middle
+    (the text between seq and payload) is not a valid one, or a payload
+    holds a ``|`` or a byte that is not ASCII. The valid middles have a
+    known phase and parties, the phase's payload kind and no self-message,
+    so a block that passes gives what ``Message.from_line`` gives line by
+    line. One byte of each field picks a line's candidate middle; each
+    candidate present is then compared, as one byte row, with all of the
+    block's lines that picked it. The block keeps none of ``text``.
     """
-    if isinstance(text, str):
-        if not text.isascii() or "\r" in text:
-            return None
-        text = text.encode("ascii")
     # Zero padding keeps every fixed-width read below inside the buffer; in
     # front, the three bytes that a first seq's leading word reaches back.
     # Offsets from here on are into ``data``, three past those into ``text``.
@@ -260,11 +257,7 @@ def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block 
     buf = np.frombuffer(data, np.uint8)
     ends = ends + 3
     starts = np.concatenate(([3], ends[:-1]))
-    lengths = ends - starts
-    newline = (lengths > 0) & (buf[ends - 1] == ord("\n"))
-    if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
-        return None
-    stops = ends - newline
+    stops = ends - ((ends > starts) & (buf[ends - 1] == ord("\n")))
     nonblank = stops > starts
     starts, stops = starts[nonblank], stops[nonblank]
     n = len(starts)
@@ -321,20 +314,26 @@ def _parse_block(text: str | memoryview, ends: np.ndarray, prev: int) -> _Block 
     if np.count_nonzero(buf == ord("|")) != 5 * n:
         return None
 
-    bounds = np.empty((n, 2), np.int32)
-    bounds[:, 0] = last_pipe + 1
-    bounds[:, 1] = stops
-    return _Block(range(first, first + n), route, _Payloads(data, bounds))
+    # The payloads back to back, by one gather of the bytes after each last
+    # pipe; its int32 index is half the size of an int64 one.
+    lengths = stops - last_pipe - 1
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    bounds = np.column_stack((offsets[:-1], offsets[1:]))
+    shift = np.repeat((last_pipe + 1 - offsets[:-1]).astype(np.int32), lengths)
+    payloads = buf[np.arange(offsets[-1], dtype=np.int32) + shift].tobytes()
+    if not payloads.isascii():
+        return None
+    return _Block(range(first, first + n), route, _Payloads(payloads, bounds))
 
 
-def _parse_messages(text: str | memoryview, ends: np.ndarray, prev: int) -> list[Message]:
-    """Parse the nonblank lines one by one; raises the error of the first
-    bad line."""
+def _parse_messages(text: str | bytes | memoryview, ends: np.ndarray, prev: int) -> list[Message]:
+    """Parse the nonblank lines one by one, a line of bytes decoded as
+    UTF-8; raises the error of the first bad line."""
+    lines = (text[start:stop] for start, stop in itertools.pairwise([0, *ends.tolist()]))
     if not isinstance(text, str):
-        text = str(text, "ascii")
+        lines = (str(line, "utf-8") for line in lines)
     messages = []
-    bounds = itertools.pairwise([0, *ends.tolist()])
-    for line in filter(str.strip, (text[start:stop] for start, stop in bounds)):
+    for line in filter(str.strip, lines):
         msg = Message.from_line(line)
         if msg.seq <= prev:
             raise ValueError(f"seq {msg.seq} not strictly increasing")
@@ -343,63 +342,60 @@ def _parse_messages(text: str | memoryview, ends: np.ndarray, prev: int) -> list
     return messages
 
 
-def _list_blocks(lines: Iterable[str]) -> Iterator[tuple[str, np.ndarray]]:
-    """(text, line ends) of each ``_BLOCK_LINES`` lines of ``lines``."""
+def _list_blocks(lines: Iterable[str]) -> Iterator[tuple[str | bytes, np.ndarray]]:
+    """(text, line ends) of each ``_BLOCK_LINES`` lines of ``lines``, the
+    text encoded once when the byte parser takes it: ASCII, with no
+    ``"\\r"`` and no newline but at the end of a line."""
     lines = iter(lines)
     while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
-        yield "".join(chunk), np.cumsum(np.fromiter(map(len, chunk), np.int64, len(chunk)))
+        text = "".join(chunk)
+        ends = np.cumsum(np.fromiter(map(len, chunk), np.int64, len(chunk)))
+        if text.isascii() and "\r" not in text and text.count("\n") == sum(
+                map(str.endswith, chunk, itertools.repeat("\n"))):
+            text = text.encode("ascii")
+        yield text, ends
 
 
-def _joined(parts: list[str | bytes | memoryview]) -> str | memoryview:
-    """The parts joined: a str when one of them is, else a view of bytes."""
-    if any(isinstance(part, str) for part in parts):
-        return "".join(part if isinstance(part, str) else str(part, "ascii") for part in parts)
-    return memoryview(b"".join(parts))
+def _file_blocks(raw: io.BufferedIOBase) -> Iterator[tuple[memoryview, np.ndarray]]:
+    """(text, line ends) of each ``_BLOCK_LINES`` lines of the binary file
+    ``raw``, cut at each ``b"\\n"``.
 
-
-def _text_blocks(fh: io.TextIOBase) -> Iterator[tuple[str | memoryview, np.ndarray]]:
-    """(text, line ends) of each ``_BLOCK_LINES`` lines of ``fh``, read
-    ``_READ_CHARS`` characters at a time.
-
-    The lines are those iterating ``fh`` gives as long as its text holds
-    no ``"\\r"``, which may end a line too; raises ValueError at the first
-    chunk that holds one. An ASCII chunk is encoded once, for its newline
-    scan and its blocks: a block whose chunks all were is a view of their
-    bytes joined, which the parser copies.
+    Reads ``_READ_BYTES`` at a time into one buffer, which holds them and
+    the text not yet cut into blocks, and gives each read one newline
+    scan. The buffer is reused, so a block is a view of it that is valid
+    only until the next block is asked for. Raises ValueError at the first
+    read that holds a ``b"\\r"``, which may end a line too.
     """
     size = _BLOCK_LINES
-    parts, part_ends = [], []  # text not yet cut into blocks, its line ends
-    length = count = 0  # that text's length and number of line ends
-    while chunk := fh.read(_READ_CHARS):
-        if "\r" in chunk:
+    buf = bytearray()
+    held, part_ends, count = 0, [], 0  # text at the front of ``buf``, its line ends, their number
+    while True:
+        if len(buf) < held + _READ_BYTES:  # a new buffer, as a block may still view the old one
+            buf = buf[:held] + bytes(held + 2 * _READ_BYTES)
+        got = raw.readinto(memoryview(buf)[held:held + _READ_BYTES])
+        if not got:
+            break
+        if buf.find(b"\r", held, held + got) >= 0:
             raise ValueError("'\\r' in text: read it as lines")
-        # "replace" encodes each non-ASCII character as one "?", so these
-        # byte offsets are character offsets; an ASCII chunk is kept as them.
-        data = chunk.encode("ascii", "replace")
-        parts.append(data if chunk.isascii() else chunk)
-        part_ends.append(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1 + length)
-        length += len(chunk)
+        read = np.frombuffer(buf, np.uint8, got, held)
+        part_ends.append(np.flatnonzero(read == ord("\n")) + (held + 1))
+        held += got
         count += len(part_ends[-1])
         if count < size:
             continue
-        text, ends = _joined(parts), np.concatenate(part_ends)
-        blocks, start, cut = [], 0, count - count % size
+        ends = np.concatenate(part_ends)
+        start, cut = 0, count - count % size
         for i in range(0, cut, size):
             stop = int(ends[i + size - 1])
-            blocks.append((text[start:stop], ends[i:i + size] - start))
+            yield memoryview(buf)[start:stop], ends[i:i + size] - start
             start = stop
-        parts, part_ends = [text[start:]], [ends[cut:] - start]
-        length, count = len(text) - start, count - cut
-        # The chunk is freed before any block is parsed; the joined text
-        # lives on only as long as its blocks do.
-        del chunk, data, text
-        yield from blocks
-    text = _joined(parts)
-    if text:
+        buf[:held - start] = buf[start:held]
+        held, part_ends, count = held - start, [ends[cut:] - start], count - cut
+    if held:
         ends = np.concatenate(part_ends)
-        if not len(ends) or ends[-1] < len(text):
-            ends = np.append(ends, len(text))
-        yield text, ends
+        if not len(ends) or ends[-1] < held:
+            ends = np.append(ends, held)
+        yield memoryview(buf)[:held], ends
 
 
 def _render(block: _Block) -> list[str]:
@@ -498,39 +494,41 @@ class Transcript:
 
         Lines that ``str.strip`` leaves empty are dropped. Every
         ``_BLOCK_LINES`` lines form one block, parsed in one pass over its
-        text; a block that fails a byte check is parsed line by line by
-        ``Message.from_line``, so a bad line raises the ValueError that
-        parsing message by message would raise.
+        bytes; a block that is not ASCII, holds a ``"\\r"`` or fails a byte
+        check is parsed line by line by ``Message.from_line``, so a bad line
+        raises the ValueError that parsing message by message would raise.
 
-        A text file is read ``_READ_CHARS`` characters at a time, and its
-        lines are cut at each ``"\\n"``. That gives the lines iterating the
-        file gives unless the text holds a ``"\\r"`` (only under an explicit
-        ``newline=``). So when a chunk holds one, does not decode, or holds
-        a bad line, the file is seeked back to where this call found it and
-        iterated line by line, which raises what iteration raises. A file
-        whose position cannot be told, such as a pipe or a file advanced by
-        ``next()``, is iterated line by line from where it is.
+        A UTF-8 ``io.TextIOWrapper`` whose position can be told is read as
+        bytes from its ``buffer``, ``_READ_BYTES`` at a time into one reused
+        buffer, and its lines are cut at each ``b"\\n"``: the lines that
+        iterating it gives while it holds no ``"\\r"``. So when a read holds
+        one, or a block a bad line or bytes that do not decode, the file is
+        seeked back to where this call found it and iterated line by line,
+        which gives what iteration gives. Any other file, such as a pipe, a
+        file advanced by ``next()``, a ``StringIO`` or a file of another
+        codec, is iterated line by line from where it is.
         """
         if isinstance(lines, str):
             raise TypeError("from_lines takes lines or a text file, not one str")
-        if isinstance(lines, io.TextIOBase):
+        if isinstance(lines, io.TextIOWrapper) and codecs.lookup(lines.encoding).name == "utf-8":
             try:
                 start = lines.tell()
-            except OSError:
-                pass
-            else:
+                lines.seek(start)  # drops the text the wrapper has read ahead
+            except OSError:  # a pipe, or a file advanced by next()
+                start = None
+            if start is not None and lines.buffer.tell() == start:  # no decoder state in start
                 try:
-                    return cls._from_blocks(_text_blocks(lines))
-                except ValueError:  # UnicodeDecodeError is one too
+                    return cls._from_blocks(_file_blocks(lines.buffer))
+                except ValueError:
                     lines.seek(start)
         return cls._from_blocks(_list_blocks(lines))
 
     @classmethod
-    def _from_blocks(cls, blocks: Iterable[tuple[str | memoryview, np.ndarray]]) -> "Transcript":
+    def _from_blocks(cls, blocks: Iterable[tuple[str | bytes, np.ndarray]]) -> "Transcript":
         transcript = cls()
         prev = 0
         for text, ends in blocks:
-            block = _parse_block(text, ends, prev)
+            block = None if isinstance(text, str) else _parse_block(text, ends, prev)
             if block is None:
                 block = _block_of(_parse_messages(text, ends, prev))
             if block.seq:

@@ -334,6 +334,18 @@ def test_emit_report_unwritable_destination():
         emit_report(report, "json", "no/such/dir/report.json")
 
 
+def test_report_to_a_closed_stdout_exits_1():
+    # ``>&-`` starts the run with no file descriptor 1, so sys.stdout is None.
+    code = (
+        "import shlex, subprocess, sys\n"
+        "command = shlex.quote(sys.executable) + ' -m hyperdistill --pairs 5 >&-'\n"
+        "sys.exit(subprocess.run(command, shell=True).returncode)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 1
+    assert result.stderr == "error: cannot write report to stdout: it is closed\n"
+
+
 # --- main entry point ----------------------------------------------------------------
 
 

@@ -667,7 +667,7 @@ def mutated_transcripts(draw):
             lines[i] = line[:at] + char + line[at + 1:]
         else:
             lines.insert(i, draw(st.sampled_from(["", "\n", " \n", "\r\n"])))
-    endings = draw(st.sampled_from(["file", "list", "mixed", "text file"]))
+    endings = draw(st.sampled_from(["file", "list", "mixed", "text file", "byte file"]))
     if endings == "file":
         lines = [line + "\n" for line in lines]
     elif endings == "mixed":
@@ -676,6 +676,10 @@ def mutated_transcripts(draw):
         # A handle maker rather than a handle: each parser reads its own.
         newline = draw(st.sampled_from([None, "", "\n"]))
         return functools.partial(io.StringIO, "".join(line + "\n" for line in lines), newline)
+    elif endings == "byte file":
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        newline = draw(st.sampled_from([None, "", "\n"]))
+        return lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
     return lines
 
 
@@ -703,9 +707,9 @@ def reference_views(messages):
 
 
 @contextlib.contextmanager
-def sizes(read_chars, block_lines):
+def sizes(read_bytes, block_lines):
     """Parse with these read and block sizes."""
-    with mock.patch.object(wire, "_READ_CHARS", read_chars), mock.patch.object(
+    with mock.patch.object(wire, "_READ_BYTES", read_bytes), mock.patch.object(
         wire, "_BLOCK_LINES", block_lines
     ):
         yield
@@ -715,10 +719,10 @@ def sizes(read_chars, block_lines):
 @given(
     mutated_transcripts(),
     st.sampled_from([1, 2, 5, wire._BLOCK_LINES]),
-    st.sampled_from([7, wire._READ_CHARS]),
+    st.sampled_from([7, wire._READ_BYTES]),
 )
-def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines, read_chars):
-    with sizes(read_chars, block_lines):
+def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines, read_bytes):
+    with sizes(read_bytes, block_lines):
         got = parse_outcome(lambda lines: views(Transcript.from_lines(lines)), lines)
     assert got == parse_outcome(
         lambda lines: reference_views(reference_from_lines(lines)), lines
@@ -751,8 +755,8 @@ def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, end
 
 
 def joined(lines):
-    """The text of ``lines`` and the offset where each ends, as the parser takes them."""
-    return "".join(lines), np.cumsum([len(line) for line in lines])
+    """The bytes of ``lines`` and the offset where each ends, as the parser takes them."""
+    return "".join(lines).encode("ascii"), np.cumsum([len(line) for line in lines])
 
 
 @pytest.mark.parametrize("form", ["file", "file without final newline", "list"])
@@ -996,6 +1000,8 @@ TEXT_FILES = {
     "crlf endings": RUN_FILE.replace(b"\n", b"\r\n"),
     "lone cr endings": RUN_FILE.replace(b"\n", b"\r"),
     "cr before a seq": file_of(["\r" + GOOD, "2|Handoff|Alice|Bob2|control|x"]),
+    # Read past the "x\r" line, the file's position carries decoder state.
+    "cr before a two-digit seq": file_of(["x\r12|Handoff|Alice|Bob2|control|x"]),
     "non-ascii line across reads": RUN_FILE + file_of([
         f"{NEXT_SEQ}|Handoff|Alice|Bob2|control|" + "\u00e9" * 40,
         f"{NEXT_SEQ + 1}|Handoff|Alice|Bob2|control|x",
@@ -1009,6 +1015,13 @@ TEXT_FILES = {
 def advanced(path):
     with open(path, encoding="utf-8") as fh:
         next(fh, None)
+        yield fh
+
+
+@contextlib.contextmanager
+def read_one_line(path):
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
         yield fh
 
 
@@ -1027,6 +1040,11 @@ HANDLES = {
     "pipe": piped,
     "advanced by next()": advanced,
     "binary": lambda path: open(path, "rb"),
+    "TextIOWrapper over BytesIO": lambda path: io.TextIOWrapper(
+        io.BytesIO(path.read_bytes()), encoding="utf-8"
+    ),
+    "read one line by readline()": read_one_line,
+    "latin-1": lambda path: open(path, encoding="latin-1"),
 }
 
 
@@ -1047,7 +1065,7 @@ def handle_outcome(parse, open_handle, path):
 
 #: (read size, block size) pairs: several reads per line and several
 #: lines per read, then the program's own.
-SIZES = [(7, 2), (64, 3), (wire._READ_CHARS, wire._BLOCK_LINES)]
+SIZES = [(7, 2), (64, 3), (wire._READ_BYTES, wire._BLOCK_LINES)]
 
 
 @pytest.mark.parametrize("handle", sorted(HANDLES))
@@ -1055,19 +1073,23 @@ SIZES = [(7, 2), (64, 3), (wire._READ_CHARS, wire._BLOCK_LINES)]
 def test_text_handle_parses_as_its_lines_parse(name, handle, tmp_path):
     path = tmp_path / "messages.log"
     path.write_bytes(TEXT_FILES[name])
-    for read_chars, block_lines in SIZES:
-        with sizes(read_chars, block_lines):
+    for read_bytes, block_lines in SIZES:
+        with sizes(read_bytes, block_lines):
             got = handle_outcome(Transcript.from_lines, HANDLES[handle], path)
             expected = handle_outcome(
                 lambda fh: Transcript.from_lines(line for line in fh), HANDLES[handle], path
             )
-        assert got == expected, (read_chars, block_lines)
+        assert got == expected, (read_bytes, block_lines)
     if handle == "binary" and TEXT_FILES[name]:
         assert got == (TypeError, "sequence item 0: expected str instance, bytes found")
 
 
-class ReadOnlyInChunks(io.StringIO):
-    """A text file that fails the test if it is iterated line by line."""
+class ReadOnlyInChunks(io.TextIOWrapper):
+    """A UTF-8 text file of ``data`` in memory that fails the test if it is
+    iterated line by line."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data), encoding="utf-8")
 
     def __next__(self):
         raise AssertionError("iterated line by line")
@@ -1087,16 +1109,16 @@ def reads_in_chunks(data):
 @pytest.mark.parametrize("name", [name for name, data in TEXT_FILES.items() if reads_in_chunks(data)])
 def test_text_file_that_parses_is_read_in_chunks(name):
     text = TEXT_FILES[name].decode("utf-8")
-    for read_chars, block_lines in SIZES:
-        with sizes(read_chars, block_lines):
-            got = block_views(Transcript.from_lines(ReadOnlyInChunks(text)))
+    for read_bytes, block_lines in SIZES:
+        with sizes(read_bytes, block_lines):
+            got = block_views(Transcript.from_lines(ReadOnlyInChunks(TEXT_FILES[name])))
             assert got == block_views(Transcript.from_lines(list(io.StringIO(text))))
 
 
 def test_run_of_several_blocks_is_read_in_chunks():
     data = run_protocol(wire._BLOCK_LINES // 3 + 1, MIXED, seed=6, **NOISY).transcript.to_bytes()
-    with mock.patch.object(wire, "_READ_CHARS", len(data) // 5):
-        transcript = Transcript.from_lines(ReadOnlyInChunks(data.decode()))
+    with mock.patch.object(wire, "_READ_BYTES", len(data) // 5):
+        transcript = Transcript.from_lines(ReadOnlyInChunks(data))
     assert transcript.to_bytes() == data
     assert [len(block.route) for block in transcript._blocks[:-1]] == [wire._BLOCK_LINES] * 2
 
@@ -1291,6 +1313,23 @@ def test_transcript_parse_memory_stays_flat(tmp_path):
         for pairs in (5000, 80000)
     )
     assert large <= 1.5 * small
+
+
+def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
+    # A parsed block keeps its route codes, its payload offsets and its
+    # payloads' bytes, and none of the text it was parsed from.
+    path = tmp_path / "t.log"
+    write_transcript(run_protocol(80_000, MIXED, seed=5, **NOISY).transcript, str(path))
+    lines = path.read_bytes().count(b"\n")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parsed = Transcript.from_lines(fh)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(block.payload, wire._Payloads) for block in parsed._blocks)
+    assert kept <= 20 * lines
 
 
 def traced_run_peak(pairs):
