@@ -19,7 +19,7 @@ from hyperdistill import (
     mixed_ensemble,
     spatial_vector,
 )
-from hyperdistill.states import inverse_cdf
+from hyperdistill.model import inverse_cdf
 
 print("=" * 72)
 print("The four polarization Bell states")

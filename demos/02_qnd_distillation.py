@@ -21,8 +21,8 @@ from hyperdistill import (
     trace_distance,
 )
 from hyperdistill.linalg import StateVector
+from hyperdistill.model import CASES, OUTCOME_PAIRS
 from hyperdistill.protocol import pair_table
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 from hyperdistill.states import POLARIZATION_PAIR_LABELS
 
 table = pair_table()

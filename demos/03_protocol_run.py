@@ -11,7 +11,7 @@ import collections
 
 from hyperdistill import BellClass, FidelityVector, audit, run_protocol
 from hyperdistill.protocol import SIGNED_ANGLES
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
+from hyperdistill.model import CASES, OUTCOME_PAIRS
 
 fv = FidelityVector(0.7, 0.1, 0.15, 0.05)
 run = run_protocol(m=8, fv=fv, seed=2026)

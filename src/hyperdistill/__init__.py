@@ -19,14 +19,15 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     **dict.fromkeys(("fidelity", "projector", "trace_distance"), "linalg"),
     **dict.fromkeys((
-        "ENSEMBLE_ORDER", "FidelityVector", "HyperComponent", "PolarizationBell",
-        "bell_vector", "ensemble_polarization_density", "hyper_source_state",
-        "mixed_ensemble", "spatial_vector",
+        "HyperComponent", "bell_vector", "ensemble_polarization_density",
+        "hyper_source_state", "mixed_ensemble", "spatial_vector",
     ), "states"),
     **dict.fromkeys((
-        "DeviceParams", "QndOutcome", "oracle_conditional_pol_state", "oracle_evolve",
-        "oracle_outcome_distribution",
+        "oracle_conditional_pol_state", "oracle_evolve", "oracle_outcome_distribution",
     ), "qnd"),
+    **dict.fromkeys((
+        "DeviceParams", "ENSEMBLE_ORDER", "FidelityVector", "PolarizationBell", "QndOutcome",
+    ), "model"),
     **dict.fromkeys(("Message", "Party", "Phase", "Transcript"), "wire"),
     **dict.fromkeys(("BellClass", "analytic_phi_probability", "audit", "run_protocol"), "protocol"),
     **dict.fromkeys(("RunConfig", "execute_run", "main", "parse_config"), "cli"),

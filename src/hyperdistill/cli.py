@@ -32,8 +32,7 @@ from .protocol import (
     pair_table,
     run_protocol,
 )
-from .qnd import DeviceParams
-from .states import FidelityVector
+from .model import DeviceParams, FidelityVector
 from .wire import Transcript
 
 DEFAULT_PAIRS = 1000

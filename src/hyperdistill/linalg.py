@@ -5,7 +5,7 @@ matrices, tensor products, subsystem reordering, partial traces,
 fidelity and trace distance. Dimensions are capped at ``MAX_DIM``
 because nothing in this simulator needs more than two photons with two
 binary degrees of freedom each plus two binary measurement registers.
-The tensor oracle is its one user; the engine reads only ``EPS_NORM``.
+The tensor oracle is its one user.
 
 Basis-label convention: every single-factor label is one whitespace-free
 token ("H", "V", "a1", ...); composite labels join factor tokens with a
@@ -20,12 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .model import EPS_NORM
+
 #: Hard cap on vector/matrix dimension (2 photons x 2 DOF plus two
 #: binary outcome registers = 64).
 MAX_DIM = 64
-
-#: Tolerance for normalization / hermiticity / trace checks.
-EPS_NORM = 1e-12
 
 #: Tolerance for cross-validation against the full-Hilbert-space oracle.
 EPS_ORACLE = 1e-10

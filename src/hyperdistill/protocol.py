@@ -18,7 +18,7 @@ This module holds the pair table, the analytic law, the engine and the
 audit. ``run_protocol`` is the one engine. It draws the substreams in
 chunks of pairs and gathers every pair's fate from ``pair_table()`` into
 int8 columns. The table holds numpy arrays only, built from the Bell
-amplitudes of ``states.BELL_AMPLITUDES`` without the oracle's linear
+amplitudes of ``model.BELL_AMPLITUDES`` without the oracle's linear
 algebra. Its reference is a per-pair run in the tests that samples from
 the tensor oracle of ``qnd``, which shares no code with the table.
 """
@@ -33,9 +33,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import EPS_NORM
-from .qnd import CASES, OUTCOME_PAIRS, DeviceParams
-from .states import BELL_AMPLITUDES, ENSEMBLE_ORDER, FidelityVector, inverse_cdf
+from .model import (
+    BELL_AMPLITUDES, CASES, ENSEMBLE_ORDER, EPS_NORM, OUTCOME_PAIRS, DeviceParams,
+    FidelityVector, inverse_cdf,
+)
 from . import wire
 from .wire import Party, Phase, Transcript, _PairPayloads
 

@@ -10,61 +10,19 @@ magnitude of the shift but not its sign, so each server records one of
 two outcomes, "Shift" or "NoShift", and routes the photon to its upper
 output port on NoShift or its lower port on Shift.
 
-``protocol.pair_table`` reads each case's readouts and surviving states
-into plain arrays straight off ``states.BELL_AMPLITUDES``, with none of
-``linalg``. ``oracle_evolve`` rebuilds the same physics by explicit
-tensor evolution over the photon register joined with a three-level
-phase-class register per probe; it shares no code with the table and is
-the reference the table is checked against.
+``oracle_evolve`` rebuilds the physics of ``protocol.pair_table`` by
+explicit tensor evolution over the photon register joined with a
+three-level phase-class register per probe; it shares no code with the
+table and is the reference the table is checked against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .linalg import EPS_NORM, DensityMatrix, partial_trace
-from .states import ENSEMBLE_ORDER, HyperComponent, bell_vector
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class QndOutcome(Enum):
-    """Two-valued probe readout at one server."""
-
-    SHIFT = "Shift"
-    NO_SHIFT = "NoShift"
-
-
-#: Fixed enumeration order of joint outcomes (A, B).
-OUTCOME_PAIRS = (
-    (QndOutcome.SHIFT, QndOutcome.SHIFT),
-    (QndOutcome.SHIFT, QndOutcome.NO_SHIFT),
-    (QndOutcome.NO_SHIFT, QndOutcome.SHIFT),
-    (QndOutcome.NO_SHIFT, QndOutcome.NO_SHIFT),
-)
-
-
-@dataclass(frozen=True)
-class DeviceParams:
-    """Cross-Kerr device settings shared by both servers.
-
-    The engine works with the three discrete phase classes a probe can
-    take, so the probe phase shift and amplitude do not enter. A nonzero
-    ``homodyne_error`` flips each server's recorded outcome with that
-    probability, modeling an X-homodyne readout that misreads the shift.
-    """
-
-    homodyne_error: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.homodyne_error < 0.5):
-            raise ValueError(
-                f"homodyne_error {self.homodyne_error!r} outside [0, 0.5)"
-            )
+from .linalg import DensityMatrix, partial_trace
+from .model import EPS_NORM, _INV_SQRT2, DeviceParams, QndOutcome
+from .states import HyperComponent, bell_vector
 
 
 def _probe_quantum(pol: str, path: int) -> int:
@@ -73,16 +31,6 @@ def _probe_quantum(pol: str, path: int) -> int:
     if pol == "V" and path == 2:
         return -1
     return 0
-
-
-# --- cases and readouts -------------------------------------------------------
-#
-# A pair reaches the devices in one of 8 cases: a Bell kind and a spatial
-# sign. Case 2*i + s is ENSEMBLE_ORDER[i] with spatial sign +1 (s = 0) or
-# -1 (s = 1); readout r is OUTCOME_PAIRS[r], so r = 2*a + b with the
-# outcome codes SHIFT = 0 and NO_SHIFT = 1 of each server.
-
-CASES = tuple((kind, sign) for kind in ENSEMBLE_ORDER for sign in (1, -1))
 
 
 # --- full-Hilbert-space oracle ---------------------------------------------

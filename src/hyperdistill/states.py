@@ -16,38 +16,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .linalg import EPS_NORM, DensityMatrix, StateVector
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-#: Round-off in a sum of weights that ``from_components`` renormalizes away.
-EPS_WEIGHTS = 1e-9
+from .linalg import DensityMatrix, StateVector
+from .model import (
+    BELL_AMPLITUDES, ENSEMBLE_ORDER, EPS_NORM, _INV_SQRT2, FidelityVector, PolarizationBell,
+)
 
 POLARIZATION_PAIR_LABELS = ("H H", "H V", "V H", "V V")
 SPATIAL_PAIR_LABELS = ("a1 b1", "a1 b2", "a2 b1", "a2 b2")
-
-
-class PolarizationBell(Enum):
-    """The four maximally entangled polarization states."""
-
-    PHI_PLUS = "PhiPlus"
-    PHI_MINUS = "PhiMinus"
-    PSI_PLUS = "PsiPlus"
-    PSI_MINUS = "PsiMinus"
-
-
-#: Amplitudes of each Bell state over (HH, HV, VH, VV), as plain floats:
-#: the engine's table reads them as data, and ``bell_vector`` wraps them.
-BELL_AMPLITUDES = {
-    PolarizationBell.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
-    PolarizationBell.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
-    PolarizationBell.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
-    PolarizationBell.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
-}
 
 
 @functools.cache
@@ -64,55 +42,6 @@ def spatial_vector(sign: int = 1) -> StateVector:
     return StateVector(
         (_INV_SQRT2, 0.0, 0.0, sign * _INV_SQRT2), SPATIAL_PAIR_LABELS
     )
-
-
-@dataclass(frozen=True)
-class FidelityVector:
-    """Mixture weights of the four Bell components of the noisy pair.
-
-    ``f`` weights the PhiPlus component, ``f1`` PhiMinus, ``f2`` PsiPlus
-    and ``f3`` PsiMinus; they must sum to one.
-    """
-
-    f: float
-    f1: float
-    f2: float
-    f3: float
-
-    def __post_init__(self):
-        for name, value in zip(("f", "f1", "f2", "f3"), self.as_tuple()):
-            if not (math.isfinite(value) and -EPS_NORM <= value <= 1.0 + EPS_NORM):
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-        total = self.f + self.f1 + self.f2 + self.f3
-        if abs(total - 1.0) > EPS_NORM:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-
-    @classmethod
-    def from_components(cls, values) -> "FidelityVector":
-        """Build from four weights, renormalizing round-off up to ``EPS_WEIGHTS``."""
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError(f"need exactly 4 weights, got {len(vals)}")
-        if any(v < 0.0 or v > 1.0 for v in vals):
-            raise ValueError(f"weights {vals} outside [0, 1]")
-        total = sum(vals)
-        if abs(total - 1.0) > EPS_WEIGHTS:
-            raise ValueError(f"weights {vals} sum to {total!r}, expected 1")
-        if abs(total - 1.0) <= EPS_NORM:
-            return cls(*vals)
-        return cls(*(v / total for v in vals))
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f, self.f1, self.f2, self.f3)
-
-
-#: Fixed pairing of ensemble slots to Bell kinds.
-ENSEMBLE_ORDER = (
-    PolarizationBell.PHI_PLUS,
-    PolarizationBell.PHI_MINUS,
-    PolarizationBell.PSI_PLUS,
-    PolarizationBell.PSI_MINUS,
-)
 
 
 @dataclass(frozen=True)
@@ -172,33 +101,6 @@ def mixed_ensemble(fv: FidelityVector) -> tuple[HyperComponent, ...]:
         HyperComponent(kind, weight)
         for kind, weight in zip(ENSEMBLE_ORDER, fv.as_tuple())
     )
-
-
-def inverse_cdf(weights, u):
-    """Slot that the uniform draw ``u`` selects from ``weights``.
-
-    Slot i is the first whose running weight sum, added left to right,
-    exceeds ``u``. Round-off can leave the total just below 1 (a
-    FidelityVector may sum to within EPS_NORM of it, and the readout
-    distributions sum to 1 - 4e-16), so a draw at or above the total
-    falls back to the last slot of nonzero weight, never to a slot that
-    cannot occur.
-
-    ``u`` is one float, or an array of draws; then ``weights`` is one row
-    shared by every draw or one row per draw, and an index array is
-    returned.
-    """
-    if isinstance(u, float):
-        acc = 0.0
-        for i, weight in enumerate(weights):
-            acc += weight
-            if u < acc:
-                return i
-        return max(i for i, weight in enumerate(weights) if weight > 0.0)
-    weights = np.asarray(weights, dtype=float)
-    hits = u[:, None] < np.cumsum(weights, axis=-1)
-    fallback = weights.shape[-1] - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), fallback)
 
 
 def ensemble_polarization_density(fv: FidelityVector) -> DensityMatrix:

@@ -501,12 +501,13 @@ class Transcript:
         A UTF-8 ``io.TextIOWrapper`` whose position can be told is read as
         bytes from its ``buffer``, ``_READ_BYTES`` at a time into one reused
         buffer, and its lines are cut at each ``b"\\n"``: the lines that
-        iterating it gives while it holds no ``"\\r"``. So when a read holds
-        one, or a block a bad line or bytes that do not decode, the file is
-        seeked back to where this call found it and iterated line by line,
-        which gives what iteration gives. Any other file, such as a pipe, a
-        file advanced by ``next()``, a ``StringIO`` or a file of another
-        codec, is iterated line by line from where it is.
+        iterating it gives while it holds no ``"\\r"`` and was not opened
+        with ``newline="\\r"`` or ``"\\r\\n"``. So when a read holds a
+        ``"\\r"``, the first line a ``"\\n"`` before its end, or a block a bad
+        line or bytes that do not decode, the file is seeked back to where
+        this call found it and iterated line by line, which gives what
+        iteration gives. Any other file (a pipe, a file advanced by ``next()``,
+        a ``StringIO``, a file of another codec) is iterated from where it is.
         """
         if isinstance(lines, str):
             raise TypeError("from_lines takes lines or a text file, not one str")
@@ -518,7 +519,10 @@ class Transcript:
                 start = None
             if start is not None and lines.buffer.tell() == start:  # no decoder state in start
                 try:
-                    return cls._from_blocks(_file_blocks(lines.buffer))
+                    cuts_at_lf = "\n" not in lines.readline()[:-1]  # False for newline "\r", "\r\n"
+                    lines.seek(start)
+                    if cuts_at_lf:
+                        return cls._from_blocks(_file_blocks(lines.buffer))
                 except ValueError:
                     lines.seek(start)
         return cls._from_blocks(_list_blocks(lines))

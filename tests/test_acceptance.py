@@ -31,6 +31,7 @@ from hyperdistill import (
 )
 from hyperdistill.cli import serialize_report
 from hyperdistill.linalg import StateVector
+from hyperdistill.model import CASES, OUTCOME_PAIRS
 from hyperdistill.protocol import (
     VIOLATION_ALICE_FEEDBACK,
     VIOLATION_ANGLE_TO_BOB2,
@@ -39,7 +40,6 @@ from hyperdistill.protocol import (
     SIGNED_ANGLES,
     pair_table,
 )
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
 from hyperdistill.states import POLARIZATION_PAIR_LABELS
 from hyperdistill.wire import Message, Party, Phase
 

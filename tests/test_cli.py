@@ -789,6 +789,14 @@ def run_python(code, *args):
     )
 
 
+#: Code that fails a fresh process which has loaded a module of the tensor
+#: oracle: a run, a sweep's coordinator and a replay read only ``model``.
+ORACLE_UNLOADED = (
+    "oracle = {'hyperdistill.linalg', 'hyperdistill.states', 'hyperdistill.qnd'}\n"
+    "assert not oracle & set(sys.modules), sorted(oracle & set(sys.modules))\n"
+)
+
+
 def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
     # Run the package as ``python -m hyperdistill`` does, then look at what
     # the start imported: only a sweep needs the pool, and only a written
@@ -804,6 +812,7 @@ def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
         "assert 'concurrent.futures' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "assert 'hyperdistill.render' not in sys.modules\n"
+        + ORACLE_UNLOADED
     )
     result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr
@@ -825,10 +834,27 @@ def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
         "assert 'multiprocessing' not in sys.modules\n"
         "loaded = {'_hashlib', 'hashlib', 'hmac', 'secrets', 'numpy.random'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
+        + ORACLE_UNLOADED
     )
     result = run_python(code, str(tmp_path / "report.json"))
     assert result.returncode == 0, result.stderr
     assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == 2
+
+
+def test_replay_leaves_the_oracle_unloaded(tmp_path):
+    # Read and audit a saved transcript as the benchmark's replay does.
+    path = tmp_path / "t.log"
+    out = tmp_path / "r.json"
+    assert main(["--pairs", "50", "--transcript", str(path), "--out", str(out)]) == 0
+    code = (
+        "import sys\n"
+        "from hyperdistill import Transcript, audit\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    assert audit(Transcript.from_lines(fh)).passed\n"
+        + ORACLE_UNLOADED
+    )
+    result = run_python(code, str(path))
+    assert result.returncode == 0, result.stderr
 
 
 def test_program_entry_freezes_the_start_up_objects(tmp_path):

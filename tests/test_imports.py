@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every name it defines at module level is named somewhere else, and the
-wire format imports nothing from the engine or the CLI.
+every name it defines at module level is named somewhere else, the wire
+format imports nothing from the engine or the CLI, and the engine and the
+tensor oracle import nothing from each other.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules:
 each module is parsed with ``ast``. A module-level name counts as used
@@ -64,38 +65,36 @@ def imported_modules(source):
     return {imported[0] for imported in package_imports(source)}
 
 
+def source_of(name):
+    return (pathlib.Path(hyperdistill.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["wire", "render"])
 def test_wire_format_stands_below_the_engine(name):
     # The engine and the audit build on the wire format and its renderer,
     # not the other way round.
-    source = (pathlib.Path(hyperdistill.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
-    assert imported_modules(source) & {"protocol", "cli"} == set()
+    assert imported_modules(source_of(name)) & {"protocol", "cli"} == set()
 
 
-#: All that the engine, the CLI and the wire format may import from the
-#: modules the tensor oracle is built on: constants, tables and plain types.
-ORACLE_VOCABULARY = {
-    ("linalg", "EPS_NORM"),
-    ("states", "BELL_AMPLITUDES"),
-    ("states", "ENSEMBLE_ORDER"),
-    ("states", "FidelityVector"),
-    ("states", "inverse_cdf"),
-    ("qnd", "CASES"),
-    ("qnd", "OUTCOME_PAIRS"),
-    ("qnd", "DeviceParams"),
-}
+#: The modules the tensor oracle is built on, and those a run executes.
+ORACLE = {"linalg", "states", "qnd"}
+ENGINE = {"protocol", "cli", "wire", "render"}
 
 
-def test_engine_imports_only_the_oracles_vocabulary():
+@pytest.mark.parametrize("name", sorted(ENGINE | {"model"}))
+def test_engine_imports_nothing_from_the_oracle(name):
     # The oracle is the engine's independent reference only while the two
-    # share no code: no StateVector, no projector algebra, no oracle module.
-    package = pathlib.Path(hyperdistill.__file__).parent
-    imported = set().union(*(
-        package_imports((package / f"{name}.py").read_text(encoding="utf-8"))
-        for name in ("protocol", "cli", "wire", "render")
-    ))
-    oracle_side = {item for item in imported if item[0] in ("linalg", "states", "qnd")}
-    assert oracle_side == ORACLE_VOCABULARY
+    # share no code: what both read lives in ``model``, below them both.
+    assert imported_modules(source_of(name)) & ORACLE == set()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_oracle_imports_nothing_from_the_engine(name):
+    assert imported_modules(source_of(name)) & ENGINE == set()
+
+
+def test_model_imports_nothing_from_the_package():
+    assert imported_modules(source_of("model")) == set()
 
 
 def test_imported_modules_finds_every_form():

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from hyperdistill import bell_vector, fidelity, projector, spatial_vector, trace_distance
 from hyperdistill.linalg import (
-    EPS_NORM,
     DensityMatrix,
     StateVector,
     partial_trace,
     reorder_subsystems,
     tensor,
 )
-from hyperdistill.states import PolarizationBell
+from hyperdistill.model import EPS_NORM, PolarizationBell
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

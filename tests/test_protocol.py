@@ -19,6 +19,7 @@ from hyperdistill import (
     audit,
     run_protocol,
 )
+from hyperdistill.model import CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
@@ -27,8 +28,6 @@ from hyperdistill.protocol import (
     VIOLATION_RESULT_FROM_BOB2,
     pair_table,
 )
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
-from hyperdistill.states import ENSEMBLE_ORDER
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT

@@ -22,9 +22,9 @@ from hyperdistill import (
     trace_distance,
 )
 from hyperdistill.linalg import StateVector
+from hyperdistill.model import CASES, OUTCOME_PAIRS, inverse_cdf
 from hyperdistill.protocol import pair_table
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
-from hyperdistill.states import POLARIZATION_PAIR_LABELS, inverse_cdf
+from hyperdistill.states import POLARIZATION_PAIR_LABELS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 S = QndOutcome.SHIFT

@@ -20,7 +20,7 @@ from hyperdistill import (
     spatial_vector,
 )
 from hyperdistill.linalg import reorder_subsystems, tensor
-from hyperdistill.states import inverse_cdf
+from hyperdistill.model import inverse_cdf
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -46,6 +46,7 @@ from hyperdistill import (
 from hyperdistill import protocol, render, wire
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
 from hyperdistill.linalg import EPS_ORACLE, StateVector
+from hyperdistill.model import CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS, inverse_cdf
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
     VIOLATION_ALICE_FEEDBACK,
@@ -57,14 +58,7 @@ from hyperdistill.protocol import (
     inferred_phi_probability,
     pair_table,
 )
-from hyperdistill.qnd import CASES, OUTCOME_PAIRS
-from hyperdistill.states import (
-    ENSEMBLE_ORDER,
-    POLARIZATION_PAIR_LABELS,
-    bell_vector,
-    inverse_cdf,
-    mixed_ensemble,
-)
+from hyperdistill.states import POLARIZATION_PAIR_LABELS, bell_vector, mixed_ensemble
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -1036,6 +1030,8 @@ HANDLES = {
     "newline=None": lambda path: open(path, encoding="utf-8"),
     "newline=''": lambda path: open(path, encoding="utf-8", newline=""),
     "newline='\\n'": lambda path: open(path, encoding="utf-8", newline="\n"),
+    "newline='\\r'": lambda path: open(path, encoding="utf-8", newline="\r"),
+    "newline='\\r\\n'": lambda path: open(path, encoding="utf-8", newline="\r\n"),
     "StringIO": lambda path: io.StringIO(path.read_bytes().decode("utf-8", "replace")),
     "pipe": piped,
     "advanced by next()": advanced,
