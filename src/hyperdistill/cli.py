@@ -23,7 +23,6 @@ import numpy as np
 
 from .protocol import (
     ANGLE_COUNT,
-    DRAWS_PER_PAIR,
     MAX_PAIRS,
     ProtocolRun,
     analytic_phi_probability,
@@ -93,9 +92,8 @@ class RunConfig:
             raise ValueError(f"pairs {self.pairs} must be >= 1")
         if self.pairs > MAX_PAIRS:
             raise ValueError(
-                f"pairs {self.pairs} exceeds {MAX_PAIRS}: a run draws up to "
-                f"{DRAWS_PER_PAIR} float64 uniforms per pair, and their byte "
-                "count must fit in intp"
+                f"pairs {self.pairs} exceeds {MAX_PAIRS}: a run's 6 m + 1 "
+                "transcript seqs must fit in intp"
             )
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed} outside unsigned 64-bit range")
@@ -378,24 +376,19 @@ def _sweep_single(args: tuple[RunConfig, int]) -> dict:
 def run_sweep(cfg: RunConfig) -> dict:
     """Run ``cfg.sweep`` consecutive seeds and aggregate their reports.
 
-    One seed runs in this process. More run in forked workers, one per CPU
-    that this process may run on and at most one per seed, each over one
-    contiguous share of the seeds; the reports come back in seed order, so
-    the document is the same at every worker count.
-    The analytic probability is read from the first report, so a coordinator
-    that forks workers builds no ``pair_table()`` and imports no
+    The seeds run in forked workers, one per CPU that this process may run
+    on and at most one per seed, each over one contiguous share of the
+    seeds; the reports come back in seed order, so the document is the same
+    at every worker count. The analytic probability is read from the first
+    report, so the coordinator builds no ``pair_table()`` and imports no
     ``numpy.random``.
     """
     n = int(cfg.sweep or 1)
-    seeds = [cfg.seed + i for i in range(n)]
-    jobs = [(cfg, seed) for seed in seeds]
-    if n == 1:
-        runs = [_sweep_single(jobs[0])]
-    else:
-        affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
-            runs = list(pool.map(_sweep_single, jobs))
+    jobs = [(cfg, cfg.seed + i) for i in range(n)]
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
+        runs = list(pool.map(_sweep_single, jobs))
     analytic = runs[0]["analytic_phi_probability"]
     expected = inferred_phi_probability(
         analytic, cfg.homodyne_error, cfg.evil_bob_flip_p

@@ -90,26 +90,16 @@ ENSEMBLE_ORDER = (
 
 
 def inverse_cdf(weights, u):
-    """Slot that the uniform draw ``u`` selects from ``weights``.
+    """Slots that the array of uniform draws ``u`` selects from ``weights``,
+    one row shared by every draw or one row per draw.
 
-    Slot i is the first whose running weight sum, added left to right,
-    exceeds ``u``. Round-off can leave the total just below 1 (a
+    A draw selects the first slot whose running weight sum, added left to
+    right, exceeds it. Round-off can leave the total just below 1 (a
     FidelityVector may sum to within EPS_NORM of it, and the readout
     distributions sum to 1 - 4e-16), so a draw at or above the total
     falls back to the last slot of nonzero weight, never to a slot that
     cannot occur.
-
-    ``u`` is one float, or an array of draws; then ``weights`` is one row
-    shared by every draw or one row per draw, and an index array is
-    returned.
     """
-    if isinstance(u, float):
-        acc = 0.0
-        for i, weight in enumerate(weights):
-            acc += weight
-            if u < acc:
-                return i
-        return max(i for i, weight in enumerate(weights) if weight > 0.0)
     weights = np.asarray(weights, dtype=float)
     hits = u[:, None] < np.cumsum(weights, axis=-1)
     fallback = weights.shape[-1] - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)

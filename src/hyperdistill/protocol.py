@@ -215,9 +215,7 @@ def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> floa
     weights = fv.as_tuple()
     total = 0.0
     for c, same_p in enumerate(same):
-        weight, sign_p = weights[c // 2], (1.0 - dephase_p, dephase_p)[c % 2]
-        if sign_p != 0.0 and weight != 0.0:
-            total += weight * sign_p * same_p
+        total += weights[c // 2] * (1.0 - dephase_p, dephase_p)[c % 2] * same_p
     return total
 
 
@@ -286,12 +284,9 @@ def pair_chunks(m: int) -> Iterator[slice]:
     return (slice(i, min(i + size, m)) for i in range(0, m, size))
 
 
-#: Most uniform draws a pair takes from one substream: the joint readout,
-#: two homodyne misreads and Bob1's misreport. The pair bound keeps the
-#: byte count of a run's draws within intp, and with it every count a run
-#: derives from its pairs, such as its 6 m + 1 transcript seqs.
-DRAWS_PER_PAIR = 4
-MAX_PAIRS = np.iinfo(np.intp).max // (DRAWS_PER_PAIR * np.dtype(np.float64).itemsize)
+#: Most pairs in one run. The bound keeps a run's 6 m + 1 transcript seqs,
+#: and every other count a run derives from its pairs, within intp.
+MAX_PAIRS = np.iinfo(np.intp).max // 32
 
 #: Payload text of each joint readout (Bob1's, then Bob2's), of each
 #: signed angle, of each bit and of the handoff, one row per code.
@@ -324,9 +319,8 @@ def run_protocol(
         raise ValueError(f"pair count {m} must be >= 1")
     if m > MAX_PAIRS:
         raise ValueError(
-            f"pair count {m} exceeds {MAX_PAIRS}: a run draws up to "
-            f"{DRAWS_PER_PAIR} float64 uniforms per pair, and their byte "
-            "count must fit in intp"
+            f"pair count {m} exceeds {MAX_PAIRS}: a run's 6 m + 1 "
+            "transcript seqs must fit in intp"
         )
     if not (0.0 <= dephase_p <= 1.0):
         raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")

@@ -642,15 +642,15 @@ def test_sweep_seed_range_checked_before_running(capsys):
 
 
 @pytest.mark.parametrize("mode", [[], ["--sweep", "2"]])
-def test_pairs_beyond_one_draw_block_exit_2(capsys, mode):
-    # MAX_PAIRS keeps the byte count of a run's draws, and every count
+def test_pairs_beyond_max_pairs_exit_2(capsys, mode):
+    # MAX_PAIRS keeps a run's 6 m + 1 transcript seqs, and every count
     # derived from the pair count, within intp; 10**20 pairs fails the
     # check before anything is allocated
     with pytest.raises(SystemExit) as exc:
         main(["--pairs", str(10**20)] + mode)
     assert exc.value.code == 2
     assert f"pairs {10**20} exceeds {protocol.MAX_PAIRS}" in capsys.readouterr().err
-    assert protocol.MAX_PAIRS * protocol.DRAWS_PER_PAIR * 8 <= np.iinfo(np.intp).max
+    assert 6 * protocol.MAX_PAIRS + 1 <= np.iinfo(np.intp).max
     RunConfig(pairs=protocol.MAX_PAIRS)
     with pytest.raises(ValueError, match="exceeds"):
         RunConfig(pairs=protocol.MAX_PAIRS + 1)
@@ -819,13 +819,16 @@ def test_single_run_leaves_the_process_pool_unloaded(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["pair_count"] == 1
 
 
-def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
-    # The parent of a sweep parses the arguments, forks the workers and
-    # writes the report: it hashes no run id and draws no entropy, so
-    # OpenSSL (and numpy.random, which loads it) stays in the workers.
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path, seeds):
+    # The parent of a sweep, of one seed too, parses the arguments, forks
+    # the workers and writes the report: it hashes no run id and draws no
+    # entropy, so OpenSSL (and numpy.random, which loads it) stays in the
+    # workers.
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['hyperdistill', '--sweep', '2', '--pairs', '50', '--out', sys.argv[1]]\n"
+        "sys.argv = ['hyperdistill', '--sweep', sys.argv[2], '--pairs', '50',\n"
+        "            '--out', sys.argv[1]]\n"
         "try:\n"
         "    runpy.run_module('hyperdistill', run_name='__main__')\n"
         "except SystemExit as exc:\n"
@@ -836,9 +839,9 @@ def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path):
         "assert not loaded, sorted(loaded)\n"
         + ORACLE_UNLOADED
     )
-    result = run_python(code, str(tmp_path / "report.json"))
+    result = run_python(code, str(tmp_path / "report.json"), str(seeds))
     assert result.returncode == 0, result.stderr
-    assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == 2
+    assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == seeds
 
 
 def test_replay_leaves_the_oracle_unloaded(tmp_path):

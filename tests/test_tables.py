@@ -194,7 +194,19 @@ def test_signed_angles_follow_the_announcement_rule():
     assert SIGNED_ANGLES[8] == 0.0 and math.copysign(1.0, SIGNED_ANGLES[8]) == 1.0
 
 
-# --- the shared inverse-CDF choice -----------------------------------------------------
+# --- the inverse-CDF choice ------------------------------------------------------------
+
+
+def draw_slot(weights, u):
+    """Slot that the one uniform draw ``u`` selects from ``weights``, chosen
+    by the per-pair reference run: the first slot whose running weight sum
+    exceeds ``u``, or the last slot of nonzero weight when none does."""
+    acc = 0.0
+    for i, weight in enumerate(weights):
+        acc += weight
+        if u < acc:
+            return i
+    return max(i for i, weight in enumerate(weights) if weight > 0.0)
 
 
 def test_table_readout_fallback_skips_zero_weight_readout():
@@ -219,8 +231,8 @@ def test_table_path_fallback_skips_zero_weight_slot():
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(lambda w: sum(w) > 0),
     st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
 )
-def test_inverse_cdf_array_path_equals_scalar_path(weights, draws):
-    expected = [inverse_cdf(weights, u) for u in draws]
+def test_inverse_cdf_equals_the_per_draw_reference(weights, draws):
+    expected = [draw_slot(weights, u) for u in draws]
     assert inverse_cdf(weights, np.array(draws)).tolist() == expected
     assert all(weights[i] > 0.0 for i in expected)
 
@@ -354,7 +366,8 @@ def oracle_bit0(c, r, sent_angle):
 def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed):
     """The run drawn pair by pair, in the engine's order from its four
     substreams, with each pair's readout, state and bit taken from the
-    tensor oracle. Returns the expected columns and wire bytes.
+    tensor oracle and each slot chosen by ``draw_slot``, not by the
+    engine's ``inverse_cdf``. Returns the expected columns and wire bytes.
     """
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
@@ -364,11 +377,11 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
     columns = {name: [] for name in names}
     outcomes, angles = [], []
     for _ in range(m):
-        c = 2 * inverse_cdf(fv.as_tuple(), rng_dist.random())
+        c = 2 * draw_slot(fv.as_tuple(), rng_dist.random())
         if dephase_p > 0.0:
             c += rng_dist.random() < dephase_p
         probs, states = oracle_case(c)
-        r = inverse_cdf(probs, rng_qnd.random())
+        r = draw_slot(probs, rng_qnd.random())
         a, b = OUTCOME_PAIRS[r]
         if homodyne_error > 0.0:
             a = FLIPPED[a] if rng_qnd.random() < homodyne_error else a
