@@ -1,10 +1,11 @@
 """One full protocol run, message by message.
 
 Source -> servers: noisy pair delivery. Servers -> Alice: one readout
-each per pair. Alice infers the Bell class of every pair, announces a
-signed angle per pair to the first server only, collects his measured
-bits, and hands the residual qubits off to the second server. The
-transcript auditor then re-checks that nobody said anything forbidden.
+each per pair. Alice infers the Bell class of every pair, announces an
+angle per pair to the first server only (signed by the class, and sent
+mod 2 pi), collects his measured bits, and hands the residual qubits off
+to the second server. The transcript auditor then re-checks that nobody
+said anything forbidden.
 """
 
 import collections
@@ -26,7 +27,7 @@ print()
 print("=" * 72)
 print("Alice's bookkeeping")
 print("=" * 72)
-print("pair  true state  readouts            inferred class  angle sent   bit")
+print("pair  true state  readouts            inferred class  signed angle bit")
 for j, (c, reported, phi, angle, a_bit) in enumerate(zip(
     run.case.tolist(), run.reported.tolist(), run.inferred_phi.tolist(),
     run.signed_angle_index.tolist(), run.a_bit.tolist(),

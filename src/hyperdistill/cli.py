@@ -23,6 +23,7 @@ import numpy as np
 
 from .protocol import (
     ANGLE_COUNT,
+    ENGINE_VERSION,
     MAX_PAIRS,
     ProtocolRun,
     analytic_phi_probability,
@@ -131,6 +132,7 @@ class RunConfig:
             "seed": self.seed,
             "output_format": self.output_format,
             "emit_transcript": self.emit_transcript,
+            "engine_version": ENGINE_VERSION,
         }
 
     def run_id(self) -> str:
@@ -153,9 +155,9 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     misreporting, counted in ``class_mismatch_count``.
 
     The report is read from the run's columns one chunk of pairs at a
-    time. Each fidelity mean is the sum of its values added one by one in
-    pair order, as ``np.cumsum`` adds them, over their count, or None when
-    no pair has the class.
+    time. Every fidelity in the table is exactly 0 or 1, so each fidelity
+    mean is a count of ones over a count of pairs, or None when no pair
+    has the class.
     """
     run: ProtocolRun = run_protocol(
         m=cfg.pairs,
@@ -169,7 +171,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     phi_count = mismatch_count = 0
     angle_counts = np.zeros(ANGLE_COUNT, dtype=np.int64)
     # Phi+ and Phi- fidelities of Phi-class states, Psi+ and Psi- of Psi-class.
-    sums, counts = np.zeros(4), np.zeros(4, dtype=np.int64)
+    ones, counts = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     for pairs in pair_chunks(cfg.pairs):
         case, readout = run.case[pairs], run.readout[pairs]
         inferred_phi, true_phi = run.inferred_phi[pairs], table.phi[case, readout]
@@ -178,10 +180,9 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         mismatch_count += int(np.count_nonzero(inferred_phi != true_phi))
         angle_counts += np.bincount(run.theta_index[pairs], minlength=ANGLE_COUNT)
         for k, rows in enumerate((true_phi, true_phi, ~true_phi, ~true_phi)):
-            # The running sum goes first, so the chunks add as one cumsum.
-            sums[k] = np.cumsum(np.concatenate(([sums[k]], fidelities[rows, k])))[-1]
+            ones[k] += np.count_nonzero(fidelities[rows, k])
             counts[k] += np.count_nonzero(rows)
-    means = [float(s / n) if n else None for s, n in zip(sums, counts)]
+    means = [float(s / n) if n else None for s, n in zip(ones, counts)]
     psi_count = cfg.pairs - phi_count
     violations = [
         {"kind": v.kind, "seq": v.seq, "description": v.description}

@@ -95,10 +95,9 @@ def inverse_cdf(weights, u):
 
     A draw selects the first slot whose running weight sum, added left to
     right, exceeds it. Round-off can leave the total just below 1 (a
-    FidelityVector may sum to within EPS_NORM of it, and the readout
-    distributions sum to 1 - 4e-16), so a draw at or above the total
-    falls back to the last slot of nonzero weight, never to a slot that
-    cannot occur.
+    FidelityVector may sum to within EPS_NORM of it), so a draw at or
+    above the total falls back to the last slot of nonzero weight, never
+    to a slot that cannot occur.
     """
     weights = np.asarray(weights, dtype=float)
     hits = u[:, None] < np.cumsum(weights, axis=-1)

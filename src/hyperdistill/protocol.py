@@ -4,9 +4,10 @@ The Source distributes noisy hyperentangled pairs to the two servers
 (Bob1, Bob2). Each server measures its probe and reports the readout to
 the classical client (Alice), who infers the surviving Bell class of
 every pair: same readouts mean a Phi-class pair, different readouts a
-Psi-class pair. Alice then announces one signed angle per pair to Bob1
-only, Bob1 measures his qubit in that rotated basis and reports a bit,
-and the run ends with a single handoff marker to Bob2.
+Psi-class pair. Alice then announces one angle per pair to Bob1 only,
+its sign set by the class and taken mod 2 pi on the wire; Bob1 measures
+his qubit in that rotated basis and reports a bit, and the run ends with
+a single handoff marker to Bob2.
 
 Every classical exchange is written to a transcript, whose wire format
 lives in ``wire``; the auditor re-reads it and fails the run if the
@@ -17,10 +18,10 @@ reported a measured bit.
 This module holds the pair table, the analytic law, the engine and the
 audit. ``run_protocol`` is the one engine. It draws the substreams in
 chunks of pairs and gathers every pair's fate from ``pair_table()`` into
-int8 columns. The table holds numpy arrays only, built from the Bell
-amplitudes of ``model.BELL_AMPLITUDES`` without the oracle's linear
-algebra. Its reference is a per-pair run in the tests that samples from
-the tensor oracle of ``qnd``, which shares no code with the table.
+int8 columns. The table holds numpy arrays only, written in closed form
+from ``model.BELL_AMPLITUDES``. Its reference is a per-pair run in the
+tests that samples from the tensor oracle of ``qnd``, which shares no
+code with the table.
 """
 
 from __future__ import annotations
@@ -34,11 +35,17 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .model import (
-    BELL_AMPLITUDES, CASES, ENSEMBLE_ORDER, EPS_NORM, OUTCOME_PAIRS, DeviceParams,
-    FidelityVector, inverse_cdf,
+    BELL_AMPLITUDES, CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS, DeviceParams, FidelityVector,
+    inverse_cdf,
 )
 from . import wire
 from .wire import Party, Phase, Transcript, _PairPayloads
+
+
+#: Version of what a seeded run outputs, echoed in the report's config so
+#: that ``run_id`` changes with it. 2: exact fidelities from the closed-form
+#: table, and angles announced mod 2 pi.
+ENGINE_VERSION = 2
 
 
 class BellClass(Enum):
@@ -53,8 +60,9 @@ ANGLE_STEP = math.pi / 4
 ANGLE_COUNT = 8
 
 
-#: The 16 announced angles: index ANGLE_COUNT*s + k is theta index k sent
-#: for a Phi-class (s = 0) or Psi-class (s = 1) pair.
+#: The 16 signed angles Bob1 measures at: index ANGLE_COUNT*s + k is theta
+#: index k for a Phi-class (s = 0) or Psi-class (s = 1) pair. The wire
+#: carries each mod 2 pi (``_ANGLE_PAYLOADS``).
 SIGNED_ANGLES = tuple(
     sign * (k * ANGLE_STEP) + 0.0 for sign in (1.0, -1.0) for k in range(ANGLE_COUNT)
 )
@@ -84,54 +92,38 @@ class PairTable(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def pair_table() -> PairTable:
-    """Build the PairTable once, straight from the Bell amplitudes.
+    """Build the PairTable once, in closed form.
 
     A photon shifts its probe exactly when its polarization index (H = 0,
     V = 1) equals its path index, and the readout codes are SHIFT = 0 and
     NO_SHIFT = 1. So the term (pa, pb) of a case's Bell vector that takes
     path t, with spatial amplitude (1, sign)[t]/sqrt(2), lands in readout
-    row r = 2 (pa ^ t) + (pb ^ t). A row's squared norm is the readout's
-    Born probability, and the normalised row its surviving state. Bob1's
-    block projects every surviving state onto his rotated basis at every
-    signed angle in one numpy expression.
+    r = 2 (pa ^ t) + (pb ^ t): a Phi kind's HH and VV terms in readouts 0
+    and 3, a Psi kind's HV and VH terms in readouts 1 and 2, one term of
+    each path in each. Each of those two readouts occurs with probability
+    exactly 1/2 and leaves the case's Bell kind, its relative sign times
+    the spatial sign, so Plus and Minus swap when the sign is -1. Bob1's
+    qubit of a Bell pair gives either bit with weight exactly 1/2 at every
+    angle. Every fidelity is 1.0 or 0.0.
     """
-    rows = np.zeros((len(CASES), len(OUTCOME_PAIRS), 4), dtype=complex)
-    for c, (kind, sign) in enumerate(CASES):
-        for t, spatial in enumerate(np.array((1.0, sign)) / math.sqrt(2.0)):
-            for i, amp in enumerate(BELL_AMPLITUDES[kind]):
-                pa, pb = divmod(i, 2)
-                rows[c, 2 * (pa ^ t) + (pb ^ t), i] += complex(amp) * spatial
-    probs = np.sum(np.abs(rows) ** 2, axis=-1)
-    if not np.all((probs >= 0.0) & (probs <= 1.0 + EPS_NORM)):
-        raise RuntimeError(f"readout probabilities outside [0, 1]: {probs}")
-    survives = np.linalg.norm(rows, axis=-1) > EPS_NORM
-
-    amplitudes = np.zeros_like(rows)
-    fidelity = np.full(probs.shape + (len(ENSEMBLE_ORDER),), np.nan)
-    bells = np.array([BELL_AMPLITUDES[kind] for kind in ENSEMBLE_ORDER], dtype=complex)
-    for c, r in zip(*np.nonzero(survives)):
-        state = rows[c, r] / np.linalg.norm(rows[c, r])
-        lead = state[np.abs(state) > 1e-9][0]
-        amplitudes[c, r] = state = state * (lead.conjugate() / abs(lead))
-        # One vdot per Bell state: a batched overlap differs in the last bit.
-        fidelity[c, r] = [abs(np.vdot(bell, state)) ** 2 for bell in bells]
-    phi = np.abs(amplitudes[..., 0]) ** 2 + np.abs(amplitudes[..., 3]) ** 2 > 0.5
-
-    # bra[a, s]: the bit-s basis state (|H> + (-1)^s e^{-i angle} |V>)/sqrt(2)
-    # as a row vector, so that bra @ psi is Bob2's unnormalised residual.
-    psi = amplitudes.reshape(probs.shape + (2, 2))
-    phase = np.exp(-1j * np.array(SIGNED_ANGLES))
-    bra = np.empty((len(SIGNED_ANGLES), 2, 1, 2), dtype=complex)
-    bra[:, :, 0, 0] = 1.0
-    bra[:, 0, 0, 1] = phase
-    bra[:, 1, 0, 1] = -phase
-    bra = bra.conj() / math.sqrt(2.0)
-    branch = (bra @ psi[:, :, None, None])[..., 0, :]
-    bit0 = np.sum(np.abs(branch[..., 0, :]) ** 2, axis=-1)
-    bit0[~survives] = np.nan
-    zero_weight = np.linalg.norm(branch, axis=-1) <= 1e-9
-
-    table = PairTable(probs, amplitudes, survives, phi, fidelity, bit0, zero_weight)
+    # ENSEMBLE_ORDER lists PhiPlus, PhiMinus, PsiPlus, PsiMinus: the index
+    # of a Phi kind is below 2, and index ^ 1 swaps Plus and Minus.
+    kind = np.array([ENSEMBLE_ORDER.index(bell) ^ (sign < 0) for bell, sign in CASES])
+    same = np.array([r >> 1 == r & 1 for r in range(len(OUTCOME_PAIRS))])
+    phi_kind = (kind < 2)[:, None]
+    survives = same == phi_kind
+    live = survives[..., None]
+    every_angle = np.ones((len(SIGNED_ANGLES), 2), bool)  # by signed angle and bit
+    bells = np.array([BELL_AMPLITUDES[bell] for bell in ENSEMBLE_ORDER], dtype=complex)
+    table = PairTable(
+        probs=np.where(survives, 0.5, 0.0),
+        amplitudes=np.where(live, bells[kind][:, None], 0.0),
+        survives=survives,
+        phi=survives & phi_kind,
+        fidelity=np.where(live, np.eye(len(ENSEMBLE_ORDER))[kind][:, None], np.nan),
+        bit0=np.where(live & every_angle[:, 0], 0.5, np.nan),
+        zero_weight=~live[..., None] & every_angle,
+    )
     for array in table:
         array.setflags(write=False)
     return table
@@ -246,14 +238,14 @@ class ProtocolRun:
     readout after homodyne misreads, ``reported`` the one Alice receives
     after Bob1's misreport, ``inferred_phi`` whether those reported
     readouts agree (Alice infers a Phi-class pair), ``theta_index`` the
-    angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index announced
-    and ``a_bit`` the bit Bob1 reports. The surviving state of a pair is
-    ``pair_table().amplitudes[case, readout]``, and Bob2's residual qubit
-    is what is left of it once Bob1's qubit is projected onto the state
-    (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2) of the announced angle.
-    ``transcript`` holds the run's messages as engine blocks only, one
-    phase after another through the handoff, and ``audit_report`` is its
-    audit.
+    angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index Bob1
+    measures at (announced mod 2 pi) and ``a_bit`` the bit Bob1 reports.
+    A pair's surviving state is ``pair_table().amplitudes[case, readout]``,
+    and Bob2's residual qubit is what is left of it once Bob1's qubit is
+    projected onto the state (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2)
+    of the announced angle. ``transcript`` holds the run's messages as
+    engine blocks only, one phase after another through the handoff, and
+    ``audit_report`` is its audit.
     """
 
     def __init__(
@@ -289,9 +281,13 @@ def pair_chunks(m: int) -> Iterator[slice]:
 MAX_PAIRS = np.iinfo(np.intp).max // 32
 
 #: Payload text of each joint readout (Bob1's, then Bob2's), of each
-#: signed angle, of each bit and of the handoff, one row per code.
+#: signed angle, of each bit and of the handoff, one row per code. A signed
+#: angle goes out mod 2 pi, the same projector for Bob1: a uniform theta
+#: index gives each of the 8 strings probability 1/8 in either class.
 _OUTCOME_PAYLOADS = np.array([[a.value, b.value] for a, b in OUTCOME_PAIRS], dtype=object)
-_ANGLE_PAYLOADS = np.array([[repr(angle)] for angle in SIGNED_ANGLES], dtype=object)
+_ANGLE_PAYLOADS = np.array([
+    [repr((sign * k % ANGLE_COUNT) * ANGLE_STEP)] for sign in (1, -1) for k in range(ANGLE_COUNT)
+], dtype=object)
 _BIT_PAYLOADS = np.array([["0"], ["1"]], dtype=object)
 _HANDOFF_PAYLOADS = np.array([["begin_single_server"]], dtype=object)
 

@@ -172,6 +172,18 @@ def test_config_keys_match_the_run_flags():
     assert fields - outputs == {name for name, _ in RUN_INPUTS}
 
 
+def test_config_echoes_the_engine_version():
+    # Not a config key: a run's outputs depend on it, so its run_id does.
+    cfg = RunConfig(pairs=5, sweep=2)
+    assert cfg.echo()["engine_version"] == protocol.ENGINE_VERSION == 2
+    assert "engine_version" not in CONFIG_KEY_TYPES
+    doc = run_sweep(cfg)
+    assert [r["config"]["engine_version"] for r in doc["runs"]] == [2, 2]
+    run_id = cfg.run_id()
+    with mock.patch.object(cli, "ENGINE_VERSION", 3):
+        assert cfg.echo()["engine_version"] == 3 and cfg.run_id() != run_id
+
+
 @pytest.mark.parametrize("name, value", RUN_INPUTS)
 def test_every_run_input_changes_the_results(name, value):
     base = RunConfig(pairs=2000)
@@ -300,11 +312,7 @@ def test_reports_and_transcripts_are_byte_identical():
 
 @pytest.mark.parametrize("size", [1, 7])
 def test_outputs_do_not_depend_on_the_chunk_size(size):
-    # 1000 pairs are one chunk at the program's size. Each fidelity mean
-    # carries its running sum from chunk to chunk, so it adds its values
-    # in the order one cumsum over the run adds them. Only Phi+ and Psi+
-    # pairs are sent, so two of the means sum values near 1e-34, where
-    # the order of the additions shows in the last bits.
+    # 1000 pairs are one chunk at the program's size.
     cfg = RunConfig(pairs=1000, fidelities=FidelityVector(0.5, 0, 0.5, 0),
                     homodyne_error=0.1, evil_bob_flip_p=0.1, seed=21)
     report, transcript = execute_run(cfg)

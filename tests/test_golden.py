@@ -23,46 +23,46 @@ CONFIGS = {
 }
 
 #: (config, seed) -> sha256 of the JSON report, the CSV report and the
-#: transcript.
+#: transcript, at engine version 2.
 GOLDEN = {
     ("clean", 0): (
-        "089aa6a4d0b09f029cbde2479b990564597f9333492b2224f9c102a4f7fd221d",
-        "0f070c680dade099180f617ce8ee25e4330821c8319256e07705a266c8987184",
-        "14a50af5698e6735f4e43a75eae9dd6112b80458694c1ce812b0105f2d75f900",
+        "33ab7a61ec483c89f4f7b72fa9066209e882fd570a7bea4e61569e6e987ed4f1",
+        "bf329109c2d9f617b5e3832afdd921aad597f70a564306c6d5d19955b45285d4",
+        "49785ff981e34bc67cd0867669c1e48eb070e4e4f47f9b4f152e70f3ed6db499",
     ),
     ("clean", 2**64 - 1): (
-        "66b5c5d83d4cb6e4b67564a223e1a88f329a80076ad66dadb919ba82dae2768d",
-        "d1719b85b70ee5f6741cb0ebf98d54b5b7f7535d95355c1a915a57f355e056b7",
-        "6c9a40e5781f2af24730bb447e55816c6e3634b928973cef9036afad069dbc72",
+        "4acd15029887cf698fb9b7b1d2d07991bb95a88210df41fbcd2808fd426bc523",
+        "5d2bf5faa81d2f3863706bbb83480318d0bf0062c07c1860257a0c9f53f8ba72",
+        "64331e687da462c88448a31746e5121cc3269c80a9a275689eb52785449f482e",
     ),
     ("noisy", 0): (
-        "46adbfca6b04f5ffb2302ea1419637d51286f13650124ac42b8255f66640754f",
-        "943454cf07169d0078c81ab4f29b08d205f9e6476de26bc0b66266f35306846c",
-        "69efdb2d6f3b648c8777807acdf7c17b19c6c19beea3ba666e3805ea1bb710b8",
+        "ed6832dc8a8c3d0f4533b1d011109635c3195f9df12c77d2f847cb81dbdedfbc",
+        "948f1694cdc3c7bb31489497bb38313e2976f7878c71626dca9ee740003900bc",
+        "4571161a03a51115f8219ec40e5be6b9d4ac2900bc9f8342a8555a1351ae4bf5",
     ),
     ("noisy", 2**64 - 1): (
-        "8c5437a023b7941b6958ad68b94114a21ae7bc476c06644d33ecf4ace0c8cfc4",
-        "54a9993bae8223704f1a738986b264651f93afc61d24525dfc00459ddc84dfd9",
-        "0652c2462d0b1154c940c8012643b787bfb9c8bac183b971c2f8a436754accb3",
+        "56754ea741df240dcbdf3e303a6a9710f7eaa8ec0748bf552f33b82be57c9565",
+        "15376e8bb02a9ae9ee3b370319f9e0a507d7b26d48d3bc51163cc9be3a9598e1",
+        "054f01daaf35fa22a504f46ed3a61497a84162783fa65958cfe03aba953b044b",
     ),
     ("zero_f3", 0): (
-        "077ea0ac80213d7c5610d03093cf9004b54a3cea2e43751a31108f1b2066136d",
-        "74225ab8de1f4479a9718afd958d09891f1bf536a327049c47442982c92fa969",
-        "14a50af5698e6735f4e43a75eae9dd6112b80458694c1ce812b0105f2d75f900",
+        "347c0f77ace9ef810a173b649f523f059fcf83b44025caf4293ec2ac294166af",
+        "439b18a53199787e9aa48b9eaa6c983135e8f9451b0667fffdc8c81c8e449fa5",
+        "49785ff981e34bc67cd0867669c1e48eb070e4e4f47f9b4f152e70f3ed6db499",
     ),
     ("zero_f3", 2**64 - 1): (
-        "4a81cc6b680f8498d1523d771d09d8834a9dff4725b0db1cb42ec294087aae18",
-        "c7d6b1d855c189753d63cf387e97410a686f0eaf48783a154f83aa5cb49d8b51",
-        "6c9a40e5781f2af24730bb447e55816c6e3634b928973cef9036afad069dbc72",
+        "b670f6abe8de043ab094d1ea65e9ccb45b14e73e35b4271030700b0570ca2fc4",
+        "2ec98886a3179a6e434d2352bdda60b3f1a53d7ab5851630642ac308b5e82f0b",
+        "64331e687da462c88448a31746e5121cc3269c80a9a275689eb52785449f482e",
     ),
     ("one_pair", 0): (
-        "c5835384efb4a7dd0ed90bf7333eaf645e7a5a7c0e5e96139d2f87f4c9775ef1",
-        "0c1b7a9df43788fbf67817997be845d2b3439f07ad07ee9594de0a668cf07b5b",
-        "2d9dc57ee7c149b1f04f1679a2c2fba112febbe8782c71a4cc4aa38bff80ac4c",
+        "4c8e132282cc37e5f5dfa8a0f9671db937368ae2b6a71245deb65aa5c00627bd",
+        "434ba09b31791b74935ae1d5ccb20991ab7f6601d9320ac0bcbcbb22f77ce65a",
+        "8f3e938c4cc299735d2afc9abbf5844519119534658c62c68be2214dce2b07b8",
     ),
     ("one_pair", 2**64 - 1): (
-        "88dba9be7e8a8cf6dd38a40308ab413e812e4b1eb76efdeaf19512df909874cb",
-        "e38ee3f33906b5bb8571d56120302d34692a68c2b8ff8af1cfd523d65a675164",
+        "d189e8d18ef667cc982dd45e65afc90371173a3cd0a27be8c2f59c7efc662a2a",
+        "30a93fa58905a44811d062e740e5de058615256eefb244d4784940cf707f83a3",
         "c8ed884780edd1ef02ec30b2f12cb1b4e32cbac0fa2dc9dfaee7d1680675f7a5",
     ),
 }
@@ -87,15 +87,15 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys, config, seed):
 
 
 #: (seed) -> sha256 of the JSON and the CSV document of a four-seed sweep
-#: of the noisy config.
+#: of the noisy config, at engine version 2.
 GOLDEN_SWEEP = {
     0: (
-        "671b33e4b60cb794fef7836ba670d304eadb588e259aea964cc1d496dcdada73",
-        "bcc3db4cbcbee8393365f4457e5972176492ab6870a3f268631d8bad9fc5f068",
+        "a52f952443edeafd4c7f5249dd00cc871c57f8dd8a5b6197d7accf5854c3b41a",
+        "e75c76dbf689f3e42386c078be08f95b20a06b742dbc8be748941adf0a8806b7",
     ),
     2**64 - 4: (
-        "5d7f4c51f46bd3961b527443714433faf3d110c187860be22c2f80d806811d71",
-        "285f5e6eea8555f5dc5f4b6fbb00e1a2ccbc0163b55207017d84027b07daece3",
+        "391efbf0233f79ee4cd80f3a769c33d269ceaf3cc97db4136689284792720c2a",
+        "51524f0ffd7e10806bfb74df1de8f88a1ad7e1c29a9b343659774e2ff73cac5f",
     ),
 }
 

@@ -19,6 +19,7 @@ from hyperdistill import (
     audit,
     run_protocol,
 )
+from hyperdistill import protocol
 from hyperdistill.model import CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS
 from hyperdistill.protocol import (
     SIGNED_ANGLES,
@@ -197,14 +198,37 @@ def test_angle_sign_follows_class():
 
 
 def test_angle_messages_target_bob1_only():
-    run = run_protocol(20, PHI_PLUS_ONLY, seed=0)
+    run = run_protocol(20, MIXED_FV, seed=0)
+    assert 0 < np.count_nonzero(run.inferred_phi) < 20
     msgs = phase_messages(run, Phase.ANGLE_ANNOUNCEMENT)
     assert len(msgs) == 20
     assert all(
         (msg.sender, msg.recipient) == (Party.ALICE, Party.BOB1) for msg in msgs
     )
     for msg, a in zip(msgs, run.signed_angle_index.tolist()):
-        assert float(msg.payload) == SIGNED_ANGLES[a]
+        s, k = divmod(a, 8)  # the signed angle, sent mod 2 pi
+        assert msg.payload == repr((-k if s else k) % 8 * (math.pi / 4))
+
+
+#: The eight angles k pi/4, 0 <= k < 8, as the wire writes them.
+ANNOUNCED = [repr(k * math.pi / 4) for k in range(8)]
+
+
+def test_announced_angle_is_a_permutation_of_theta_in_either_class():
+    # For either inferred class, theta index -> announced index is a
+    # permutation of 0..7. Theta is uniform, so the announced angle is
+    # uniform whatever the class or Bob2's readout: it carries nothing about
+    # either. Each is Bob1's signed angle up to a whole turn.
+    for s in (0, 1):
+        payloads = protocol._ANGLE_PAYLOADS[8 * s:8 * s + 8, 0].tolist()
+        index = [ANNOUNCED.index(p) for p in payloads if p in ANNOUNCED]
+        assert sorted(index) == list(range(8)), payloads
+        for k, payload in enumerate(payloads):
+            turns = (SIGNED_ANGLES[8 * s + k] - float(payload)) / (2 * math.pi)
+            assert abs(turns - round(turns)) <= 1e-15
+    run = run_protocol(2000, MIXED_FV, DeviceParams(0.1), 0.05, 0.1, seed=3)
+    sent = {msg.payload for msg in phase_messages(run, Phase.ANGLE_ANNOUNCEMENT)}
+    assert sent == set(ANNOUNCED)
 
 
 def test_angle_frequencies_uniform_within_three_sigma():

@@ -113,14 +113,39 @@ def test_bob1_rows_match_projector_algebra(case):
                 assert zero_weight[a, bit] == (p <= 1e-12)
 
 
+#: The Bell state a spatial sign of -1 turns each Bell state into.
+SIGN_FLIPPED = {
+    PolarizationBell.PHI_PLUS: PolarizationBell.PHI_MINUS,
+    PolarizationBell.PHI_MINUS: PolarizationBell.PHI_PLUS,
+    PolarizationBell.PSI_PLUS: PolarizationBell.PSI_MINUS,
+    PolarizationBell.PSI_MINUS: PolarizationBell.PSI_PLUS,
+}
+
+
 def test_fidelity_entries_equal_bell_overlaps():
+    # Every surviving state is the case's Bell state, Plus and Minus swapped
+    # for a spatial sign of -1: fidelity exactly 1.0 with it, 0.0 with the rest.
     table = pair_table()
     assert table.fidelity.shape == (8, 4, 4)
     for c, r in zip(*np.nonzero(table.survives)):
+        kind, sign = CASES[c]
+        expected = kind if sign == 1 else SIGN_FLIPPED[kind]
         amplitudes = table.amplitudes[c, r]
-        for k, kind in enumerate(ENSEMBLE_ORDER):
-            overlap = abs(np.vdot(bell_vector(kind).amplitudes, amplitudes)) ** 2
-            assert table.fidelity[c, r, k] == overlap, (c, r, kind)
+        assert amplitudes.tolist() == bell_vector(expected).amplitudes.tolist(), (c, r)
+        for k, bell in enumerate(ENSEMBLE_ORDER):
+            overlap = abs(np.vdot(bell_vector(bell).amplitudes, amplitudes)) ** 2
+            assert table.fidelity[c, r, k] == float(bell is expected), (c, r, bell)
+            assert abs(table.fidelity[c, r, k] - overlap) <= 1e-15, (c, r, bell)
+
+
+def test_table_entries_are_exact():
+    table = pair_table()
+    live = table.survives
+    assert set(table.probs.ravel().tolist()) == {0.0, 0.5}
+    assert (table.probs.sum(axis=1) == 1.0).all()
+    assert set(table.fidelity[live].ravel().tolist()) == {0.0, 1.0}
+    assert ((table.fidelity[live] == 1.0).sum(axis=-1) == 1).all()
+    assert (table.bit0[live] == 0.5).all()
 
 
 def test_impossible_readouts_are_marked_and_never_read():
@@ -156,13 +181,13 @@ def test_impossible_readouts_are_marked_and_never_read():
 #: surviving states only, in case and readout order, under "states". A table
 #: built another way must give the same bytes, or change these digests on purpose.
 PAIR_TABLE_SHA256 = {
-    "probs": "0cb7b280a4980ce29e048f462b4583b7f763294c7c6e1af68507c0417b638bf1",
+    "probs": "0533de46989311d47bbcdd7555d00806fdb00df61eb5658e6e73a2c976ef1caa",
     "survives": "02edeb3bb74046e415b314ec9e6c6a7caffd891fb1b652ab05a7e0aaaaf7b72a",
     "phi": "f69d05ee81336a0dbc728159bd5b58f1c7ac51fdc46030afb95166979767c418",
-    "fidelity": "7ce46d10e2636b2deeafbe161c1ef08faf206b61374f27a743922afb507ba469",
-    "bit0": "048d6752ba55e3de8078ece07a7667bb882f72b4d0038d7409c46b49f93ece88",
+    "fidelity": "cabe7fc2e3f7439df2311cc4dd86070cda64cd74063006ba770fa5ac4c540fcf",
+    "bit0": "1d3568c1922780c2a3c5e93ee910493be369211174735ef8e081e41892afccb1",
     "zero_weight": "5cced6b03195ff8e2c6c71b1b82be44a85cd8710032ca90347e9e2ea24aa599a",
-    "states": "7abc8f4d2749fb5ad84d0373643c12b756e20cf16948fdc6152347485ef3c527",
+    "states": "36ab9a64b4a27d7d191ba4af44fe9f90e756e5f5988aeef22d4492d975d9c09c",
 }
 
 
@@ -176,14 +201,16 @@ def test_pair_table_bytes_are_pinned():
 
 
 def test_surviving_states_print_no_negative_zero():
-    # The pinned states keep -0.0 imaginary parts from the phase rotation;
-    # printed, they must not read as if they carried a phase.
+    # The table's states hold no -0.0 imaginary part, but their conjugates,
+    # the same real states, hold one in every entry; printed, they must not
+    # read as if they carried a phase.
     table = pair_table()
+    assert not np.signbit(table.amplitudes.imag).any()
     states = [
-        StateVector(amplitudes, POLARIZATION_PAIR_LABELS)
+        StateVector(amplitudes.conj(), POLARIZATION_PAIR_LABELS)
         for amplitudes in table.amplitudes[table.survives]
     ]
-    assert any(np.signbit(state.amplitudes.imag).any() for state in states)
+    assert all(np.signbit(state.amplitudes.imag).all() for state in states)
     assert not [repr(state) for state in states if "-0j" in repr(state)]
 
 
@@ -210,12 +237,13 @@ def draw_slot(weights, u):
 
 
 def test_table_readout_fallback_skips_zero_weight_readout():
-    # the readout weights of a Psi pair sum to 1 - 4e-16, and the last
-    # readout pair (NoShift, NoShift) cannot occur
-    probs = pair_table().probs[CASES.index((PolarizationBell.PSI_PLUS, 1))]
+    # The table's readout weights sum to exactly 1, but the weights of
+    # FidelityVector(0.7, 0.2, 0.1, 0) add up to 1 - 1e-16 left to right,
+    # and the last slot (PsiMinus) cannot be drawn.
+    weights = FidelityVector(0.7, 0.2, 0.1, 0.0).as_tuple()
     u = np.array([0.9999999999999999])
-    assert probs.sum() <= u[0]
-    assert inverse_cdf(probs, u).tolist() == [OUTCOME_PAIRS.index((N, S))]
+    assert np.cumsum(weights)[-1] <= u[0]
+    assert inverse_cdf(weights, u).tolist() == [ENSEMBLE_ORDER.index(PolarizationBell.PSI_PLUS)]
 
 
 def test_table_path_fallback_skips_zero_weight_slot():
@@ -367,7 +395,8 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
     """The run drawn pair by pair, in the engine's order from its four
     substreams, with each pair's readout, state and bit taken from the
     tensor oracle and each slot chosen by ``draw_slot``, not by the
-    engine's ``inverse_cdf``. Returns the expected columns and wire bytes.
+    engine's ``inverse_cdf``. Bob1 measures at the signed angle, which goes
+    on the wire mod 2 pi. Returns the expected columns and wire bytes.
     """
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
@@ -399,7 +428,7 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
         for name, value in zip(names, row):
             columns[name].append(value)
         outcomes.append((a, b))
-        angles.append(sent)
+        angles.append(((k if phi else -k) % 8) * (math.pi / 4))
 
     lines = [f"Distribution|Source|{bob}|quantum_marker|{j}"
              for j in range(1, m + 1) for bob in ("Bob1", "Bob2")]
