@@ -20,29 +20,33 @@ from hyperdistill import (
     projector,
     trace_distance,
 )
-from hyperdistill.linalg import StateVector
-from hyperdistill.model import CASES, OUTCOME_PAIRS
-from hyperdistill.protocol import pair_table
-from hyperdistill.states import POLARIZATION_PAIR_LABELS
+from hyperdistill.model import CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS
+from hyperdistill.protocol import PHI_KIND, pair_table
+from hyperdistill.states import bell_vector
 
-table = pair_table()
+# The Bell kind each case survives as, whichever of its two readouts occurs.
+kind = pair_table().kind
 
 
-def surviving_state(c, r):
-    """The surviving state of case c after readout r, as a labelled vector."""
-    return StateVector(table.amplitudes[c, r], POLARIZATION_PAIR_LABELS)
+def readout_probability(c, readout):
+    """Probability of a joint readout in case c: 1/2 for each of the two
+    readouts of its kind's parity class, same records for a Phi kind and
+    different records for a Psi kind, and 0 for the other two."""
+    oa, ob = readout
+    return 0.5 if (oa is ob) == PHI_KIND[kind[c]] else 0.0
 
 
 print("=" * 72)
 print("Readouts and surviving states of each case (Bell kind x spatial sign)")
 print("=" * 72)
-for c, (kind, sign) in enumerate(CASES):
+for c, (bell, sign) in enumerate(CASES):
     tag = "" if sign == 1 else "  (spatially dephased)"
-    print(f"--- {kind.value}{tag} ---")
-    for r, (oa, ob) in enumerate(OUTCOME_PAIRS):
-        if table.survives[c, r]:
-            print(f"  ({oa.value:7s}, {ob.value:7s}) : {table.probs[c, r]:.2f}"
-                  f"  -> {surviving_state(c, r)}")
+    print(f"--- {bell.value}{tag} ---")
+    for oa, ob in OUTCOME_PAIRS:
+        p = readout_probability(c, (oa, ob))
+        if p:
+            print(f"  ({oa.value:7s}, {ob.value:7s}) : {p:.2f}"
+                  f"  -> {bell_vector(ENSEMBLE_ORDER[kind[c]])}")
     print()
 
 print("A spatial phase flip on the inbound pair moves the surviving state")
@@ -54,13 +58,15 @@ print("Cross-check against the full-Hilbert-space oracle")
 print("=" * 72)
 worst_p = 0.0
 worst_t = 0.0
-for c, (kind, sign) in enumerate(CASES):
-    rho = oracle_evolve(HyperComponent(kind, 1.0, spatial_sign=sign), DeviceParams())
+for c, (bell, sign) in enumerate(CASES):
+    rho = oracle_evolve(HyperComponent(bell, 1.0, spatial_sign=sign), DeviceParams())
     oracle_dist = oracle_outcome_distribution(rho)
-    for r, readout in enumerate(OUTCOME_PAIRS):
-        worst_p = max(worst_p, abs(table.probs[c, r] - oracle_dist[readout]))
-        if table.survives[c, r]:
+    for readout in OUTCOME_PAIRS:
+        p = readout_probability(c, readout)
+        worst_p = max(worst_p, abs(p - oracle_dist[readout]))
+        if p:
             oracle = oracle_conditional_pol_state(rho, readout)
-            worst_t = max(worst_t, trace_distance(projector(surviving_state(c, r)), oracle))
+            state = bell_vector(ENSEMBLE_ORDER[kind[c]])
+            worst_t = max(worst_t, trace_distance(projector(state), oracle))
 print(f"largest probability deviation over all 8 cases: {worst_p:.2e}")
 print(f"largest conditional-state trace distance:       {worst_t:.2e}")

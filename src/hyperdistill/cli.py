@@ -25,6 +25,7 @@ from .protocol import (
     ANGLE_COUNT,
     ENGINE_VERSION,
     MAX_PAIRS,
+    PHI_KIND,
     ProtocolRun,
     analytic_phi_probability,
     inferred_phi_probability,
@@ -155,9 +156,11 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     misreporting, counted in ``class_mismatch_count``.
 
     The report is read from the run's columns one chunk of pairs at a
-    time. Every fidelity in the table is exactly 0 or 1, so each fidelity
-    mean is a count of ones over a count of pairs, or None when no pair
-    has the class.
+    time, as a count of pairs by case and label and a count by angle
+    index. A case's pair survives as one Bell kind, ``pair_table().kind``,
+    so its ground-truth class is that kind's and each of its fidelities is
+    exactly 0 or 1: a fidelity mean is the count of pairs of one kind over
+    the count of its class, or None when no pair has the class.
     """
     run: ProtocolRun = run_protocol(
         m=cfg.pairs,
@@ -167,22 +170,20 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         evil_bob_flip_p=cfg.evil_bob_flip_p,
         seed=cfg.seed,
     )
-    table = pair_table()
-    phi_count = mismatch_count = 0
+    labels = np.zeros(16, dtype=np.int64)  # pairs by case, then inferred Phi
     angle_counts = np.zeros(ANGLE_COUNT, dtype=np.int64)
-    # Phi+ and Phi- fidelities of Phi-class states, Psi+ and Psi- of Psi-class.
-    ones, counts = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     for pairs in pair_chunks(cfg.pairs):
-        case, readout = run.case[pairs], run.readout[pairs]
-        inferred_phi, true_phi = run.inferred_phi[pairs], table.phi[case, readout]
-        fidelities = table.fidelity[case, readout]
-        phi_count += int(np.count_nonzero(inferred_phi))
-        mismatch_count += int(np.count_nonzero(inferred_phi != true_phi))
+        labels += np.bincount(2 * run.case[pairs] + run.inferred_phi[pairs], minlength=16)
         angle_counts += np.bincount(run.theta_index[pairs], minlength=ANGLE_COUNT)
-        for k, rows in enumerate((true_phi, true_phi, ~true_phi, ~true_phi)):
-            ones[k] += np.count_nonzero(fidelities[rows, k])
-            counts[k] += np.count_nonzero(rows)
-    means = [float(s / n) if n else None for s, n in zip(ones, counts)]
+    of_kind = [0] * 4  # pairs that survive as each Bell kind, in ENSEMBLE_ORDER
+    phi_count = mismatch_count = 0
+    for kind, (psi, phi) in zip(pair_table().kind.tolist(), labels.reshape(-1, 2).tolist()):
+        of_kind[kind] += psi + phi
+        phi_count += phi
+        mismatch_count += psi if PHI_KIND[kind] else phi
+    # Phi+ and Phi- fidelities of Phi-class states, Psi+ and Psi- of Psi-class.
+    of_class = [sum(n for n, p in zip(of_kind, PHI_KIND) if p == phi) for phi in PHI_KIND]
+    means = [n / total if total else None for n, total in zip(of_kind, of_class)]
     psi_count = cfg.pairs - phi_count
     violations = [
         {"kind": v.kind, "seq": v.seq, "description": v.description}

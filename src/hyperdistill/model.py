@@ -90,19 +90,21 @@ ENSEMBLE_ORDER = (
 
 
 def inverse_cdf(weights, u):
-    """Slots that the array of uniform draws ``u`` selects from ``weights``,
-    one row shared by every draw or one row per draw.
+    """Slots that the array of uniform draws ``u`` selects from the one row
+    of ``weights``.
 
     A draw selects the first slot whose running weight sum, added left to
-    right, exceeds it. Round-off can leave the total just below 1 (a
-    FidelityVector may sum to within EPS_NORM of it), so a draw at or
-    above the total falls back to the last slot of nonzero weight, never
-    to a slot that cannot occur.
+    right, exceeds it: the sums are searched through their running
+    maximum, which a slot of weight down to -EPS_NORM cannot make
+    decrease. Round-off can leave the total just below 1 (a FidelityVector
+    may sum to within EPS_NORM of it), so a draw at or above the total
+    falls back to the last slot of positive weight, never to a slot that
+    cannot occur.
     """
     weights = np.asarray(weights, dtype=float)
-    hits = u[:, None] < np.cumsum(weights, axis=-1)
-    fallback = weights.shape[-1] - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), fallback)
+    sums = np.maximum.accumulate(np.cumsum(weights))
+    last = len(weights) - 1 - np.argmax(weights[::-1] > 0.0)
+    return np.minimum(np.searchsorted(sums, u, side="right"), last)
 
 
 class QndOutcome(Enum):

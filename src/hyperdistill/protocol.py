@@ -17,11 +17,12 @@ reported a measured bit.
 
 This module holds the pair table, the analytic law, the engine and the
 audit. ``run_protocol`` is the one engine. It draws the substreams in
-chunks of pairs and gathers every pair's fate from ``pair_table()`` into
-int8 columns. The table holds numpy arrays only, written in closed form
-from ``model.BELL_AMPLITUDES``. Its reference is a per-pair run in the
-tests that samples from the tensor oracle of ``qnd``, which shares no
-code with the table.
+chunks of pairs into int8 columns. Distillation is deterministic: a
+case's pair survives as one Bell kind, ``pair_table().kind``, whichever
+of its kind's two readouts occurs, so each readout and each of Bob1's
+bits is one comparison of a draw with 1/2. Its reference is a per-pair
+run in the tests that samples from the tensor oracle of ``qnd``, which
+shares no code with the table.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .model import (
-    BELL_AMPLITUDES, CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS, DeviceParams, FidelityVector,
+    CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS, DeviceParams, FidelityVector,
     inverse_cdf,
 )
 from . import wire
@@ -69,25 +70,24 @@ SIGNED_ANGLES = tuple(
 
 
 class PairTable(NamedTuple):
-    """What happens to a pair, by case, joint readout and signed angle.
-
-    Case c is CASES[c] (a Bell kind and a spatial sign), readout r is
-    OUTCOME_PAIRS[r] and angle a is SIGNED_ANGLES[a]. The surviving
-    state of a readout is its amplitudes over (HH, HV, VH, VV), with
-    the global phase that makes the first nonzero one real positive. A
-    readout that cannot occur has zero amplitudes, does not survive, is
-    not Phi-class, has NaN fidelities and bit-0 probabilities, and both
-    of its bits have zero Born weight, so no lookup of it passes
-    unnoticed. The arrays are read-only.
+    """What happens to a pair, by case: ``kind[c]`` is the index in
+    ENSEMBLE_ORDER of the Bell state that case CASES[c] survives as, with
+    either of its kind's two readouts (``_READOUT_LOW``, ``_READOUT_STEP``).
+    The array is read-only.
     """
 
-    probs: np.ndarray  # (8, 4) Born probability of the readout
-    amplitudes: np.ndarray  # (8, 4, 4) complex surviving state
-    survives: np.ndarray  # (8, 4) whether the readout can occur
-    phi: np.ndarray  # (8, 4) whether the surviving state is Phi-class
-    fidelity: np.ndarray  # (8, 4, 4) with each Bell state, in ENSEMBLE_ORDER
-    bit0: np.ndarray  # (8, 4, 16) probability that Bob1 reports bit 0
-    zero_weight: np.ndarray  # (8, 4, 16, 2) bits without a residual state
+    kind: np.ndarray  # (8,) int8
+
+
+#: By Bell kind, in ENSEMBLE_ORDER: whether it is Phi-class, and the two
+#: joint readouts a pair of that kind gives, each with probability 1/2, as
+#: the lower one and the step to the other: (Shift, Shift) and (NoShift,
+#: NoShift) for a Phi kind, (Shift, NoShift) and (NoShift, Shift) for a Psi kind.
+PHI_KIND = np.array([True, True, False, False])
+_READOUT_LOW = np.array([0, 0, 1, 1], np.int8)
+_READOUT_STEP = np.array([3, 3, 1, 1], np.int8)
+for _array in (PHI_KIND, _READOUT_LOW, _READOUT_STEP):
+    _array.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,29 +104,13 @@ def pair_table() -> PairTable:
     exactly 1/2 and leaves the case's Bell kind, its relative sign times
     the spatial sign, so Plus and Minus swap when the sign is -1. Bob1's
     qubit of a Bell pair gives either bit with weight exactly 1/2 at every
-    angle. Every fidelity is 1.0 or 0.0.
+    angle, and each fidelity with a Bell state is exactly 1.0 or 0.0.
     """
-    # ENSEMBLE_ORDER lists PhiPlus, PhiMinus, PsiPlus, PsiMinus: the index
-    # of a Phi kind is below 2, and index ^ 1 swaps Plus and Minus.
-    kind = np.array([ENSEMBLE_ORDER.index(bell) ^ (sign < 0) for bell, sign in CASES])
-    same = np.array([r >> 1 == r & 1 for r in range(len(OUTCOME_PAIRS))])
-    phi_kind = (kind < 2)[:, None]
-    survives = same == phi_kind
-    live = survives[..., None]
-    every_angle = np.ones((len(SIGNED_ANGLES), 2), bool)  # by signed angle and bit
-    bells = np.array([BELL_AMPLITUDES[bell] for bell in ENSEMBLE_ORDER], dtype=complex)
-    table = PairTable(
-        probs=np.where(survives, 0.5, 0.0),
-        amplitudes=np.where(live, bells[kind][:, None], 0.0),
-        survives=survives,
-        phi=survives & phi_kind,
-        fidelity=np.where(live, np.eye(len(ENSEMBLE_ORDER))[kind][:, None], np.nan),
-        bit0=np.where(live & every_angle[:, 0], 0.5, np.nan),
-        zero_weight=~live[..., None] & every_angle,
-    )
-    for array in table:
-        array.setflags(write=False)
-    return table
+    # ENSEMBLE_ORDER lists PhiPlus, PhiMinus, PsiPlus, PsiMinus: index ^ 1
+    # swaps Plus and Minus.
+    kind = np.array([ENSEMBLE_ORDER.index(bell) ^ (sign < 0) for bell, sign in CASES], np.int8)
+    kind.setflags(write=False)
+    return PairTable(kind)
 
 
 # --- security audit ---------------------------------------------------------
@@ -197,13 +181,13 @@ def audit(transcript: Transcript) -> AuditReport:
 def analytic_phi_probability(fv: FidelityVector, dephase_p: float = 0.0) -> float:
     """Exact probability that Alice infers a Phi-class pair.
 
-    Averages the same-readout probability of each case over the mixture
-    weights and the dephasing channel, component by component.
+    Averages the same-readout probability of each case, 1.0 for a case
+    that survives as a Phi kind and 0.0 otherwise, over the mixture weights
+    and the dephasing channel, component by component.
     """
     if not (0.0 <= dephase_p <= 1.0):
         raise ValueError(f"dephasing probability {dephase_p!r} outside [0, 1]")
-    probs = pair_table().probs
-    same = (probs[:, 0] + probs[:, 3]).tolist()  # (Shift, Shift) + (NoShift, NoShift)
+    same = PHI_KIND[pair_table().kind].astype(float).tolist()
     weights = fv.as_tuple()
     total = 0.0
     for c, same_p in enumerate(same):
@@ -231,8 +215,7 @@ def inferred_phi_probability(
 class ProtocolRun:
     """Everything produced by one end-to-end run.
 
-    Each pair is one row of int8 columns (``inferred_phi`` is bool) over
-    the engine tables:
+    Each pair is one row of int8 columns (``inferred_phi`` is bool):
     ``case`` indexes CASES (the Bell kind and spatial sign delivered),
     ``readout`` the true joint readout in OUTCOME_PAIRS, ``recorded`` the
     readout after homodyne misreads, ``reported`` the one Alice receives
@@ -240,7 +223,7 @@ class ProtocolRun:
     readouts agree (Alice infers a Phi-class pair), ``theta_index`` the
     angle drawn, ``signed_angle_index`` the SIGNED_ANGLES index Bob1
     measures at (announced mod 2 pi) and ``a_bit`` the bit Bob1 reports.
-    A pair's surviving state is ``pair_table().amplitudes[case, readout]``,
+    A pair survives as the Bell state ``ENSEMBLE_ORDER[pair_table().kind[case]]``,
     and Bob2's residual qubit is what is left of it once Bob1's qubit is
     projected onto the state (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2)
     of the announced angle. ``transcript`` holds the run's messages as
@@ -266,7 +249,7 @@ class ProtocolRun:
     @property
     def true_phi(self) -> np.ndarray:
         """Whether the surviving state of each pair is Phi-class."""
-        return pair_table().phi[self.case, self.readout]
+        return PHI_KIND[pair_table().kind[self.case]]
 
 
 def pair_chunks(m: int) -> Iterator[slice]:
@@ -307,9 +290,13 @@ def run_protocol(
     readout, each server's misread, then Bob1's misreport), angles (one
     index per pair) and Bob1's measurement (one draw per pair). Only the
     draws of enabled noise branches are made. They are drawn in pair
-    order, ``wire._BLOCK_LINES`` pairs at a time, and each pair's fate is
-    gathered from ``pair_table()`` into the run's int8 columns; the
-    transcript keeps its payloads as codes into those columns.
+    order, ``wire._BLOCK_LINES`` pairs at a time, into the run's int8
+    columns; the transcript keeps its payloads as codes into those columns.
+
+    The readout and Bob1's bit are fair coins: a case gives the lower
+    readout of its kind (``_READOUT_LOW``) for a draw below 1/2 and the
+    one a step up (``_READOUT_STEP``) otherwise, and Bob1 reports bit 0
+    for a draw below 1/2.
     """
     if m < 1:
         raise ValueError(f"pair count {m} must be >= 1")
@@ -326,7 +313,8 @@ def run_protocol(
     rng_dist, rng_qnd, rng_angle, rng_meas = (
         np.random.default_rng(child) for child in root.spawn(4)
     )
-    table = pair_table()
+    kind = pair_table().kind
+    low, step = _READOUT_LOW[kind], _READOUT_STEP[kind]
     weights = fv.as_tuple()
     misread_p = params.homodyne_error
     dist_width = 1 + (dephase_p > 0.0)
@@ -348,11 +336,7 @@ def run_protocol(
         # Distillation, per pair: the joint readout, each server's misread,
         # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
         draws = rng_qnd.random(qnd_width * n).reshape(n, qnd_width)
-        r = inverse_cdf(table.probs[c], draws[:, 0])
-        dead = ~table.survives[c, r]
-        if dead.any():
-            pair = OUTCOME_PAIRS[r[dead][0]]
-            raise RuntimeError(f"sampled readout {pair} has no surviving branch")
+        r = low[c] + step[c] * (draws[:, 0] >= 0.5)
         rec = r
         if misread_p > 0.0:
             rec = r ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
@@ -365,13 +349,8 @@ def run_protocol(
         phi = (rep >> 1) == (rep & 1)
         a = ANGLE_COUNT * ~phi + theta
 
-        # Bob1: bit 0 when the draw falls below its Born weight.
-        bit = (rng_meas.random(n) >= table.bit0[c, r, a]).astype(np.int8)
-        impossible = table.zero_weight[c, r, a, bit]
-        if impossible.any():
-            raise RuntimeError(
-                f"bit {bit[impossible][0]} sampled despite zero Born weight"
-            )
+        # Bob1: bit 0 when the draw falls below its Born weight of 1/2.
+        bit = rng_meas.random(n) >= 0.5
         for column, values in (
             (case, c), (readout, r), (recorded, rec), (reported, rep),
             (inferred_phi, phi), (theta_index, theta), (angle, a), (a_bit, bit),

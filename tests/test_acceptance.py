@@ -38,10 +38,10 @@ from hyperdistill.protocol import (
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
     SIGNED_ANGLES,
-    pair_table,
 )
 from hyperdistill.states import POLARIZATION_PAIR_LABELS
 from hyperdistill.wire import Message, Party, Phase
+from table_arrays import table_arrays
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -78,7 +78,7 @@ def test_criterion_2_deterministic_success():
     started = time.perf_counter()
     m = 100_000
     run = run_protocol(m, MIXED, seed=202)
-    table = pair_table()
+    table = table_arrays()
     complete = len(run.case) == len(run.readout) == len(run.inferred_phi) == m
     definite = run.inferred_phi.dtype == np.dtype(bool)
     # Every (case, readout) the run meets has a surviving, normalised state.
@@ -98,7 +98,7 @@ def test_criterion_2_deterministic_success():
 
 
 def test_criterion_3_component_state_checks():
-    table = pair_table()
+    table = table_arrays()
     ok = True
     for kind, pairs in (
         (PolarizationBell.PHI_PLUS, ((S, S), (N, N))),
@@ -138,7 +138,7 @@ def test_criterion_4_routing_rule():
 
 def test_criterion_5_oracle_equivalence():
     started = time.perf_counter()
-    table = pair_table()
+    table = table_arrays()
     params = DeviceParams()
     ok = True
     for c, (kind, sign) in enumerate(CASES):
@@ -216,7 +216,7 @@ def test_criterion_6_security_audit():
 
 def test_criterion_7_delegated_measurement_statistics():
     run = run_protocol(80_000, MIXED, seed=40)
-    table = pair_table()
+    table = table_arrays()
     frequencies_ok = True
     for k in range(8):
         bits = run.a_bit[run.theta_index == k]

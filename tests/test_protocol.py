@@ -27,8 +27,8 @@ from hyperdistill.protocol import (
     VIOLATION_ANGLE_TO_BOB2,
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
-    pair_table,
 )
+from table_arrays import table_arrays
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -95,7 +95,7 @@ def test_distribution_message_shape():
 
 def test_clean_input_distills_perfect_phi_pairs():
     run = run_protocol(50, PHI_PLUS_ONLY, seed=1)
-    amplitudes = pair_table().amplitudes
+    amplitudes = table_arrays().amplitudes
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     assert run.inferred_phi.all() and run.true_phi.all()
     for c, r in zip(run.case.tolist(), run.readout.tolist()):
@@ -250,7 +250,7 @@ def test_phi_pair_measurement_is_unbiased():
     sigma = math.sqrt(0.25 / n)
     assert abs(ones / n - 0.5) <= 3 * sigma
     # exact Born weights from the independent oracle
-    amplitudes = pair_table().amplitudes[run.case[0], run.readout[0]]
+    amplitudes = table_arrays().amplitudes[run.case[0], run.readout[0]]
     for angle in SIGNED_ANGLES:
         p0, _ = projection_oracle(amplitudes, angle, 0)
         assert p0 == pytest.approx(0.5, abs=1e-12)
@@ -261,7 +261,7 @@ def assert_residuals_follow_the_angle(phi_class):
     both bits, Bob2's residual is (|H> +- e^{i phi}|V>)/sqrt(2), phi the
     angle with the sign of the class taken off, one sign per bit. The
     unflipped PhiPlus and PsiPlus states give the + sign for bit 0."""
-    table = pair_table()
+    table = table_arrays()
     seen = 0
     for c, r in zip(*np.nonzero(table.survives & (table.phi == phi_class))):
         amplitudes = table.amplitudes[c, r]

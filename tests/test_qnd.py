@@ -23,8 +23,8 @@ from hyperdistill import (
 )
 from hyperdistill.linalg import StateVector
 from hyperdistill.model import CASES, OUTCOME_PAIRS, inverse_cdf
-from hyperdistill.protocol import pair_table
 from hyperdistill.states import POLARIZATION_PAIR_LABELS
+from table_arrays import table_arrays
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 S = QndOutcome.SHIFT
@@ -39,10 +39,10 @@ ALL_CASES = [
 
 
 def case_row(kind, sign=1):
-    """Readout probabilities and surviving states of one case of pair_table(),
+    """Readout probabilities and surviving states of one case of table_arrays(),
     a state being None where its readout cannot occur."""
     c = CASES.index((kind, sign))
-    table = pair_table()
+    table = table_arrays()
     states = tuple(
         StateVector(amplitudes, POLARIZATION_PAIR_LABELS) if survives else None
         for amplitudes, survives in zip(table.amplitudes[c], table.survives[c])
@@ -117,7 +117,7 @@ def test_dephased_table_negates_second_path():
 
 
 def test_branch_weights_sum_to_one():
-    for probs in pair_table().probs:
+    for probs in table_arrays().probs:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_same_seed_reproduces_distilled_pairs():
 def test_homodyne_error_flips_record_not_state():
     phi_plus_only = FidelityVector(1.0, 0.0, 0.0, 0.0)
     run = run_protocol(500, phi_plus_only, DeviceParams(homodyne_error=0.4), seed=31)
-    amplitudes = pair_table().amplitudes
+    amplitudes = table_arrays().amplitudes
     for c, r in zip(run.case.tolist(), run.readout.tolist()):
         # state untouched by misclassification
         np.testing.assert_allclose(
@@ -233,7 +233,7 @@ def test_homodyne_error_flips_record_not_state():
 
 
 def test_bell_class_span_is_preserved():
-    table = pair_table()
+    table = table_arrays()
     for (kind, _), rows, survives in zip(CASES, table.amplitudes, table.survives):
         for amps in rows[survives]:
             if kind in (PolarizationBell.PHI_PLUS, PolarizationBell.PHI_MINUS):

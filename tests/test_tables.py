@@ -1,8 +1,9 @@
 """The table-driven engine against its references.
 
-``run_protocol`` draws the substreams in chunks of pairs and gathers
-every pair's fate from ``pair_table()`` into int8 columns. These tests
-check the table against the tensor oracle and explicit projector
+``run_protocol`` draws the substreams in chunks of pairs into int8
+columns, each pair's fate set by the Bell kind its case survives as,
+``pair_table().kind``. These tests check the arrays that column implies
+(``table_arrays``) against the tensor oracle and explicit projector
 algebra, and each column and the wire bytes of a run against a per-pair
 loop that draws in the engine's order and samples every pair from the
 tensor oracle, not from the table, so that a wrong table fails it. They
@@ -36,6 +37,7 @@ from hyperdistill import (
     QndOutcome,
     Transcript,
     audit,
+    fidelity,
     oracle_conditional_pol_state,
     oracle_evolve,
     oracle_outcome_distribution,
@@ -59,6 +61,7 @@ from hyperdistill.protocol import (
     pair_table,
 )
 from hyperdistill.states import POLARIZATION_PAIR_LABELS, bell_vector, mixed_ensemble
+from table_arrays import table_arrays
 
 S = QndOutcome.SHIFT
 N = QndOutcome.NO_SHIFT
@@ -72,7 +75,7 @@ MIXED = FidelityVector(0.7, 0.1, 0.15, 0.05)
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_readout_tables_match_oracle(case):
     kind, sign = CASES[case]
-    table = pair_table()
+    table = table_arrays()
     rho = oracle_evolve(HyperComponent(kind, 1.0, sign), DeviceParams())
     oracle_probs = oracle_outcome_distribution(rho)
     for r, pair in enumerate(OUTCOME_PAIRS):
@@ -100,7 +103,7 @@ def projector_bit_probability(rho, sent_angle, bit):
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_bob1_rows_match_projector_algebra(case):
-    table = pair_table()
+    table = table_arrays()
     assert table.bit0.shape == (8, 4, 16) and table.zero_weight.shape == (8, 4, 16, 2)
     for r in np.flatnonzero(table.survives[case]):
         state = StateVector(table.amplitudes[case, r], POLARIZATION_PAIR_LABELS)
@@ -125,7 +128,7 @@ SIGN_FLIPPED = {
 def test_fidelity_entries_equal_bell_overlaps():
     # Every surviving state is the case's Bell state, Plus and Minus swapped
     # for a spatial sign of -1: fidelity exactly 1.0 with it, 0.0 with the rest.
-    table = pair_table()
+    table = table_arrays()
     assert table.fidelity.shape == (8, 4, 4)
     for c, r in zip(*np.nonzero(table.survives)):
         kind, sign = CASES[c]
@@ -139,7 +142,7 @@ def test_fidelity_entries_equal_bell_overlaps():
 
 
 def test_table_entries_are_exact():
-    table = pair_table()
+    table = table_arrays()
     live = table.survives
     assert set(table.probs.ravel().tolist()) == {0.0, 0.5}
     assert (table.probs.sum(axis=1) == 1.0).all()
@@ -149,7 +152,7 @@ def test_table_entries_are_exact():
 
 
 def test_impossible_readouts_are_marked_and_never_read():
-    table = pair_table()
+    table = table_arrays()
     dead = ~table.survives
     assert dead.sum() == 16
     assert np.all(table.probs[dead] == 0.0)
@@ -158,26 +161,20 @@ def test_impossible_readouts_are_marked_and_never_read():
     assert np.isnan(table.fidelity[dead]).all() and np.isnan(table.bit0[dead]).all()
     assert table.zero_weight[dead].all()
     assert not np.isnan(table.fidelity[~dead]).any() and not np.isnan(table.bit0[~dead]).any()
-    for array in (table.probs, table.amplitudes, table.survives, table.phi, table.fidelity,
-                  table.bit0, table.zero_weight):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0
+    kind = pair_table().kind
+    assert kind.dtype == np.int8 and kind.tolist() == [0, 1, 1, 0, 2, 3, 3, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        kind[0] = 0
 
-    # A PhiPlus pair (case 0) sampled into the readout (Shift, NoShift),
-    # which it cannot give, is refused by the survival check ...
-    probs = np.array(table.probs)
-    probs[0] = (0.0, 1.0, 0.0, 0.0)
-    with mock.patch.object(protocol, "pair_table", lambda: table._replace(probs=probs)):
-        with pytest.raises(RuntimeError, match="no surviving branch"):
-            run_protocol(3, FidelityVector(1, 0, 0, 0))
-    # ... and, without it, by Bob1's lookup of the zero-weight bits.
-    rigged = table._replace(probs=probs, survives=np.ones_like(table.survives))
-    with mock.patch.object(protocol, "pair_table", lambda: rigged):
-        with pytest.raises(RuntimeError, match="sampled despite zero Born weight"):
-            run_protocol(3, FidelityVector(1, 0, 0, 0))
+    # The engine reads no readout that cannot occur: every draw of a run
+    # that sets every case and every flip lands on a readout of its case.
+    run = run_protocol(5000, MIXED, DeviceParams(0.2), dephase_p=0.3, evil_bob_flip_p=0.4)
+    assert table.survives[run.case, run.readout].all()
+    assert set(zip(run.case.tolist(), run.readout.tolist())) == set(
+        zip(*np.nonzero(table.survives)))
 
 
-#: sha256 of each pair_table() array's bytes, the amplitudes taken at the
+#: sha256 of each table_arrays() array's bytes, the amplitudes taken at the
 #: surviving states only, in case and readout order, under "states". A table
 #: built another way must give the same bytes, or change these digests on purpose.
 PAIR_TABLE_SHA256 = {
@@ -192,7 +189,7 @@ PAIR_TABLE_SHA256 = {
 
 
 def test_pair_table_bytes_are_pinned():
-    table = pair_table()
+    table = table_arrays()
     blobs = {name: getattr(table, name).tobytes() for name in table._fields}
     del blobs["amplitudes"]
     blobs["states"] = table.amplitudes[table.survives].tobytes()
@@ -204,7 +201,7 @@ def test_surviving_states_print_no_negative_zero():
     # The table's states hold no -0.0 imaginary part, but their conjugates,
     # the same real states, hold one in every entry; printed, they must not
     # read as if they carried a phase.
-    table = pair_table()
+    table = table_arrays()
     assert not np.signbit(table.amplitudes.imag).any()
     states = [
         StateVector(amplitudes.conj(), POLARIZATION_PAIR_LABELS)
@@ -250,11 +247,13 @@ def test_table_path_fallback_skips_zero_weight_slot():
     u = np.array([0.9999999999999999, 0.0, 0.75])
     weights = (0.7, 0.1, 0.2 - 5e-13, 0.0)
     assert inverse_cdf(weights, u).tolist() == [2, 0, 1]
-    rows = np.array([weights, (0.0, 0.5, 0.5, 0.0), (0.5, 0.0, 0.0, 0.5)])
-    assert inverse_cdf(rows, u).tolist() == [2, 1, 3]
 
 
 @settings(max_examples=200, deadline=None)
+# A FidelityVector admits a weight down to -EPS_NORM, so the running sum
+# may fall: 0.49999999999995 lies below the first sum but above the second.
+# A draw equal to a running sum, 0.5, selects a later slot.
+@example([0.5, -1e-13, 0.5], [0.49999999999995, 0.5, 0.99999999999995, 0.0])
 @given(
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(lambda w: sum(w) > 0),
     st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
@@ -274,7 +273,7 @@ def test_inverse_cdf_equals_the_per_draw_reference(weights, draws):
 def test_inferred_phi_probability_matches_enumeration(fv):
     # Sum over every case, readout and combination of the two misreads
     # and the misreport; Alice infers Phi when the reported bits agree.
-    probs = pair_table().probs
+    probs = table_arrays().probs
     flip_combinations = list(itertools.product((0, 1), repeat=3))
     grid = itertools.product((0, 0.05, 0.3, 1), (0, 0.1, 0.2, 0.49), (0, 0.1, 1))
     for dephase_p, e, m in grid:
@@ -292,8 +291,8 @@ def test_inferred_phi_probability_matches_enumeration(fv):
 def branch_sum_phi_probability(fv, dephase_p):
     """Same-readout probability summed component by component, then by
     sign, from the (Shift, Shift) and (NoShift, NoShift) entries of
-    ``pair_table().probs``."""
-    probs = pair_table().probs
+    ``table_arrays().probs``."""
+    probs = table_arrays().probs
     total = 0.0
     for component in mixed_ensemble(fv):
         for sign, sign_p in ((1, 1.0 - dephase_p), (-1, dephase_p)):
@@ -343,7 +342,7 @@ def test_alice_belief_holds_with_probability_of_the_unflipped_phases(fv, dephase
     # With no readout noise, Alice believes a Phi-class pair is PhiPlus and a
     # Psi-class pair PsiPlus. Bit flips are removed, phase flips pass unseen:
     # the pair is her belief with probability (F + F2)(1 - d) + (F1 + F3) d.
-    table = pair_table()
+    table = table_arrays()
     belief = {True: ENSEMBLE_ORDER.index(PolarizationBell.PHI_PLUS),
               False: ENSEMBLE_ORDER.index(PolarizationBell.PSI_PLUS)}
     total = 0.0
@@ -369,6 +368,8 @@ NOISE_SETTINGS = {
     "misreport": (MIXED, 0.0, 0.0, 0.4),
     "all": (MIXED, 0.05, 0.1, 0.1),
     "zero_weight": (FidelityVector(0.7, 0.1, 0.2, 0.0), 0.2, 0.1, 0.1),
+    # Every case sign-flipped, every reported readout flipped by Bob1.
+    "extremes": (MIXED, 1.0, 0.49, 1.0),
 }
 
 
@@ -490,26 +491,63 @@ def rigged(array, index, value):
     return array
 
 
-#: Wrong tables a run meets: each changes what happens to a PhiPlus pair
-#: (case 0), which most pairs of the clean setting are.
+#: Wrong tables a run meets, each patched into ``protocol``: each changes
+#: what happens to a PhiPlus pair (case 0), which most pairs of the clean
+#: setting are.
 RIGGED_TABLES = {
-    # Bob1's weights as for a product state, not an entangled pair.
-    "bit0": lambda t: t._replace(
-        bit0=rigged(t.bit0, (0, 0), np.cos(np.array(SIGNED_ANGLES) / 2) ** 2)),
-    # Unequal same-readout weights.
-    "probs": lambda t: t._replace(probs=rigged(t.probs, 0, (0.75, 0.0, 0.0, 0.25))),
+    # Case 0 surviving as PsiPlus.
+    "kind": lambda: mock.patch.object(
+        protocol, "pair_table", lambda: protocol.PairTable(rigged(pair_table().kind, 0, 2))),
+    # A Phi kind reading (Shift, Shift) or (Shift, NoShift), a parity step of 1.
+    "step": lambda: mock.patch.object(
+        protocol, "_READOUT_STEP", rigged(protocol._READOUT_STEP, 0, 1)),
     # The ground-truth class of a surviving state inverted.
-    "phi": lambda t: t._replace(phi=rigged(t.phi, 0, ~t.phi[0])),
+    "phi": lambda: mock.patch.object(protocol, "PHI_KIND", rigged(protocol.PHI_KIND, 0, False)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RIGGED_TABLES))
 def test_oracle_reference_fails_on_a_wrong_pair_table(name):
-    table = RIGGED_TABLES[name](pair_table())
-    with mock.patch.object(protocol, "pair_table", lambda: table):
+    with RIGGED_TABLES[name]():
         with pytest.raises(AssertionError):
             assert_engine_equals_oracle_reference(257, *NOISE_SETTINGS["clean"], 0)
     assert_engine_equals_oracle_reference(257, *NOISE_SETTINGS["clean"], 0)
+
+
+#: The report's fidelity means, in ENSEMBLE_ORDER: of Phi-class pairs for
+#: PhiPlus and PhiMinus, of Psi-class pairs for PsiPlus and PsiMinus.
+MEAN_KEYS = ("mean_phi_pair_fidelity_phi_plus", "mean_phi_pair_fidelity_phi_minus",
+             "mean_psi_pair_fidelity_psi_plus", "mean_psi_pair_fidelity_psi_minus")
+
+
+@functools.cache
+def oracle_fidelity(c, r, k):
+    """Fidelity of the oracle's surviving state of case c and readout r with
+    the Bell state ENSEMBLE_ORDER[k]."""
+    return fidelity(oracle_case(c)[1][r], bell_vector(ENSEMBLE_ORDER[k]))
+
+
+@pytest.mark.parametrize("setting", sorted(NOISE_SETTINGS))
+def test_report_equals_the_per_pair_oracle_sums(setting):
+    # Every count and fidelity mean of the report, summed pair by pair over
+    # the oracle reference run, each fidelity from the oracle's state.
+    fv, dephase_p, homodyne_error, evil_bob_flip_p = NOISE_SETTINGS[setting]
+    m = 3000
+    columns, _ = oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, 5)
+    doc, _ = execute_run(RunConfig(
+        pairs=m, fidelities=fv, dephase_p=dephase_p, homodyne_error=homodyne_error,
+        evil_bob_flip_p=evil_bob_flip_p, seed=5))
+    inferred, true = columns["inferred_phi"], columns["true_phi"]
+    assert doc["phi_class_count"] == sum(inferred)
+    assert doc["class_mismatch_count"] == sum(i != t for i, t in zip(inferred, true))
+    for k, key in enumerate(MEAN_KEYS):
+        pairs = [(c, r) for c, r, t in zip(columns["case"], columns["readout"], true)
+                 if t == (k < 2)]
+        if not pairs:
+            assert doc[key] is None
+            continue
+        mean = sum(oracle_fidelity(c, r, k) for c, r in pairs) / len(pairs)
+        assert abs(doc[key] - mean) <= EPS_ORACLE, key
 
 
 def test_engine_keeps_the_stage_checks():
@@ -1284,7 +1322,7 @@ def test_byte_render_writes_pair_numbers_across_a_decade():
     assert_byte_render_equals_fstring_render(transcript)
 
 
-def test_byte_render_writes_all_sixteen_angles_in_one_block():
+def test_byte_render_writes_all_sixteen_angle_codes_in_one_block():
     transcript = run_protocol(wire._BLOCK_LINES, MIXED, seed=3).transcript
     [angles] = [block for block in engine_blocks(transcript)
                 if wire.ROUTES[block.route[0]][0] is Phase.ANGLE_ANNOUNCEMENT]
