@@ -26,12 +26,12 @@ from .protocol import (
     ENGINE_VERSION,
     MAX_PAIRS,
     PHI_KIND,
-    ProtocolRun,
     analytic_phi_probability,
     inferred_phi_probability,
-    pair_chunks,
     pair_table,
-    run_protocol,
+    run_audit,
+    run_chunks,
+    run_transcript,
 )
 from .model import DeviceParams, FidelityVector
 from .wire import Transcript
@@ -146,8 +146,9 @@ class RunConfig:
         return f"run-{digest[:12]}"
 
 
-def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
-    """Run the full protocol once; return the report document and transcript.
+def execute_run(cfg: RunConfig) -> tuple[dict, Transcript | None]:
+    """Run the full protocol once; return the report document and, when
+    ``cfg.emit_transcript``, the transcript, else None.
 
     The document's key order is that of the JSON report. The fidelity
     means are grouped by the ground-truth class of each surviving state;
@@ -155,14 +156,15 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     reported. The two diverge under readout misclassification or
     misreporting, counted in ``class_mismatch_count``.
 
-    The report is read from the run's columns one chunk of pairs at a
-    time, as a count of pairs by case and label and a count by angle
-    index. A case's pair survives as one Bell kind, ``pair_table().kind``,
-    so its ground-truth class is that kind's and each of its fidelities is
-    exactly 0 or 1: a fidelity mean is the count of pairs of one kind over
-    the count of its class, or None when no pair has the class.
+    Each chunk of ``run_chunks`` is folded into a count of pairs by case
+    and label and a count by angle index as it is drawn, so only a run
+    with a transcript keeps anything per pair: 3 bytes. A case's pair
+    survives as one Bell kind, ``pair_table().kind``, so its ground-truth
+    class is that kind's and each of its fidelities is exactly 0 or 1: a
+    fidelity mean is the count of pairs of one kind over the count of its
+    class, or None when no pair has the class.
     """
-    run: ProtocolRun = run_protocol(
+    chunks = run_chunks(
         m=cfg.pairs,
         fv=cfg.fidelities,
         params=cfg.device_params(),
@@ -170,11 +172,17 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         evil_bob_flip_p=cfg.evil_bob_flip_p,
         seed=cfg.seed,
     )
+    # Reported readout, signed angle index and bit of each pair.
+    kept = [np.empty(cfg.pairs, np.int8) for _ in range(3)] if cfg.emit_transcript else []
     labels = np.zeros(16, dtype=np.int64)  # pairs by case, then inferred Phi
     angle_counts = np.zeros(ANGLE_COUNT, dtype=np.int64)
-    for pairs in pair_chunks(cfg.pairs):
-        labels += np.bincount(2 * run.case[pairs] + run.inferred_phi[pairs], minlength=16)
-        angle_counts += np.bincount(run.theta_index[pairs], minlength=ANGLE_COUNT)
+    start = 0
+    for case, _, _, reported, inferred_phi, theta, angle, a_bit in chunks:
+        labels += np.bincount(2 * case + inferred_phi, minlength=16)
+        angle_counts += np.bincount(theta, minlength=ANGLE_COUNT)
+        for column, values in zip(kept, (reported, angle, a_bit)):
+            column[start:start + len(values)] = values
+        start += len(case)
     of_kind = [0] * 4  # pairs that survive as each Bell kind, in ENSEMBLE_ORDER
     phi_count = mismatch_count = 0
     for kind, (psi, phi) in zip(pair_table().kind.tolist(), labels.reshape(-1, 2).tolist()):
@@ -185,9 +193,10 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
     of_class = [sum(n for n, p in zip(of_kind, PHI_KIND) if p == phi) for phi in PHI_KIND]
     means = [n / total if total else None for n, total in zip(of_kind, of_class)]
     psi_count = cfg.pairs - phi_count
+    audit_report = run_audit(cfg.pairs)
     violations = [
         {"kind": v.kind, "seq": v.seq, "description": v.description}
-        for v in run.audit_report.violations
+        for v in audit_report.violations
     ]
     doc = {
         "run_id": cfg.run_id(),
@@ -206,11 +215,11 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript]:
         "mean_psi_pair_fidelity_psi_plus": means[2],
         "mean_psi_pair_fidelity_psi_minus": means[3],
         "angle_counts": {str(k): int(n) for k, n in enumerate(angle_counts)},
-        "audit_passed": run.audit_report.passed,
+        "audit_passed": audit_report.passed,
         "audit_violation_count": len(violations),
         "audit_violations": violations,
     }
-    return doc, run.transcript
+    return doc, run_transcript(*kept) if kept else None
 
 
 def _csv_cell(value) -> str:

@@ -16,13 +16,14 @@ distribution or distillation, if an angle went to Bob2, or if Bob2
 reported a measured bit.
 
 This module holds the pair table, the analytic law, the engine and the
-audit. ``run_protocol`` is the one engine. It draws the substreams in
-chunks of pairs into int8 columns. Distillation is deterministic: a
-case's pair survives as one Bell kind, ``pair_table().kind``, whichever
-of its kind's two readouts occurs, so each readout and each of Bob1's
-bits is one comparison of a draw with 1/2. Its reference is a per-pair
-run in the tests that samples from the tensor oracle of ``qnd``, which
-shares no code with the table.
+audit. ``run_chunks`` is the one engine. It yields the substreams'
+draws one chunk of pairs at a time, which ``run_protocol`` keeps in int8
+columns and the CLI folds into its report. Distillation is
+deterministic: a case's pair survives as one Bell kind,
+``pair_table().kind``, whichever of its kind's two readouts occurs, so
+each readout and each of Bob1's bits is one comparison of a draw with
+1/2. Its reference is a per-pair run in the tests that samples from the
+tensor oracle of ``qnd``, which shares no code with the table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .model import (
     inverse_cdf,
 )
 from . import wire
-from .wire import Party, Phase, Transcript, _PairPayloads
+from .wire import Party, Phase, Transcript
 
 
 #: Version of what a seeded run outputs, echoed in the report's config so
@@ -158,6 +159,17 @@ def _route_violations(phase: Phase, sender: Party, recipient: Party) -> tuple[tu
 _ROUTE_VIOLATIONS = tuple(_route_violations(*route) for route in wire.ROUTES)
 _BREAKS_A_RULE = np.array(list(map(bool, _ROUTE_VIOLATIONS)))
 
+#: Route codes of one pair's messages in each phase of a run, in wire
+#: order; the handoff phase sends one message for the whole run.
+_RUN_ROUTES = tuple(
+    tuple(wire._ROUTE_CODE[phase, sender, recipient] for sender, recipient in pair)
+    for phase, pair in (
+        (Phase.DISTRIBUTION, ((Party.SOURCE, Party.BOB1), (Party.SOURCE, Party.BOB2))),
+        (Phase.DISTILLATION, ((Party.BOB1, Party.ALICE), (Party.BOB2, Party.ALICE))),
+        (Phase.ANGLE_ANNOUNCEMENT, ((Party.ALICE, Party.BOB1),)),
+        (Phase.RESULT_REPORT, ((Party.BOB1, Party.ALICE),)),
+        (Phase.HANDOFF, ((Party.ALICE, Party.BOB2),))))
+
 
 def audit(transcript: Transcript) -> AuditReport:
     """Check the communication constraints of the two-server setting.
@@ -173,6 +185,20 @@ def audit(transcript: Transcript) -> AuditReport:
         for kind, description in _ROUTE_VIOLATIONS[block.route[i]]
     )
     return AuditReport(passed=not violations, violations=violations)
+
+
+def run_audit(m: int) -> AuditReport:
+    """What ``audit`` lists for the transcript of a run of ``m`` pairs, read
+    from ``_RUN_ROUTES`` without building it: a route that breaks a rule
+    breaks it once per pair."""
+    violations, first = [], 1
+    for cycle, count in zip(_RUN_ROUTES, (m, m, m, m, 1)):
+        broken = [(j, rule) for j, route in enumerate(cycle) for rule in _ROUTE_VIOLATIONS[route]]
+        if broken:
+            violations += (Violation(kind, first + len(cycle) * i + j, description)
+                           for i in range(count) for j, (kind, description) in broken)
+        first += len(cycle) * count
+    return AuditReport(passed=not violations, violations=tuple(violations))
 
 
 # --- whole-run orchestration ------------------------------------------------
@@ -228,35 +254,19 @@ class ProtocolRun:
     projected onto the state (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2)
     of the announced angle. ``transcript`` holds the run's messages as
     engine blocks only, one phase after another through the handoff, and
-    ``audit_report`` is its audit.
+    ``audit_report`` is the run's audit, ``run_audit``.
     """
 
-    def __init__(
-        self, case, readout, recorded, reported, inferred_phi, theta_index,
-        signed_angle_index, a_bit, transcript: Transcript,
-    ):
-        self.case = case
-        self.readout = readout
-        self.recorded = recorded
-        self.reported = reported
-        self.inferred_phi = inferred_phi
-        self.theta_index = theta_index
-        self.signed_angle_index = signed_angle_index
-        self.a_bit = a_bit
-        self.transcript = transcript
-        self.audit_report = audit(transcript)
+    def __init__(self, *columns):
+        (self.case, self.readout, self.recorded, self.reported, self.inferred_phi,
+         self.theta_index, self.signed_angle_index, self.a_bit) = columns
+        self.transcript = run_transcript(self.reported, self.signed_angle_index, self.a_bit)
+        self.audit_report = run_audit(len(self.case))
 
     @property
     def true_phi(self) -> np.ndarray:
         """Whether the surviving state of each pair is Phi-class."""
         return PHI_KIND[pair_table().kind[self.case]]
-
-
-def pair_chunks(m: int) -> Iterator[slice]:
-    """Slices of at most ``wire._BLOCK_LINES`` pairs, read on each call, that
-    cover ``m`` pairs in order."""
-    size = wire._BLOCK_LINES
-    return (slice(i, min(i + size, m)) for i in range(0, m, size))
 
 
 #: Most pairs in one run. The bound keeps a run's 6 m + 1 transcript seqs,
@@ -275,23 +285,35 @@ _BIT_PAYLOADS = np.array([["0"], ["1"]], dtype=object)
 _HANDOFF_PAYLOADS = np.array([["begin_single_server"]], dtype=object)
 
 
-def run_protocol(
+def run_transcript(reported, angle, a_bit) -> Transcript:
+    """The transcript of a run from the columns its payloads read. Each
+    phase sends its messages pair by pair on the routes of its row of
+    ``_RUN_ROUTES``; a distribution marker carries the pair's number."""
+    transcript = Transcript()
+    payloads = zip((None, _OUTCOME_PAYLOADS, _ANGLE_PAYLOADS, _BIT_PAYLOADS, _HANDOFF_PAYLOADS),
+                   (range(1, len(reported) + 1), reported, angle, a_bit, np.zeros(1, np.int8)))
+    for cycle, (table, codes) in zip(_RUN_ROUTES, payloads):
+        transcript._extend(cycle, table, codes)
+    return transcript
+
+
+def run_chunks(
     m: int,
     fv: FidelityVector,
     params: DeviceParams = DeviceParams(),
     dephase_p: float = 0.0,
     evil_bob_flip_p: float = 0.0,
     seed: int = 0,
-) -> ProtocolRun:
-    """Execute the full pipeline with four named substreams of ``seed``.
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Draw a run with four named substreams of ``seed`` and yield, for each
+    chunk of at most ``wire._BLOCK_LINES`` pairs, its eight columns in the
+    order of ``ProtocolRun``'s. The arguments are checked on the call.
 
     The substreams are, in order: distribution (per pair, the component
     draw, then the dephasing draw), distillation (per pair, the joint
     readout, each server's misread, then Bob1's misreport), angles (one
     index per pair) and Bob1's measurement (one draw per pair). Only the
-    draws of enabled noise branches are made. They are drawn in pair
-    order, ``wire._BLOCK_LINES`` pairs at a time, into the run's int8
-    columns; the transcript keeps its payloads as codes into those columns.
+    draws of enabled noise branches are made, in pair order.
 
     The readout and Bob1's bit are fair coins: a case gives the lower
     readout of its kind (``_READOUT_LOW``) for a draw below 1/2 and the
@@ -319,66 +341,52 @@ def run_protocol(
     misread_p = params.homodyne_error
     dist_width = 1 + (dephase_p > 0.0)
     qnd_width = 1 + 2 * (misread_p > 0.0) + (evil_bob_flip_p > 0.0)
+    size = wire._BLOCK_LINES
 
-    case, readout, theta_index, angle, a_bit = (np.empty(m, np.int8) for _ in range(5))
-    recorded = np.empty(m, np.int8) if misread_p > 0.0 else readout
-    reported = np.empty(m, np.int8) if evil_bob_flip_p > 0.0 else recorded
-    inferred_phi = np.empty(m, bool)
-    for pairs in pair_chunks(m):
-        n = pairs.stop - pairs.start
+    def chunks():
+        for start in range(0, m, size):
+            n = min(size, m - start)
 
-        # Distribution, per pair: the component draw, then the dephasing draw.
-        draws = rng_dist.random(dist_width * n).reshape(n, dist_width)
-        c = 2 * inverse_cdf(weights, draws[:, 0])
-        if dephase_p > 0.0:
-            c += draws[:, 1] < dephase_p
+            # Distribution, per pair: the component draw, then the dephasing draw.
+            draws = rng_dist.random(dist_width * n).reshape(n, dist_width)
+            c = 2 * inverse_cdf(weights, draws[:, 0])
+            if dephase_p > 0.0:
+                c += draws[:, 1] < dephase_p
 
-        # Distillation, per pair: the joint readout, each server's misread,
-        # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
-        draws = rng_qnd.random(qnd_width * n).reshape(n, qnd_width)
-        r = low[c] + step[c] * (draws[:, 0] >= 0.5)
-        rec = r
-        if misread_p > 0.0:
-            rec = r ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
-        rep = rec
-        if evil_bob_flip_p > 0.0:
-            rep = rec ^ (2 * (draws[:, -1] < evil_bob_flip_p))
+            # Distillation, per pair: the joint readout, each server's misread,
+            # then Bob1's misreport; outcome codes flip as r ^ 2 (A) and r ^ 1 (B).
+            draws = rng_qnd.random(qnd_width * n).reshape(n, qnd_width)
+            r = low[c] + step[c] * (draws[:, 0] >= 0.5)
+            rec = r
+            if misread_p > 0.0:
+                rec = r ^ (2 * (draws[:, 1] < misread_p)) ^ (draws[:, 2] < misread_p)
+                rec = rec.astype(np.int8)
+            rep = rec
+            if evil_bob_flip_p > 0.0:
+                rep = (rec ^ (2 * (draws[:, -1] < evil_bob_flip_p))).astype(np.int8)
 
-        # Angles: the sign of each announced angle follows the inferred class.
-        theta = rng_angle.integers(ANGLE_COUNT, size=n)
-        phi = (rep >> 1) == (rep & 1)
-        a = ANGLE_COUNT * ~phi + theta
+            # Angles: the sign of each announced angle follows the inferred class.
+            theta = rng_angle.integers(ANGLE_COUNT, size=n)
+            phi = (rep >> 1) == (rep & 1)
+            a = ANGLE_COUNT * ~phi + theta
 
-        # Bob1: bit 0 when the draw falls below its Born weight of 1/2.
-        bit = rng_meas.random(n) >= 0.5
-        for column, values in (
-            (case, c), (readout, r), (recorded, rec), (reported, rep),
-            (inferred_phi, phi), (theta_index, theta), (angle, a), (a_bit, bit),
-        ):
-            column[pairs] = values
+            # Bob1: bit 0 when the draw falls below its Born weight of 1/2.
+            bit = rng_meas.random(n) >= 0.5
+            yield c, r, rec, rep, phi, theta, a, bit
 
-    transcript = Transcript()
-    transcript._extend(
-        Phase.DISTRIBUTION, (Party.SOURCE,), (Party.BOB1, Party.BOB2),
-        _PairPayloads(None, 2, range(1, m + 1)),
-    )
-    transcript._extend(
-        Phase.DISTILLATION, (Party.BOB1, Party.BOB2), (Party.ALICE,),
-        _PairPayloads(_OUTCOME_PAYLOADS, 2, reported),
-    )
-    transcript._extend(
-        Phase.ANGLE_ANNOUNCEMENT, (Party.ALICE,), (Party.BOB1,),
-        _PairPayloads(_ANGLE_PAYLOADS, 1, angle),
-    )
-    transcript._extend(
-        Phase.RESULT_REPORT, (Party.BOB1,), (Party.ALICE,),
-        _PairPayloads(_BIT_PAYLOADS, 1, a_bit),
-    )
-    transcript._extend(
-        Phase.HANDOFF, (Party.ALICE,), (Party.BOB2,),
-        _PairPayloads(_HANDOFF_PAYLOADS, 1, np.zeros(1, np.int8)),
-    )
-    return ProtocolRun(
-        case, readout, recorded, reported, inferred_phi, theta_index, angle,
-        a_bit, transcript,
-    )
+    return chunks()
+
+
+def run_protocol(m: int, fv: FidelityVector, params: DeviceParams = DeviceParams(),
+                 dephase_p: float = 0.0, evil_bob_flip_p: float = 0.0,
+                 seed: int = 0) -> ProtocolRun:
+    """Execute the full pipeline: the chunks of ``run_chunks``, with the same
+    arguments, kept in the run's int8 columns."""
+    chunks = run_chunks(m, fv, params, dephase_p, evil_bob_flip_p, seed)
+    columns = [np.empty(m, bool if k == 4 else np.int8) for k in range(8)]  # 4: inferred_phi
+    start = 0
+    for chunk in chunks:
+        for column, values in zip(columns, chunk):
+            column[start:start + len(values)] = values
+        start += len(chunk[0])
+    return ProtocolRun(*columns)

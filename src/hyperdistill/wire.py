@@ -431,29 +431,17 @@ class Transcript:
                 block.seq, map(ROUTES.__getitem__, block.route.tolist()), block.payload)
         )
 
-    def _extend(
-        self,
-        phase: Phase,
-        senders: tuple[Party, ...],
-        recipients: tuple[Party, ...],
-        payloads: _PairPayloads,
-    ) -> None:
-        """Append one message per payload, all in ``phase``, in blocks of
-        ``max(1, _BLOCK_LINES // width)`` whole pairs.
-
-        Senders and recipients repeat the given cycles, whose lengths
-        divide the width. Each block's route column is a prefix of one
-        read-only column that tiles the routes of one pair, and its
-        payloads the codes of its pairs. The engine builds every block
-        from fixed parties and payload tables, so the checks of
-        ``Message`` are not repeated per message.
-        """
-        table, width, codes = payloads.table, payloads.width, payloads.codes
+    def _extend(self, cycle: Sequence[int], table: np.ndarray | None,
+                codes: np.ndarray | range) -> None:
+        """Append the messages of whole pairs, one on each route code of
+        ``cycle`` per pair, with payloads ``_PairPayloads(table, width,
+        codes)``, in blocks of ``max(1, _BLOCK_LINES // width)`` pairs. A
+        block's routes are a prefix of one read-only column that tiles
+        ``cycle``. The engine builds every block from fixed routes and
+        payload tables, so the checks of ``Message`` are not repeated."""
+        width = len(cycle)
         size = max(1, _BLOCK_LINES // width)
-        lines = width * min(size, len(codes))
-        cycle = [_ROUTE_CODE[phase, senders[j % len(senders)], recipients[j % len(recipients)]]
-                 for j in range(width)]
-        route = np.tile(np.array(cycle, dtype=np.int8), lines // width)
+        route = np.tile(np.array(cycle, dtype=np.int8), min(size, len(codes)))
         route.setflags(write=False)
         first = self._last_seq + 1
         for i in range(0, len(codes), size):

@@ -125,6 +125,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a run announces its angles to Bob2",
+        "protocol.py",
+        "(Phase.ANGLE_ANNOUNCEMENT, ((Party.ALICE, Party.BOB1),)),",
+        "(Phase.ANGLE_ANNOUNCEMENT, ((Party.ALICE, Party.BOB2),)),",
+        (
+            TABLES + "test_engine_equals_composed_stage_functions[0-1-clean]",
+            "tests/test_protocol.py::test_engine_transcript_passes_audit",
+            "tests/test_cli.py::test_noiseless_end_to_end",
+        ),
+    ),
+    Mutant(
+        "a run's audit passes whatever its routes",
+        "protocol.py",
+        "for rule in _ROUTE_VIOLATIONS[route]]",
+        "for rule in ()]",
+        (
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[1]",
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[8195]",
+        ),
+    ),
+    Mutant(
+        "Alice's feedback during distillation breaks no rule",
+        "protocol.py",
+        "Phase.DISTRIBUTION, Phase.DISTILLATION):",
+        "Phase.DISTRIBUTION,):",
+        (
+            "tests/test_protocol.py::test_injected_violations_are_detected",
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[3]",
+        ),
+    ),
+    Mutant(
         "a file position that carries decoder state is read in chunks",
         "wire.py",
         "if start is not None and lines.buffer.tell() == start:",

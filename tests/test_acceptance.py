@@ -260,7 +260,7 @@ def test_criterion_7_delegated_measurement_statistics():
 
 def test_criterion_8_byte_identical_reports():
     cfg = RunConfig(
-        pairs=1000, fidelities=MIXED, dephase_p=0.05, seed=88,
+        pairs=1000, fidelities=MIXED, dephase_p=0.05, seed=88, transcript_path="t.log",
     )
     report_a, transcript_a = execute_run(cfg)
     report_b, transcript_b = execute_run(cfg)

@@ -218,7 +218,8 @@ def test_sweep_with_transcript_rejected(tmp_path):
 
 
 def test_noiseless_end_to_end():
-    cfg = RunConfig(pairs=100, fidelities=FidelityVector(1, 0, 0, 0), seed=2)
+    cfg = RunConfig(pairs=100, fidelities=FidelityVector(1, 0, 0, 0), seed=2,
+                    transcript_path="t.log")
     report, transcript = execute_run(cfg)
     assert report["phi_class_count"] == 100
     assert report["psi_class_count"] == 0
@@ -302,7 +303,8 @@ def test_csv_report_schema_and_values():
 
 
 def test_reports_and_transcripts_are_byte_identical():
-    cfg = RunConfig(pairs=120, fidelities=MIXED, dephase_p=0.1, seed=33)
+    cfg = RunConfig(pairs=120, fidelities=MIXED, dephase_p=0.1, seed=33,
+                    transcript_path="t.log")
     report_a, transcript_a = execute_run(cfg)
     report_b, transcript_b = execute_run(cfg)
     assert serialize_report(report_a, "json") == serialize_report(report_b, "json")
@@ -314,7 +316,7 @@ def test_reports_and_transcripts_are_byte_identical():
 def test_outputs_do_not_depend_on_the_chunk_size(size):
     # 1000 pairs are one chunk at the program's size.
     cfg = RunConfig(pairs=1000, fidelities=FidelityVector(0.5, 0, 0.5, 0),
-                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=21)
+                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=21, transcript_path="t.log")
     report, transcript = execute_run(cfg)
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         chunked_report, chunked_transcript = execute_run(cfg)
@@ -323,7 +325,7 @@ def test_outputs_do_not_depend_on_the_chunk_size(size):
 
 
 def test_transcript_file_reparses_and_audits(tmp_path):
-    cfg = RunConfig(pairs=25, fidelities=MIXED, seed=13)
+    cfg = RunConfig(pairs=25, fidelities=MIXED, seed=13, transcript_path="t.log")
     _, transcript = execute_run(cfg)
     path = tmp_path / "messages.log"
     write_transcript(transcript, str(path))
@@ -404,7 +406,7 @@ def test_main_exits_1_when_the_audit_fails(monkeypatch, capsys, mode):
         passed=False,
         violations=(protocol.Violation(protocol.VIOLATION_BOB_TO_BOB, 1, "Bob1 messaged Bob2"),),
     )
-    monkeypatch.setattr(protocol, "audit", lambda transcript: failed)
+    monkeypatch.setattr(cli, "run_audit", lambda m: failed)
     assert main(["--pairs", "5"] + mode) == 1
     assert "security audit FAILED" in capsys.readouterr().err
 
@@ -413,7 +415,7 @@ def test_main_reports_memory_error(monkeypatch, capsys):
     def out_of_memory(**kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-    monkeypatch.setattr(cli, "run_protocol", out_of_memory)
+    monkeypatch.setattr(cli, "run_chunks", out_of_memory)
     assert main(["--pairs", "5"]) == 1
     assert "error: Unable to allocate 7.45 GiB" in capsys.readouterr().err
 

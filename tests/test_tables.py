@@ -55,6 +55,7 @@ from hyperdistill.protocol import (
     VIOLATION_ANGLE_TO_BOB2,
     VIOLATION_BOB_TO_BOB,
     VIOLATION_RESULT_FROM_BOB2,
+    AuditReport,
     Violation,
     analytic_phi_probability,
     inferred_phi_probability,
@@ -471,7 +472,8 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
     # pairs a block, at least one. Every size leaves a short last chunk,
     # and the engine draws its chunks at the transcript's block size.
     with mock.patch.object(wire, "_BLOCK_LINES", 3):
-        assert list(protocol.pair_chunks(7)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        chunks = protocol.run_chunks(7, MIXED, DeviceParams(0.1), 0.05, 0.1)
+        assert [len(chunk[0]) for chunk in chunks] == [3, 3, 1]
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
     blocks = run.transcript._blocks
@@ -514,6 +516,35 @@ def test_oracle_reference_fails_on_a_wrong_pair_table(name):
     assert_engine_equals_oracle_reference(257, *NOISE_SETTINGS["clean"], 0)
 
 
+def route_codes(phase, *pairs):
+    return tuple(wire._ROUTE_CODE[phase, sender, recipient] for sender, recipient in pairs)
+
+
+#: A run's routes rigged so that each phase breaks rules: (a) on a
+#: distribution marker's second message and on the handoff, (b) on a
+#: distillation report's first, (a) and (c) on each angle, (d) on each bit.
+RIGGED_RUN_ROUTES = (
+    route_codes(Phase.DISTRIBUTION, (Party.SOURCE, Party.BOB1), (Party.BOB2, Party.BOB1)),
+    route_codes(Phase.DISTILLATION, (Party.ALICE, Party.BOB1), (Party.BOB2, Party.ALICE)),
+    route_codes(Phase.ANGLE_ANNOUNCEMENT, (Party.BOB1, Party.BOB2)),
+    route_codes(Phase.RESULT_REPORT, (Party.BOB2, Party.ALICE)),
+    route_codes(Phase.HANDOFF, (Party.BOB1, Party.BOB2)),
+)
+
+
+@pytest.mark.parametrize("m", [1, 3, 2 * 4096 + 3])
+def test_run_audit_equals_the_audit_of_the_rendered_run(m):
+    # The run's audit, read from its routes, lists what the audit of its
+    # written and parsed transcript lists, in the same order.
+    with mock.patch.object(protocol, "_RUN_ROUTES", RIGGED_RUN_ROUTES):
+        run = run_protocol(m, MIXED, seed=4)
+        found = protocol.run_audit(m)
+    expected = audit(Transcript.from_lines(run.transcript.to_bytes().decode().splitlines()))
+    assert found == expected == run.audit_report
+    assert len(expected.violations) == 5 * m + 1
+    assert protocol.run_audit(m) == AuditReport(passed=True, violations=())
+
+
 #: The report's fidelity means, in ENSEMBLE_ORDER: of Phi-class pairs for
 #: PhiPlus and PhiMinus, of Psi-class pairs for PsiPlus and PsiMinus.
 MEAN_KEYS = ("mean_phi_pair_fidelity_phi_plus", "mean_phi_pair_fidelity_phi_minus",
@@ -553,6 +584,8 @@ def test_report_equals_the_per_pair_oracle_sums(setting):
 def test_engine_keeps_the_stage_checks():
     with pytest.raises(ValueError, match=">= 1"):
         run_protocol(0, MIXED)
+    with pytest.raises(ValueError, match=">= 1"):
+        protocol.run_chunks(0, MIXED)  # on the call, before any chunk is drawn
     for dephase_p in (1.5, -0.5, math.nan):
         with pytest.raises(ValueError, match="dephasing probability"):
             run_protocol(3, MIXED, dephase_p=dephase_p)
@@ -1408,11 +1441,13 @@ def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
     assert kept <= 20 * lines
 
 
-def traced_run_peak(pairs):
+def traced_run_peak(pairs, transcript_path="t.log"):
     """Peak bytes that Python allocates while ``execute_run`` runs a noisy
-    run of ``pairs`` pairs and holds its transcript."""
+    run of ``pairs`` pairs and holds its transcript; with no
+    ``transcript_path``, a run that only reports."""
     cfg = RunConfig(pairs=pairs, fidelities=MIXED, dephase_p=0.05,
-                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=3)
+                    homodyne_error=0.1, evil_bob_flip_p=0.1, seed=3,
+                    transcript_path=transcript_path)
     tracemalloc.start()
     try:
         execute_run(cfg)
@@ -1422,8 +1457,17 @@ def traced_run_peak(pairs):
 
 
 def test_run_memory_per_pair_is_a_few_bytes():
-    # The run keeps eight one-byte columns per pair; draws, payload text
-    # and report sums live one chunk at a time.
+    # The run keeps three one-byte columns per pair for its transcript;
+    # draws, payload text and report sums live one chunk at a time.
     pair_table()
     small, large = traced_run_peak(20_000), traced_run_peak(200_000)
     assert large - small <= 16 * 180_000
+
+
+def test_report_only_run_memory_is_flat():
+    # A run that writes no transcript folds each chunk into its report as
+    # it is drawn: a hundred times the pairs stay within one chunk's worth
+    # of bytes, 64 for each of its 4096 pairs.
+    pair_table()
+    small, large = traced_run_peak(20_000, None), traced_run_peak(2_000_000, None)
+    assert large - small <= 64 * 4096
