@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,10 +32,9 @@ from .protocol import (
     pair_table,
     run_audit,
     run_chunks,
-    run_transcript,
+    run_wire,
 )
 from .model import DeviceParams, FidelityVector
-from .wire import Transcript
 
 DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)
@@ -146,9 +146,10 @@ class RunConfig:
         return f"run-{digest[:12]}"
 
 
-def execute_run(cfg: RunConfig) -> tuple[dict, Transcript | None]:
+def execute_run(cfg: RunConfig) -> tuple[dict, Iterator[np.ndarray] | None]:
     """Run the full protocol once; return the report document and, when
-    ``cfg.emit_transcript``, the transcript, else None.
+    ``cfg.emit_transcript``, the generator ``run_wire`` of the transcript's
+    wire bytes, which renders one block at a time as it is read, else None.
 
     The document's key order is that of the JSON report. The fidelity
     means are grouped by the ground-truth class of each surviving state;
@@ -219,7 +220,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, Transcript | None]:
         "audit_violation_count": len(violations),
         "audit_violations": violations,
     }
-    return doc, run_transcript(*kept) if kept else None
+    return doc, run_wire(*kept) if kept else None
 
 
 def _csv_cell(value) -> str:
@@ -273,10 +274,11 @@ def emit_report(doc: dict, output_format: str, destination: str | None) -> None:
         raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
 
 
-def write_transcript(transcript: Transcript, destination: str) -> None:
+def write_transcript(chunks: Iterable, destination: str) -> None:
+    """Write a transcript's wire bytes, given one block at a time, to a path."""
     try:
         with open(destination, "wb") as fh:
-            transcript.write(fh)
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write transcript to {destination!r}: {exc}") from exc
 

@@ -18,10 +18,12 @@ reported a measured bit.
 This module holds the pair table, the analytic law, the engine and the
 audit. ``run_chunks`` is the one engine. It yields the substreams'
 draws one chunk of pairs at a time, which ``run_protocol`` keeps in int8
-columns and the CLI folds into its report. Distillation is
-deterministic: a case's pair survives as one Bell kind,
-``pair_table().kind``, whichever of its kind's two readouts occurs, so
-each readout and each of Bob1's bits is one comparison of a draw with
+columns and the CLI folds into its report. A run's transcript is its
+wire bytes, which ``run_wire`` renders one block at a time for the CLI to
+write; ``ProtocolRun.transcript`` parses them as a reader of the file
+would. Distillation is deterministic: a case's pair survives as one Bell
+kind, ``pair_table().kind``, whichever of its kind's two readouts occurs,
+so each readout and each of Bob1's bits is one comparison of a draw with
 1/2. Its reference is a per-pair run in the tests that samples from the
 tensor oracle of ``qnd``, which shares no code with the table.
 """
@@ -29,6 +31,7 @@ tensor oracle of ``qnd``, which shares no code with the table.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,15 +255,16 @@ class ProtocolRun:
     A pair survives as the Bell state ``ENSEMBLE_ORDER[pair_table().kind[case]]``,
     and Bob2's residual qubit is what is left of it once Bob1's qubit is
     projected onto the state (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2)
-    of the announced angle. ``transcript`` holds the run's messages as
-    engine blocks only, one phase after another through the handoff, and
+    of the announced angle. ``transcript`` is the run's wire bytes,
+    ``run_wire``, parsed as a reader parses a file of them, and
     ``audit_report`` is the run's audit, ``run_audit``.
     """
 
     def __init__(self, *columns):
         (self.case, self.readout, self.recorded, self.reported, self.inferred_phi,
          self.theta_index, self.signed_angle_index, self.a_bit) = columns
-        self.transcript = run_transcript(self.reported, self.signed_angle_index, self.a_bit)
+        data = b"".join(run_wire(self.reported, self.signed_angle_index, self.a_bit))
+        self.transcript = Transcript.from_lines(io.TextIOWrapper(io.BytesIO(data), "utf-8"))
         self.audit_report = run_audit(len(self.case))
 
     @property
@@ -285,16 +289,21 @@ _BIT_PAYLOADS = np.array([["0"], ["1"]], dtype=object)
 _HANDOFF_PAYLOADS = np.array([["begin_single_server"]], dtype=object)
 
 
-def run_transcript(reported, angle, a_bit) -> Transcript:
-    """The transcript of a run from the columns its payloads read. Each
-    phase sends its messages pair by pair on the routes of its row of
+def run_wire(reported, angle, a_bit) -> Iterator[np.ndarray]:
+    """The wire bytes of a run's transcript, from the columns its payloads
+    read, one block of whole pairs at a time as a uint8 array. Each phase
+    sends its messages pair by pair on the routes of its row of
     ``_RUN_ROUTES``; a distribution marker carries the pair's number."""
-    transcript = Transcript()
+    from .render import render_pairs
+
     payloads = zip((None, _OUTCOME_PAYLOADS, _ANGLE_PAYLOADS, _BIT_PAYLOADS, _HANDOFF_PAYLOADS),
                    (range(1, len(reported) + 1), reported, angle, a_bit, np.zeros(1, np.int8)))
+    first = 1
     for cycle, (table, codes) in zip(_RUN_ROUTES, payloads):
-        transcript._extend(cycle, table, codes)
-    return transcript
+        size = max(1, wire._BLOCK_LINES // len(cycle))
+        for i in range(0, len(codes), size):
+            yield render_pairs(first + len(cycle) * i, cycle, table, codes[i:i + size])
+        first += len(cycle) * len(codes)
 
 
 def run_chunks(

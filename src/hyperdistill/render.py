@@ -1,20 +1,21 @@
-"""Wire bytes of engine transcript blocks, from byte tables: a run that
-writes no transcript never imports this module."""
+"""Wire bytes of a run's transcript, from byte tables: a run that writes no
+transcript never imports this module."""
 
 import functools
 
 import numpy as np
 
-from .wire import _LINE_MIDDLES, _Block, _decimal_lengths, _digit_words
+from .wire import _LINE_MIDDLES, _decimal_lengths, _digit_words
 
 #: The four zero-padded ASCII digits of each of 0 to 9999, as one uint32.
 _DIGIT_WORDS = _digit_words()
 
 
 @functools.lru_cache(maxsize=None)
-def _suffix_rows(middles: tuple[str, ...], payloads: tuple[tuple[str, ...], ...] | None):
+def _suffix_rows(cycle: tuple[int, ...], payloads: tuple[tuple[str, ...], ...] | None):
     """The bytes after the seq of message j of a pair of code ``code``, as row ``code * width
     + j``, and their lengths; with no payloads, ``|middle|``, before the pair number."""
+    middles = _LINE_MIDDLES[list(cycle)].tolist()
     texts = [f"|{middle}|" for middle in middles] if payloads is None else [
         f"|{middle}|{payload}\n" for row in payloads for middle, payload in zip(middles, row)]
     rows = [np.frombuffer(text.encode("utf-8"), np.uint8) for text in texts]
@@ -32,21 +33,21 @@ def _put_decimal(buf: np.ndarray, stops: np.ndarray, values: np.ndarray) -> None
         values, stops = tens[more:], stops[more:] - 4
 
 
-def render_pairs(block: _Block) -> np.ndarray:
-    """Wire bytes of an engine block as a uint8 array: each line's seq, the row of its
-    key, and for a distribution marker the pair number and a newline. Numbers go in first,
-    for rows and newlines to cover their leading zeros; no write puts two bytes in one place."""
-    payloads, table = block.payload, block.payload.table
-    width, codes = payloads.width, payloads.codes
+def render_pairs(first_seq: int, cycle: tuple[int, ...], table: np.ndarray | None,
+                 codes: np.ndarray | range) -> np.ndarray:
+    """Wire bytes of whole pairs from seq ``first_seq`` on, as a uint8 array: a pair sends
+    a message on each route of ``cycle`` with payloads ``table[code]``, or with no table its
+    number, its code. Each line is its seq, the row of its key, and for a distribution marker
+    the pair number and a newline. Numbers go in first, for rows and newlines to cover their
+    leading zeros; no write puts two bytes in one place."""
+    width = len(cycle)
     n = width * len(codes)
-    # A block holds whole pairs, and its routes repeat with each pair.
-    middles = tuple(_LINE_MIDDLES[block.route[:width]])
     payload_rows = None if table is None else tuple(map(tuple, table.tolist()))
-    rows, row_lengths = _suffix_rows(middles, payload_rows)
+    rows, row_lengths = _suffix_rows(tuple(cycle), payload_rows)
     key = np.tile(np.arange(width, dtype=np.int8), len(codes))
     if table is not None:
         key += np.repeat(codes * width, width)
-    seqs = np.arange(block.seq[0], block.seq[0] + n)
+    seqs = np.arange(first_seq, first_seq + n)
     seq_lengths = _decimal_lengths(seqs)
     lengths = seq_lengths + row_lengths[key]
     if table is None:

@@ -1,16 +1,14 @@
 """Wire format of the classical message bus: messages, their columnar
-blocks, and the transcript that writes and parses them.
+blocks, and the transcript that parses and writes them.
 
 A message is one line, ``seq|phase|sender|recipient|payload_kind|payload``.
-A transcript keeps its messages as blocks of at most ``_BLOCK_LINES``
-rows of two columns: each message's route code, its index into
-``ROUTES`` of (phase, sender, recipient), and the payloads.
-An engine block holds whole pairs, with its payloads as codes into a
-small payload table; ``render.render_pairs`` writes it from byte tables,
-and ``render`` is imported on the first engine block written. Parsed
-blocks render with the f-strings of ``_render``. ``from_lines`` parses
-saved lines straight into columns, one block of bytes at a time, and
-keeps only the payloads' bytes of each.
+A run's transcript exists only as these bytes: ``protocol.run_wire``
+renders them block by block with ``render.render_pairs``. A
+``Transcript`` is always parsed text. ``from_lines`` parses wire lines
+straight into blocks of at most ``_BLOCK_LINES`` rows of two columns:
+each message's route code, its index into ``ROUTES`` of (phase, sender,
+recipient), and the payloads, kept as their bytes, one block of bytes at
+a time. Blocks render with the f-strings of ``_render``.
 """
 
 from __future__ import annotations
@@ -157,7 +155,7 @@ _WORD_MASKS = ((np.arange(4) >= np.arange(4)[:, None]) * np.uint8(255)).view(np.
 
 #: Most messages a transcript block holds, most lines the parser reads
 #: at once, and most pairs a run draws at once. Every pass over a run or
-#: a transcript, drawing, building, parsing, rendering, auditing and
+#: a transcript, drawing, rendering, parsing, auditing and
 #: reporting, works one block or chunk at a time.
 _BLOCK_LINES = 4096
 
@@ -185,34 +183,12 @@ class _Payloads:
         return (text[start:stop] for start, stop in self.bounds.tolist())
 
 
-class _PairPayloads:
-    """Payloads of the messages of whole pairs in an engine phase, which
-    sends ``width`` messages per pair, kept as one code per pair and cut
-    out as ``str`` only when iterated.
-
-    A pair's messages carry the row ``table[code]`` of payloads; with no
-    table, each of them carries the pair's number, its code.
-    """
-
-    __slots__ = ("table", "width", "codes")
-
-    def __init__(self, table: np.ndarray | None, width: int, codes: np.ndarray | range):
-        self.table = table  # object array, one row of ``width`` payloads per code
-        self.width = width
-        self.codes = codes  # int8 view of a run column, or a range of pair numbers
-
-    def __iter__(self) -> Iterator[str]:
-        if self.table is None:
-            return (number for number in map(str, self.codes) for _ in range(self.width))
-        return iter(self.table[self.codes].ravel().tolist())
-
-
 class _Block(NamedTuple):
     """A run of messages held as columns; a route's phase fixes the payload kind."""
 
     seq: Sequence[int]  # a range when the seqs are consecutive
     route: np.ndarray  # int8 indices into ROUTES
-    payload: list[str] | _Payloads | _PairPayloads
+    payload: list[str] | _Payloads
 
 
 def _seq_column(seqs: list[int]) -> Sequence[int]:
@@ -289,7 +265,7 @@ def _parse_block(text: bytes | memoryview, ends: np.ndarray, prev: int) -> _Bloc
         values, at, left = tens[more:], at[more:] - 4, left[more:] - 4
 
     # Middle: the candidate route keyed by one byte of each field, then one
-    # exact comparison per route present (one or two in an engine block),
+    # exact comparison per route present (at most seven in a run's file),
     # which also proves the pipes inside the middle and the one after it.
     phase = _PHASE_OF_BYTE.take(buf[first_pipe + 1 + _PHASE_KEY_AT])
     sender_key = first_pipe + _SENDER_KEY_AT.take(phase)
@@ -407,20 +383,17 @@ def _render(block: _Block) -> list[str]:
 
 
 class Transcript:
-    """Strictly sequenced log of classical messages: a run's, written by
-    the engine one phase at a time, or one parsed from wire lines.
+    """Strictly sequenced log of classical messages, parsed from wire lines.
 
     Messages are stored as blocks of at most ``_BLOCK_LINES`` rows of
-    two columns: the route codes and the payloads. A parsed
-    block keeps its payloads as offsets into its text, and an engine
-    block as codes into a payload table. ``messages``, ``to_lines`` and
-    ``write`` build their output from the columns on each call, one block
-    at a time.
+    two columns: the route codes and the payloads, kept as offsets into
+    their bytes (as a list of ``str`` for a block parsed line by line).
+    ``messages``, ``to_lines`` and ``write`` build their output from the
+    columns on each call, one block at a time.
     """
 
     def __init__(self):
         self._blocks: list[_Block] = []
-        self._last_seq = 0
 
     @property
     def messages(self) -> tuple[Message, ...]:
@@ -431,43 +404,15 @@ class Transcript:
                 block.seq, map(ROUTES.__getitem__, block.route.tolist()), block.payload)
         )
 
-    def _extend(self, cycle: Sequence[int], table: np.ndarray | None,
-                codes: np.ndarray | range) -> None:
-        """Append the messages of whole pairs, one on each route code of
-        ``cycle`` per pair, with payloads ``_PairPayloads(table, width,
-        codes)``, in blocks of ``max(1, _BLOCK_LINES // width)`` pairs. A
-        block's routes are a prefix of one read-only column that tiles
-        ``cycle``. The engine builds every block from fixed routes and
-        payload tables, so the checks of ``Message`` are not repeated."""
-        width = len(cycle)
-        size = max(1, _BLOCK_LINES // width)
-        route = np.tile(np.array(cycle, dtype=np.int8), min(size, len(codes)))
-        route.setflags(write=False)
-        first = self._last_seq + 1
-        for i in range(0, len(codes), size):
-            pairs = codes[i:i + size]
-            count = width * len(pairs)
-            self._blocks.append(_Block(
-                range(first + width * i, first + width * i + count),
-                route[:count],
-                _PairPayloads(table, width, pairs),
-            ))
-        self._last_seq += width * len(codes)
-
     def to_lines(self) -> list[str]:
         return [line for block in self._blocks for line in _render(block)]
 
-    def _wire(self) -> Iterator[bytes | np.ndarray]:
-        """The wire bytes, one block at a time, an engine block as a uint8
-        array; one newline when empty."""
+    def _wire(self) -> Iterator[bytes]:
+        """The wire bytes, one block at a time; one newline when empty."""
         if not self._blocks:
             yield b"\n"
         for block in self._blocks:
-            if isinstance(block.payload, _PairPayloads):
-                from .render import render_pairs  # imported by the first engine block
-                yield render_pairs(block)
-            else:
-                yield ("\n".join(_render(block)) + "\n").encode("utf-8")
+            yield ("\n".join(_render(block)) + "\n").encode("utf-8")
 
     def write(self, fh: io.BufferedIOBase) -> None:
         """Write the wire bytes to a binary file, one block at a time."""
@@ -526,5 +471,4 @@ class Transcript:
             if block.seq:
                 transcript._blocks.append(block)
                 prev = block.seq[-1]
-        transcript._last_seq = prev
         return transcript

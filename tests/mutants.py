@@ -156,6 +156,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a message from Bob1 to Bob2 breaks no rule",
+        "protocol.py",
+        "if sender in bobs and recipient in bobs:",
+        "if sender is Party.BOB2 and recipient is Party.BOB1:",
+        (
+            "tests/test_protocol.py::test_injected_violations_are_detected",
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[3]",
+        ),
+    ),
+    Mutant(
+        "an angle announced to Bob2 breaks no rule",
+        "protocol.py",
+        "if phase is Phase.ANGLE_ANNOUNCEMENT and recipient is Party.BOB2:",
+        "if phase is Phase.ANGLE_ANNOUNCEMENT and recipient is Party.SOURCE:",
+        (
+            "tests/test_protocol.py::test_injected_violations_are_detected",
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[1]",
+        ),
+    ),
+    Mutant(
+        "a result bit reported by Bob2 breaks no rule",
+        "protocol.py",
+        "if phase is Phase.RESULT_REPORT and sender is Party.BOB2:",
+        "if phase is Phase.RESULT_REPORT and sender is Party.SOURCE:",
+        (
+            "tests/test_protocol.py::test_injected_violations_are_detected",
+            TABLES + "test_run_audit_equals_the_audit_of_the_rendered_run[1]",
+        ),
+    ),
+    Mutant(
+        "a pair number written as its last digit alone",
+        "render.py",
+        "        _put_decimal(buf, ends - 1, numbers)\n",
+        '        buf[ends - 2] = ord("0") + numbers % 10\n',
+        (
+            TABLES + "test_byte_render_writes_pair_numbers_across_a_decade",
+            TABLES + "test_engine_equals_composed_stage_functions[0-257-clean]",
+        ),
+    ),
+    Mutant(
         "a file position that carries decoder state is read in chunks",
         "wire.py",
         "if start is not None and lines.buffer.tell() == start:",

@@ -266,6 +266,6 @@ def test_criterion_8_byte_identical_reports():
     report_b, transcript_b = execute_run(cfg)
     same_json = serialize_report(report_a, "json") == serialize_report(report_b, "json")
     same_csv = serialize_report(report_a, "csv") == serialize_report(report_b, "csv")
-    same_transcript = transcript_a.to_bytes() == transcript_b.to_bytes()
+    same_transcript = b"".join(transcript_a) == b"".join(transcript_b)
     report(8, "byte-identical reports and transcripts", same_json and same_csv
            and same_transcript)

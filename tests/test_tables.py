@@ -468,7 +468,7 @@ def test_engine_equals_composed_stage_functions(setting, m, seed):
 
 @pytest.mark.parametrize("size, m", [(1, 7), (3, 11), (4096, 2 * 4096 + 3)])
 def test_engine_equals_composed_stage_functions_across_chunks(size, m):
-    # Engine blocks hold whole pairs: a two-message phase takes size // 2
+    # Rendered blocks hold whole pairs: a two-message phase takes size // 2
     # pairs a block, at least one. Every size leaves a short last chunk,
     # and the engine draws its chunks at the transcript's block size.
     with mock.patch.object(wire, "_BLOCK_LINES", 3):
@@ -476,11 +476,7 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
         assert [len(chunk[0]) for chunk in chunks] == [3, 3, 1]
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
-    blocks = run.transcript._blocks
-    assert [len(block.route) for block in blocks] == [
-        width * min(max(1, size // width), m - i) for width in (2, 2, 1, 1)
-        for i in range(0, m, max(1, size // width))
-    ] + [1]
+        assert line_counts(run_wire(run)) == block_lines(m, size)
     columns = (run.case, run.readout, run.recorded, run.reported, run.theta_index,
                run.signed_angle_index, run.a_bit)
     assert [column.dtype for column in columns] == [np.dtype(np.int8)] * len(columns)
@@ -1249,8 +1245,17 @@ ODD_LINES = [
 ]
 
 
+def run_wire(run):
+    """The blocks of wire bytes that ``protocol.run_wire`` renders for ``run``."""
+    return list(protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit))
+
+
+def line_counts(chunks):
+    return [bytes(chunk).count(b"\n") for chunk in chunks]
+
+
 WRITTEN = {
-    "run of several blocks": lambda size: run_protocol(size // 2 + 1, MIXED, seed=8, **NOISY).transcript,
+    "run of several blocks": lambda size: run_protocol(size // 2 + 1, MIXED, seed=8, **NOISY),
     "empty": lambda size: Transcript(),
     "parsed with gaps, non-ascii and empty payloads": lambda size: Transcript.from_lines(ODD_LINES),
 }
@@ -1259,117 +1264,130 @@ WRITTEN = {
 @pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
 def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
+    # A run's file is written from ``run_wire``'s blocks, a parsed
+    # transcript's from its own.
     path = tmp_path / "messages.log"
     with mock.patch.object(wire, "_BLOCK_LINES", size):
-        transcript = WRITTEN[name](size)
-        write_transcript(transcript, str(path))
-    blocks = transcript._blocks
-    assert all(len(block.route) <= size for block in blocks)
-    if name == "run of several blocks":
-        assert len(blocks) >= 3
-        seqs = [msg.seq for msg in transcript.messages]
-        assert seqs == list(range(1, transcript._last_seq + 1))
-    assert path.read_bytes() == reference_bytes(transcript.messages)
-    assert path.read_bytes() == transcript.to_bytes()
+        written = WRITTEN[name](size)
+        is_run = not isinstance(written, Transcript)
+        chunks = run_wire(written) if is_run else list(written._wire())
+        write_transcript(iter(chunks), str(path))
+    assert all(count <= size for count in line_counts(chunks))
+    messages = (written.transcript if is_run else written).messages
+    if is_run:
+        assert len(chunks) >= 3
+        assert [msg.seq for msg in messages] == list(range(1, sum(line_counts(chunks)) + 1))
+    assert path.read_bytes() == b"".join(chunks) == reference_bytes(messages)
     with open(path, encoding="utf-8") as fh:
-        assert Transcript.from_lines(fh).to_bytes() == transcript.to_bytes()
+        assert Transcript.from_lines(fh).to_bytes() == path.read_bytes()
 
 
-# --- rendering engine blocks from byte tables ---------------------------------------
+# --- rendering a run's blocks from byte tables ----------------------------------------
 
 
-def fstring_bytes(block):
-    """A block rendered line by line by ``_render``."""
-    return ("\n".join(wire._render(block)) + "\n").encode("utf-8")
+def assert_byte_render_equals_fstring_render(chunks):
+    """Each block holds whole pairs of one phase of a run, on the routes of
+    its row of ``_RUN_ROUTES``, and is the bytes that the f-strings of
+    ``_render`` and ``Message.to_line`` give for the messages it parses
+    to; the blocks' seqs follow on."""
+    messages = []
+    for chunk in chunks:
+        parsed = Transcript.from_lines(io.StringIO(bytes(chunk).decode("ascii")))
+        routes = [wire._ROUTE_CODE[msg.phase, msg.sender, msg.recipient] for msg in parsed.messages]
+        cycle = protocol._RUN_ROUTES[wire.PHASES.index(parsed.messages[0].phase)]
+        assert routes == list(cycle) * (len(routes) // len(cycle))
+        assert parsed.to_bytes() == bytes(chunk) == reference_bytes(parsed.messages)
+        messages += parsed.messages
+    first = messages[0].seq
+    assert [msg.seq for msg in messages] == list(range(first, first + len(messages)))
 
 
-def engine_blocks(transcript):
-    """The blocks of a run's transcript, which are engine blocks in every phase."""
-    blocks = transcript._blocks
-    assert all(isinstance(block.payload, wire._PairPayloads) for block in blocks)
-    assert {wire.ROUTES[block.route[0]][0] for block in blocks} == set(Phase)
-    return blocks
-
-
-def assert_byte_render_equals_fstring_render(transcript):
-    for block in engine_blocks(transcript):
-        assert render.render_pairs(block).tobytes() == fstring_bytes(block)
-    assert transcript.to_bytes() == reference_bytes(transcript.messages)
-
-
-def run_from_seq(first_seq, m, **noise):
-    """A run whose transcript's seqs start at ``first_seq``."""
-
-    class Preset(Transcript):
-        def __init__(self):
-            super().__init__()
-            self._last_seq = first_seq - 1
-
-    with mock.patch.object(protocol, "Transcript", Preset):
-        return run_protocol(m, MIXED, seed=4, **noise)
+def block_lines(m, size):
+    """Lines of each block of a run of ``m`` pairs at block size ``size``: a
+    phase that sends ``width`` messages per pair takes ``max(1, size //
+    width)`` whole pairs a block."""
+    return [
+        width * min(max(1, size // width), m - i) for width in (2, 2, 1, 1)
+        for i in range(0, m, max(1, size // width))
+    ] + [1]
 
 
 @pytest.mark.parametrize("noise", [{}, NOISY], ids=["clean", "noisy"])
 @pytest.mark.parametrize("size", [1, 2, 3, 4095, wire._BLOCK_LINES])
 def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
-    # Every engine block holds whole pairs, even at an odd block size: it
-    # starts with the first message of a pair, which in each phase goes
-    # between the same two parties. At size 1 a block still takes a whole
+    # Every block holds whole pairs, even at an odd block size: it starts
+    # with the first message of a pair, which in each phase goes between
+    # the same two parties. At size 1 a block still takes a whole
     # two-message pair.
     with mock.patch.object(wire, "_BLOCK_LINES", size):
-        transcript = run_protocol(size + 5, MIXED, seed=2, **noise).transcript
-        blocks = engine_blocks(transcript)
-        assert all(len(block.route) <= max(size, 2) for block in blocks)
-        heads = {}
-        for block in blocks:
-            head = block.route[0]
-            assert heads.setdefault(wire.ROUTES[head][0], head) == head
-            assert len(block.route) == block.payload.width * len(block.payload.codes)
-        assert_byte_render_equals_fstring_render(transcript)
+        run = run_protocol(size + 5, MIXED, seed=2, **noise)
+        chunks = run_wire(run)
+    assert line_counts(chunks) == block_lines(size + 5, size)
+    assert all(count <= max(size, 2) for count in line_counts(chunks))
+    assert_byte_render_equals_fstring_render(chunks)
+    assert b"".join(chunks) == run.transcript.to_bytes() == reference_bytes(run.transcript.messages)
 
 
 @pytest.mark.parametrize("m", [1, 2, wire._BLOCK_LINES, wire._BLOCK_LINES + 1])
 def test_a_run_writes_engine_blocks_only(m):
-    transcript = run_protocol(m, MIXED, seed=3, **NOISY).transcript
-    assert sum(len(block.route) for block in engine_blocks(transcript)) == 6 * m + 1
+    run = run_protocol(m, MIXED, seed=3, **NOISY)
+    chunks = run_wire(run)
+    assert sum(line_counts(chunks)) == 6 * m + 1
+    assert {msg.phase for msg in run.transcript.messages} == set(Phase)
+    assert b"".join(chunks) == run.transcript.to_bytes()
 
 
 @pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
 @pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 def test_byte_render_equals_fstring_render_across_decades(first_seq, size):
-    # 19 seqs from first_seq cross 9 -> 10, 999 999 -> 1 000 000,
-    # 9 999 999 -> 10 000 000, 99 999 999 -> 100 000 000 (a second
-    # eight-digit write) and 10**18 - 1 -> 10**18 (a third).
-    with mock.patch.object(wire, "_BLOCK_LINES", size):
-        transcript = run_from_seq(first_seq, 3, **NOISY).transcript
-        assert [msg.seq for msg in transcript.messages] == list(range(first_seq, first_seq + 19))
-        assert_byte_render_equals_fstring_render(transcript)
+    # The 19 messages of a 3-pair run, rendered from seq first_seq on in
+    # blocks of at most ``size`` messages or one pair, cross 9 -> 10,
+    # 999 999 -> 1 000 000, 9 999 999 -> 10 000 000, 99 999 999 ->
+    # 100 000 000 (a second eight-digit write) and 10**18 - 1 -> 10**18 (a
+    # third).
+    run = run_protocol(3, MIXED, seed=4, **NOISY)
+    tables = (None, protocol._OUTCOME_PAYLOADS, protocol._ANGLE_PAYLOADS,
+              protocol._BIT_PAYLOADS, protocol._HANDOFF_PAYLOADS)
+    columns = (range(1, 4), run.reported, run.signed_angle_index, run.a_bit, np.zeros(1, np.int8))
+    chunks, seq = [], first_seq
+    for cycle, table, codes in zip(protocol._RUN_ROUTES, tables, columns):
+        pairs = max(1, size // len(cycle))
+        for i in range(0, len(codes), pairs):
+            chunks.append(render.render_pairs(seq, cycle, table, codes[i:i + pairs]))
+            seq += len(cycle) * len(codes[i:i + pairs])
+    assert seq == first_seq + 19
+    assert_byte_render_equals_fstring_render(chunks)
+    assert [line.split(b"|", 1)[1] for line in b"".join(chunks).splitlines()] == [
+        line.split(b"|", 1)[1] for line in run.transcript.to_bytes().splitlines()]
 
 
 def test_byte_render_writes_pair_numbers_across_a_decade():
-    transcript = run_protocol(10_003, MIXED, seed=1).transcript
+    chunks = run_wire(run_protocol(10_003, MIXED, seed=1))
     assert any(
-        9_999 in block.payload.codes and 10_000 in block.payload.codes
-        for block in engine_blocks(transcript) if block.payload.table is None
+        b"|quantum_marker|9999\n" in bytes(chunk) and b"|quantum_marker|10000\n" in bytes(chunk)
+        for chunk in chunks
     )
-    assert_byte_render_equals_fstring_render(transcript)
+    assert_byte_render_equals_fstring_render(chunks)
 
 
 def test_byte_render_writes_all_sixteen_angle_codes_in_one_block():
-    transcript = run_protocol(wire._BLOCK_LINES, MIXED, seed=3).transcript
-    [angles] = [block for block in engine_blocks(transcript)
-                if wire.ROUTES[block.route[0]][0] is Phase.ANGLE_ANNOUNCEMENT]
-    assert sorted(set(angles.payload.codes.tolist())) == list(range(len(SIGNED_ANGLES)))
-    assert render.render_pairs(angles).tobytes() == fstring_bytes(angles)
+    run = run_protocol(wire._BLOCK_LINES, MIXED, seed=3)
+    codes = run.signed_angle_index
+    assert sorted(set(codes.tolist())) == list(range(len(SIGNED_ANGLES)))
+    angles = render.render_pairs(4 * len(codes) + 1, protocol._RUN_ROUTES[2],
+                                 protocol._ANGLE_PAYLOADS, codes)
+    assert_byte_render_equals_fstring_render([angles])
+    assert angles.tobytes() == bytes(run_wire(run)[4])
 
 
 def test_every_engine_block_is_written_from_byte_tables(tmp_path):
-    transcript = run_protocol(5000, MIXED, seed=7, **NOISY).transcript
+    run = run_protocol(5000, MIXED, seed=7, **NOISY)
     path = tmp_path / "t.log"
     with mock.patch.object(wire, "_render", wraps=wire._render) as fstring:
-        write_transcript(transcript, str(path))
+        write_transcript(protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit),
+                         str(path))
     fstring.assert_not_called()
-    assert path.read_bytes() == reference_bytes(transcript.messages)
+    assert path.read_bytes() == reference_bytes(run.transcript.messages)
 
 
 def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
@@ -1382,11 +1400,12 @@ def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
     assert written.getvalue() == transcript.to_bytes() == reference_bytes(transcript.messages)
 
 
-def traced_write_peak(transcript, path):
-    """Peak bytes that Python allocates while writing ``transcript``."""
+def traced_write_peak(run, path):
+    """Peak bytes that Python allocates while writing the wire bytes of ``run``."""
+    chunks = protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit)
     tracemalloc.start()
     try:
-        write_transcript(transcript, str(path))
+        write_transcript(chunks, str(path))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1394,16 +1413,16 @@ def traced_write_peak(transcript, path):
 
 def test_transcript_write_memory_stays_flat(tmp_path):
     small, large = (
-        traced_write_peak(run_protocol(pairs, MIXED, seed=5).transcript, tmp_path / "t.log")
+        traced_write_peak(run_protocol(pairs, MIXED, seed=5), tmp_path / "t.log")
         for pairs in (5000, 80000)
     )
     assert large <= 1.5 * small
 
 
-def traced_parse_work(transcript, path):
+def traced_parse_work(run, path):
     """Peak bytes that Python allocates while ``from_lines`` parses the
-    written file of ``transcript``, less what the parsed copy keeps."""
-    write_transcript(transcript, str(path))
+    written file of ``run``, less what the parsed copy keeps."""
+    write_transcript(run_wire(run), str(path))
     tracemalloc.start()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1418,7 +1437,7 @@ def traced_parse_work(transcript, path):
 def test_transcript_parse_memory_stays_flat(tmp_path):
     # Parsing holds one block's arrays at a time, whatever the file's size.
     small, large = (
-        traced_parse_work(run_protocol(pairs, MIXED, seed=5, **NOISY).transcript, tmp_path / "t.log")
+        traced_parse_work(run_protocol(pairs, MIXED, seed=5, **NOISY), tmp_path / "t.log")
         for pairs in (5000, 80000)
     )
     assert large <= 1.5 * small
@@ -1428,7 +1447,7 @@ def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
     # A parsed block keeps its route codes, its payload offsets and its
     # payloads' bytes, and none of the text it was parsed from.
     path = tmp_path / "t.log"
-    write_transcript(run_protocol(80_000, MIXED, seed=5, **NOISY).transcript, str(path))
+    write_transcript(run_wire(run_protocol(80_000, MIXED, seed=5, **NOISY)), str(path))
     lines = path.read_bytes().count(b"\n")
     tracemalloc.start()
     try:
@@ -1441,16 +1460,19 @@ def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
     assert kept <= 20 * lines
 
 
-def traced_run_peak(pairs, transcript_path="t.log"):
+def traced_run_peak(pairs, transcript_path="t.log", write=False):
     """Peak bytes that Python allocates while ``execute_run`` runs a noisy
-    run of ``pairs`` pairs and holds its transcript; with no
+    run of ``pairs`` pairs and holds its transcript, and with ``write``
+    while ``write_transcript`` writes it to the null device; with no
     ``transcript_path``, a run that only reports."""
     cfg = RunConfig(pairs=pairs, fidelities=MIXED, dephase_p=0.05,
                     homodyne_error=0.1, evil_bob_flip_p=0.1, seed=3,
                     transcript_path=transcript_path)
     tracemalloc.start()
     try:
-        execute_run(cfg)
+        _, chunks = execute_run(cfg)
+        if write:
+            write_transcript(chunks, os.devnull)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1462,6 +1484,15 @@ def test_run_memory_per_pair_is_a_few_bytes():
     pair_table()
     small, large = traced_run_peak(20_000), traced_run_peak(200_000)
     assert large - small <= 16 * 180_000
+
+
+def test_written_run_memory_per_pair_is_the_kept_columns():
+    # Writing renders one block at a time from the three kept one-byte
+    # columns and builds nothing per pair or per block beforehand: a
+    # hundred times the pairs add those 3 bytes a pair and little else.
+    pair_table()
+    small, large = traced_run_peak(20_000, write=True), traced_run_peak(2_000_000, write=True)
+    assert large - small <= 3.25 * 1_980_000
 
 
 def test_report_only_run_memory_is_flat():
