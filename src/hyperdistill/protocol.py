@@ -256,16 +256,19 @@ class ProtocolRun:
     and Bob2's residual qubit is what is left of it once Bob1's qubit is
     projected onto the state (|H> + (-1)^a_bit e^{-i angle} |V>)/sqrt(2)
     of the announced angle. ``transcript`` is the run's wire bytes,
-    ``run_wire``, parsed as a reader parses a file of them, and
-    ``audit_report`` is the run's audit, ``run_audit``.
+    ``run_wire``, rendered and parsed as a reader parses a file of them
+    when first read, and ``audit_report`` is the run's audit, ``run_audit``.
     """
 
     def __init__(self, *columns):
         (self.case, self.readout, self.recorded, self.reported, self.inferred_phi,
          self.theta_index, self.signed_angle_index, self.a_bit) = columns
-        data = b"".join(run_wire(self.reported, self.signed_angle_index, self.a_bit))
-        self.transcript = Transcript.from_lines(io.TextIOWrapper(io.BytesIO(data), "utf-8"))
         self.audit_report = run_audit(len(self.case))
+
+    @functools.cached_property
+    def transcript(self) -> Transcript:
+        data = b"".join(run_wire(self.reported, self.signed_angle_index, self.a_bit))
+        return Transcript.from_lines(io.TextIOWrapper(io.BytesIO(data), "utf-8"))
 
     @property
     def true_phi(self) -> np.ndarray:

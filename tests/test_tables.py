@@ -393,6 +393,27 @@ def oracle_bit0(c, r, sent_angle):
     return projector_bit_probability(oracle_case(c)[1][r].entries, sent_angle, 0)
 
 
+def column_wire(reported, signed_angle_index, a_bit, first_seq=1):
+    """The wire file of a run whose payloads read these columns, written
+    line by line with f-strings, its seqs from ``first_seq`` on. A signed
+    angle index s below 8 is the angle s pi/4, and one from 8 on is
+    -(s - 8) pi/4, which goes out mod 2 pi."""
+    lines = [f"Distribution|Source|{bob}|quantum_marker|{j}"
+             for j in range(1, len(reported) + 1) for bob in ("Bob1", "Bob2")]
+    lines += [f"Distillation|{bob}|Alice|qnd_outcome|{outcome.value}"
+              for r in reported for bob, outcome in zip(("Bob1", "Bob2"), OUTCOME_PAIRS[r])]
+    lines += [f"AngleAnnouncement|Alice|Bob1|angle|{(s if s < 8 else -s) % 8 * (math.pi / 4)!r}"
+              for s in map(int, signed_angle_index)]
+    lines += [f"ResultReport|Bob1|Alice|result_bit|{int(bit)}" for bit in a_bit]
+    lines.append("Handoff|Alice|Bob2|control|begin_single_server")
+    return "".join(f"{seq}|{line}\n" for seq, line in enumerate(lines, first_seq)).encode("ascii")
+
+
+def run_column_wire(run, first_seq=1):
+    """``column_wire`` of the columns a run's payloads read."""
+    return column_wire(run.reported, run.signed_angle_index, run.a_bit, first_seq)
+
+
 def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed):
     """The run drawn pair by pair, in the engine's order from its four
     substreams, with each pair's readout, state and bit taken from the
@@ -406,7 +427,6 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
     names = ("case", "readout", "recorded", "reported", "inferred_phi", "theta_index",
              "signed_angle_index", "a_bit", "true_phi")
     columns = {name: [] for name in names}
-    outcomes, angles = [], []
     for _ in range(m):
         c = 2 * draw_slot(fv.as_tuple(), rng_dist.random())
         if dephase_p > 0.0:
@@ -429,18 +449,7 @@ def oracle_reference_run(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed
                (state[0, 0] + state[3, 3]).real > 0.5)
         for name, value in zip(names, row):
             columns[name].append(value)
-        outcomes.append((a, b))
-        angles.append(((k if phi else -k) % 8) * (math.pi / 4))
-
-    lines = [f"Distribution|Source|{bob}|quantum_marker|{j}"
-             for j in range(1, m + 1) for bob in ("Bob1", "Bob2")]
-    lines += [f"Distillation|{bob}|Alice|qnd_outcome|{outcome.value}"
-              for pair in outcomes for bob, outcome in zip(("Bob1", "Bob2"), pair)]
-    lines += [f"AngleAnnouncement|Alice|Bob1|angle|{angle!r}" for angle in angles]
-    lines += [f"ResultReport|Bob1|Alice|result_bit|{bit}" for bit in columns["a_bit"]]
-    lines.append("Handoff|Alice|Bob2|control|begin_single_server")
-    wire = "".join(f"{seq}|{line}\n" for seq, line in enumerate(lines, start=1))
-    return columns, wire.encode("ascii")
+    return columns, column_wire(columns["reported"], columns["signed_angle_index"], columns["a_bit"])
 
 
 def assert_engine_equals_oracle_reference(m, fv, dephase_p, homodyne_error, evil_bob_flip_p, seed):
@@ -476,7 +485,7 @@ def test_engine_equals_composed_stage_functions_across_chunks(size, m):
         assert [len(chunk[0]) for chunk in chunks] == [3, 3, 1]
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = assert_engine_equals_oracle_reference(m, *NOISE_SETTINGS["all"], 5)
-        assert line_counts(run_wire(run)) == block_lines(m, size)
+        assert line_counts(wire_blocks(run)) == block_lines(m, size)
     columns = (run.case, run.readout, run.recorded, run.reported, run.theta_index,
                run.signed_angle_index, run.a_bit)
     assert [column.dtype for column in columns] == [np.dtype(np.int8)] * len(columns)
@@ -531,11 +540,13 @@ RIGGED_RUN_ROUTES = (
 @pytest.mark.parametrize("m", [1, 3, 2 * 4096 + 3])
 def test_run_audit_equals_the_audit_of_the_rendered_run(m):
     # The run's audit, read from its routes, lists what the audit of its
-    # written and parsed transcript lists, in the same order.
+    # written and parsed transcript lists, in the same order. The run's
+    # transcript is rendered when first read, so it is read on the rigged routes.
     with mock.patch.object(protocol, "_RUN_ROUTES", RIGGED_RUN_ROUTES):
         run = run_protocol(m, MIXED, seed=4)
         found = protocol.run_audit(m)
-    expected = audit(Transcript.from_lines(run.transcript.to_bytes().decode().splitlines()))
+        written = run.transcript.to_bytes()
+    expected = audit(Transcript.from_lines(written.decode().splitlines()))
     assert found == expected == run.audit_report
     assert len(expected.violations) == 5 * m + 1
     assert protocol.run_audit(m) == AuditReport(passed=True, violations=())
@@ -1245,7 +1256,7 @@ ODD_LINES = [
 ]
 
 
-def run_wire(run):
+def wire_blocks(run):
     """The blocks of wire bytes that ``protocol.run_wire`` renders for ``run``."""
     return list(protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit))
 
@@ -1264,20 +1275,22 @@ WRITTEN = {
 @pytest.mark.parametrize("size", [3, wire._BLOCK_LINES])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
 def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
-    # A run's file is written from ``run_wire``'s blocks, a parsed
-    # transcript's from its own.
+    # A run's file is written from ``run_wire``'s blocks and equals the
+    # f-string file of its columns; a parsed transcript's is written from
+    # its own blocks and equals its messages rendered one by one.
     path = tmp_path / "messages.log"
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         written = WRITTEN[name](size)
         is_run = not isinstance(written, Transcript)
-        chunks = run_wire(written) if is_run else list(written._wire())
+        chunks = wire_blocks(written) if is_run else list(written._wire())
         write_transcript(iter(chunks), str(path))
     assert all(count <= size for count in line_counts(chunks))
-    messages = (written.transcript if is_run else written).messages
     if is_run:
         assert len(chunks) >= 3
-        assert [msg.seq for msg in messages] == list(range(1, sum(line_counts(chunks)) + 1))
-    assert path.read_bytes() == b"".join(chunks) == reference_bytes(messages)
+        expected = run_column_wire(written)
+    else:
+        expected = reference_bytes(written.messages)
+    assert path.read_bytes() == b"".join(chunks) == expected
     with open(path, encoding="utf-8") as fh:
         assert Transcript.from_lines(fh).to_bytes() == path.read_bytes()
 
@@ -1285,11 +1298,11 @@ def test_written_file_equals_message_by_message_rendering(name, size, tmp_path):
 # --- rendering a run's blocks from byte tables ----------------------------------------
 
 
-def assert_byte_render_equals_fstring_render(chunks):
+def assert_byte_render_equals_fstring_render(chunks, first_seq=1):
     """Each block holds whole pairs of one phase of a run, on the routes of
     its row of ``_RUN_ROUTES``, and is the bytes that the f-strings of
     ``_render`` and ``Message.to_line`` give for the messages it parses
-    to; the blocks' seqs follow on."""
+    to; the blocks' seqs run on from ``first_seq``."""
     messages = []
     for chunk in chunks:
         parsed = Transcript.from_lines(io.StringIO(bytes(chunk).decode("ascii")))
@@ -1298,8 +1311,7 @@ def assert_byte_render_equals_fstring_render(chunks):
         assert routes == list(cycle) * (len(routes) // len(cycle))
         assert parsed.to_bytes() == bytes(chunk) == reference_bytes(parsed.messages)
         messages += parsed.messages
-    first = messages[0].seq
-    assert [msg.seq for msg in messages] == list(range(first, first + len(messages)))
+    assert [msg.seq for msg in messages] == list(range(first_seq, first_seq + len(messages)))
 
 
 def block_lines(m, size):
@@ -1321,20 +1333,20 @@ def test_byte_render_equals_fstring_render_in_every_phase(noise, size):
     # two-message pair.
     with mock.patch.object(wire, "_BLOCK_LINES", size):
         run = run_protocol(size + 5, MIXED, seed=2, **noise)
-        chunks = run_wire(run)
+        chunks = wire_blocks(run)
     assert line_counts(chunks) == block_lines(size + 5, size)
     assert all(count <= max(size, 2) for count in line_counts(chunks))
     assert_byte_render_equals_fstring_render(chunks)
-    assert b"".join(chunks) == run.transcript.to_bytes() == reference_bytes(run.transcript.messages)
+    assert b"".join(chunks) == run_column_wire(run) == run.transcript.to_bytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, wire._BLOCK_LINES, wire._BLOCK_LINES + 1])
 def test_a_run_writes_engine_blocks_only(m):
     run = run_protocol(m, MIXED, seed=3, **NOISY)
-    chunks = run_wire(run)
+    chunks = wire_blocks(run)
     assert sum(line_counts(chunks)) == 6 * m + 1
     assert {msg.phase for msg in run.transcript.messages} == set(Phase)
-    assert b"".join(chunks) == run.transcript.to_bytes()
+    assert b"".join(chunks) == run_column_wire(run) == run.transcript.to_bytes()
 
 
 @pytest.mark.parametrize("first_seq", [1, 999_990, 9_999_995, 99_999_990, 10**18 - 5])
@@ -1355,19 +1367,19 @@ def test_byte_render_equals_fstring_render_across_decades(first_seq, size):
         for i in range(0, len(codes), pairs):
             chunks.append(render.render_pairs(seq, cycle, table, codes[i:i + pairs]))
             seq += len(cycle) * len(codes[i:i + pairs])
-    assert seq == first_seq + 19
-    assert_byte_render_equals_fstring_render(chunks)
-    assert [line.split(b"|", 1)[1] for line in b"".join(chunks).splitlines()] == [
-        line.split(b"|", 1)[1] for line in run.transcript.to_bytes().splitlines()]
+    assert_byte_render_equals_fstring_render(chunks, first_seq)
+    assert b"".join(chunks) == run_column_wire(run, first_seq)
 
 
 def test_byte_render_writes_pair_numbers_across_a_decade():
-    chunks = run_wire(run_protocol(10_003, MIXED, seed=1))
+    run = run_protocol(10_003, MIXED, seed=1)
+    chunks = wire_blocks(run)
     assert any(
         b"|quantum_marker|9999\n" in bytes(chunk) and b"|quantum_marker|10000\n" in bytes(chunk)
         for chunk in chunks
     )
     assert_byte_render_equals_fstring_render(chunks)
+    assert b"".join(chunks) == run_column_wire(run)
 
 
 def test_byte_render_writes_all_sixteen_angle_codes_in_one_block():
@@ -1376,8 +1388,8 @@ def test_byte_render_writes_all_sixteen_angle_codes_in_one_block():
     assert sorted(set(codes.tolist())) == list(range(len(SIGNED_ANGLES)))
     angles = render.render_pairs(4 * len(codes) + 1, protocol._RUN_ROUTES[2],
                                  protocol._ANGLE_PAYLOADS, codes)
-    assert_byte_render_equals_fstring_render([angles])
-    assert angles.tobytes() == bytes(run_wire(run)[4])
+    assert_byte_render_equals_fstring_render([angles], 4 * len(codes) + 1)
+    assert angles.tobytes() == bytes(wire_blocks(run)[4])
 
 
 def test_every_engine_block_is_written_from_byte_tables(tmp_path):
@@ -1387,7 +1399,7 @@ def test_every_engine_block_is_written_from_byte_tables(tmp_path):
         write_transcript(protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit),
                          str(path))
     fstring.assert_not_called()
-    assert path.read_bytes() == reference_bytes(run.transcript.messages)
+    assert path.read_bytes() == run_column_wire(run)
 
 
 def test_to_bytes_of_a_run_with_appended_messages_is_unchanged():
@@ -1422,7 +1434,7 @@ def test_transcript_write_memory_stays_flat(tmp_path):
 def traced_parse_work(run, path):
     """Peak bytes that Python allocates while ``from_lines`` parses the
     written file of ``run``, less what the parsed copy keeps."""
-    write_transcript(run_wire(run), str(path))
+    write_transcript(wire_blocks(run), str(path))
     tracemalloc.start()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1447,7 +1459,7 @@ def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
     # A parsed block keeps its route codes, its payload offsets and its
     # payloads' bytes, and none of the text it was parsed from.
     path = tmp_path / "t.log"
-    write_transcript(run_wire(run_protocol(80_000, MIXED, seed=5, **NOISY)), str(path))
+    write_transcript(wire_blocks(run_protocol(80_000, MIXED, seed=5, **NOISY)), str(path))
     lines = path.read_bytes().count(b"\n")
     tracemalloc.start()
     try:
