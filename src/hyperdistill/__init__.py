@@ -28,7 +28,8 @@ _MODULE_OF = {
     **dict.fromkeys((
         "DeviceParams", "ENSEMBLE_ORDER", "FidelityVector", "PolarizationBell", "QndOutcome",
     ), "model"),
-    **dict.fromkeys(("Message", "Party", "Phase", "Transcript"), "wire"),
+    **dict.fromkeys(("Party", "Phase"), "wire"),
+    **dict.fromkeys(("Message", "Transcript"), "reader"),
     **dict.fromkeys(("BellClass", "analytic_phi_probability", "audit", "run_protocol"), "protocol"),
     **dict.fromkeys(("RunConfig", "execute_run", "main", "parse_config"), "cli"),
 }

@@ -9,16 +9,13 @@ to stderr instead.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from .protocol import (
     run_chunks,
     run_wire,
 )
-from .model import DeviceParams, FidelityVector
+from .model import Checked, DeviceParams, FidelityVector
 
 DEFAULT_PAIRS = 1000
 DEFAULT_FIDELITIES = (0.7, 0.1, 0.1, 0.1)
@@ -76,8 +73,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     pairs: int = DEFAULT_PAIRS
     fidelities: FidelityVector = FidelityVector(*DEFAULT_FIDELITIES)
     dephase_p: float = 0.0
@@ -89,7 +85,11 @@ class RunConfig:
     transcript_path: str | None = None
     sweep: int | None = None
 
-    def __post_init__(self):
+
+class RunConfig(Checked, _RunFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.pairs < 1:
             raise ValueError(f"pairs {self.pairs} must be >= 1")
         if self.pairs > MAX_PAIRS:
@@ -138,7 +138,7 @@ class RunConfig:
 
     def run_id(self) -> str:
         """Deterministic run identifier from the seed and a config digest."""
-        # Imported here: hashlib maps OpenSSL, which a sweep's parent never uses.
+        # Imported here: a sweep's coordinator hashes no run id.
         import hashlib
 
         payload = json.dumps(self.echo(), sort_keys=True)
@@ -248,6 +248,8 @@ def serialize_report(doc: dict, output_format: str) -> bytes:
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     if output_format != "csv":
         raise ValueError(f"unknown format {output_format!r}")
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -383,7 +385,7 @@ def _fork_worker(fn, share: list):
 
 def _sweep_single(args: tuple[RunConfig, int]) -> dict:
     cfg, seed = args
-    return execute_run(dataclasses.replace(cfg, seed=seed, sweep=None))[0]
+    return execute_run(cfg._replace(seed=seed, sweep=None))[0]
 
 
 def run_sweep(cfg: RunConfig) -> dict:
@@ -534,10 +536,7 @@ def parse_config(argv=None) -> RunConfig:
     if args.entropy:
         if args.seed is not None or "seed" in file_cfg:
             parser.error("--entropy: cannot be combined with a seed from --seed or --config")
-        # Imported here: secrets maps OpenSSL, which a seeded start does not need.
-        import secrets
-
-        seed = secrets.randbits(64)
+        seed = int.from_bytes(os.urandom(8), "little")
         print(f"entropy seed: {seed}", file=sys.stderr)
 
     transcript_path = resolve(args.transcript, "transcript", None)

@@ -2,13 +2,15 @@
 the Bell kinds with their amplitudes and mixture weights, the readouts, the
 pair cases and the device settings. It imports nothing from the package, so
 a run loads none of the oracle's modules (``linalg``, ``states``, ``qnd``).
+Its records, and the CLI's ``RunConfig``, are ``NamedTuple``s checked by
+``Checked``, so that a run imports no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +42,40 @@ BELL_AMPLITUDES = {
 }
 
 
-@dataclass(frozen=True)
-class FidelityVector:
+class Checked:
+    """First base of a class whose second is a NamedTuple of its fields:
+    the class's ``_check`` runs on every instance made, by ``_make`` and
+    ``_replace`` too, and raises ValueError for a bad one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _FidelityFields(NamedTuple):
+    f: float
+    f1: float
+    f2: float
+    f3: float
+
+
+class FidelityVector(Checked, _FidelityFields):
     """Mixture weights of the four Bell components of the noisy pair.
 
     ``f`` weights the PhiPlus component, ``f1`` PhiMinus, ``f2`` PsiPlus
     and ``f3`` PsiMinus; they must sum to one.
     """
 
-    f: float
-    f1: float
-    f2: float
-    f3: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for name, value in zip(("f", "f1", "f2", "f3"), self.as_tuple()):
             if not (math.isfinite(value) and -EPS_NORM <= value <= 1.0 + EPS_NORM):
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
@@ -133,8 +155,11 @@ OUTCOME_PAIRS = (
 CASES = tuple((kind, sign) for kind in ENSEMBLE_ORDER for sign in (1, -1))
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class _DeviceFields(NamedTuple):
+    homodyne_error: float = 0.0
+
+
+class DeviceParams(Checked, _DeviceFields):
     """Cross-Kerr device settings shared by both servers.
 
     The engine works with the three discrete phase classes a probe can
@@ -143,9 +168,9 @@ class DeviceParams:
     probability, modeling an X-homodyne readout that misreads the shift.
     """
 
-    homodyne_error: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.homodyne_error < 0.5):
             raise ValueError(
                 f"homodyne_error {self.homodyne_error!r} outside [0, 0.5)"

@@ -10,10 +10,10 @@ his qubit in that rotated basis and reports a bit, and the run ends with
 a single handoff marker to Bob2.
 
 Every classical exchange is written to a transcript, whose wire format
-lives in ``wire``; the auditor re-reads it and fails the run if the
-servers talked to each other, if Alice fed anything back during
-distribution or distillation, if an angle went to Bob2, or if Bob2
-reported a measured bit.
+lives in ``wire`` and whose reader lives in ``reader``; the auditor
+re-reads it and fails the run if the servers talked to each other, if
+Alice fed anything back during distribution or distillation, if an angle
+went to Bob2, or if Bob2 reported a measured bit.
 
 This module holds the pair table, the analytic law, the engine and the
 audit. ``run_chunks`` is the one engine. It yields the substreams'
@@ -21,11 +21,12 @@ draws one chunk of pairs at a time, which ``run_protocol`` keeps in int8
 columns and the CLI folds into its report. A run's transcript is its
 wire bytes, which ``run_wire`` renders one block at a time for the CLI to
 write; ``ProtocolRun.transcript`` parses them as a reader of the file
-would. Distillation is deterministic: a case's pair survives as one Bell
-kind, ``pair_table().kind``, whichever of its kind's two readouts occurs,
-so each readout and each of Bob1's bits is one comparison of a draw with
-1/2. Its reference is a per-pair run in the tests that samples from the
-tensor oracle of ``qnd``, which shares no code with the table.
+would, and only it, or a lookup of ``Transcript`` here, imports
+``reader``. Distillation is deterministic: a case's pair survives as one
+Bell kind, ``pair_table().kind``, whichever of its kind's two readouts
+occurs, so each readout and each of Bob1's bits is one comparison of a
+draw with 1/2. Its reference is a per-pair run in the tests that samples
+from the tensor oracle of ``qnd``, which shares no code with the table.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -44,7 +44,7 @@ from .model import (
     inverse_cdf,
 )
 from . import wire
-from .wire import Party, Phase, Transcript
+from .wire import Party, Phase
 
 
 #: Version of what a seeded run outputs, echoed in the report's config so
@@ -117,6 +117,17 @@ def pair_table() -> PairTable:
     return PairTable(kind)
 
 
+def __getattr__(name):
+    # ``Transcript``, the type ``audit`` reads, is still served here, as
+    # ``perfbench`` looks it up, but from ``reader`` on its first lookup:
+    # importing this module, as every run does, imports no reader.
+    if name == "Transcript":
+        from .reader import Transcript
+
+        return Transcript
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # --- security audit ---------------------------------------------------------
 
 VIOLATION_BOB_TO_BOB = "bob_to_bob"
@@ -125,15 +136,13 @@ VIOLATION_ANGLE_TO_BOB2 = "angle_to_bob2"
 VIOLATION_RESULT_FROM_BOB2 = "result_from_bob2"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     seq: int
     description: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     passed: bool
     violations: tuple[Violation, ...]
 
@@ -267,6 +276,8 @@ class ProtocolRun:
 
     @functools.cached_property
     def transcript(self) -> Transcript:
+        from .reader import Transcript
+
         data = b"".join(run_wire(self.reported, self.signed_angle_index, self.a_bit))
         return Transcript.from_lines(io.TextIOWrapper(io.BytesIO(data), "utf-8"))
 

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 TABLES = "tests/test_tables.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -87,7 +88,7 @@ MUTANTS = (
         "mismatch_count += phi if PHI_KIND[kind] else psi",
         (
             TABLES + "test_report_equals_the_per_pair_oracle_sums[all]",
-            "tests/test_cli.py::test_evil_bob_report_semantics",
+            CLI + "test_evil_bob_report_semantics",
         ),
     ),
     Mutant(
@@ -97,7 +98,7 @@ MUTANTS = (
         "if p != phi)",
         (
             TABLES + "test_report_equals_the_per_pair_oracle_sums[all]",
-            "tests/test_cli.py::test_dephasing_degrades_phase_but_not_class",
+            CLI + "test_dephasing_degrades_phase_but_not_class",
         ),
     ),
     Mutant(
@@ -132,7 +133,7 @@ MUTANTS = (
         (
             TABLES + "test_engine_equals_composed_stage_functions[0-1-clean]",
             "tests/test_protocol.py::test_engine_transcript_passes_audit",
-            "tests/test_cli.py::test_noiseless_end_to_end",
+            CLI + "test_noiseless_end_to_end",
         ),
     ),
     Mutant(
@@ -197,12 +198,40 @@ MUTANTS = (
     ),
     Mutant(
         "a file position that carries decoder state is read in chunks",
-        "wire.py",
+        "reader.py",
         "if start is not None and lines.buffer.tell() == start:",
         "if start is not None:",
         (
             TABLES + "test_text_handle_parses_as_its_lines_parse"
             "[cr before a two-digit seq-read one line by readline()]",
+        ),
+    ),
+    Mutant(
+        "a program run maps OpenSSL",
+        "__main__.py",
+        '    sys.modules.setdefault("_hashlib", None)\n',
+        "    pass\n",
+        (
+            CLI + "test_program_run_loads_only_what_it_runs[pairs 1]",
+            CLI + "test_program_run_loads_only_what_it_runs[entropy]",
+            CLI + "test_sweep_worker_loads_only_what_it_runs",
+        ),
+    ),
+    Mutant(
+        "the sweep's pipes read out of share order",
+        "cli.py",
+        "children.append(_fork_worker(fn, jobs[lo:hi]))",
+        "children.insert(0, _fork_worker(fn, jobs[lo:hi]))",
+        (CLI + "test_fork_pool_gives_the_serial_bytes_in_seed_order[2]",),
+    ),
+    Mutant(
+        "a replaced field skips its record's check",
+        "model.py",
+        "    @classmethod\n    def _make(cls, iterable):\n        return cls(*iterable)\n",
+        "",
+        (
+            CLI + "test_records_check_every_instance_and_stay_immutable[FidelityVector]",
+            CLI + "test_records_check_every_instance_and_stay_immutable[RunConfig]",
         ),
     ),
 )

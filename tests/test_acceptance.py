@@ -40,7 +40,8 @@ from hyperdistill.protocol import (
     SIGNED_ANGLES,
 )
 from hyperdistill.states import POLARIZATION_PAIR_LABELS
-from hyperdistill.wire import Message, Party, Phase
+from hyperdistill.reader import Message
+from hyperdistill.wire import Party, Phase
 from table_arrays import table_arrays
 
 S = QndOutcome.SHIFT

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from hyperdistill import cli, protocol, wire
 from hyperdistill import (
+    DeviceParams,
     FidelityVector,
     RunConfig,
     Transcript,
@@ -113,6 +113,38 @@ def test_config_file_holding_an_array_rejected(tmp_path, capsys):
     assert "--config: file must hold a JSON object" in capsys.readouterr().err
 
 
+#: A checked record, a field change its check refuses, the message, and the
+#: record's repr, which is the one its fields were first declared with.
+CHECKED_RECORDS = [
+    (FidelityVector(0.7, 0.1, 0.1, 0.1), {"f": 0.8}, "weights sum to",
+     "FidelityVector(f=0.7, f1=0.1, f2=0.1, f3=0.1)"),
+    (DeviceParams(), {"homodyne_error": 0.5}, r"homodyne_error 0.5 outside \[0, 0.5\)",
+     "DeviceParams(homodyne_error=0.0)"),
+    (RunConfig(), {"pairs": 0}, "pairs 0 must be >= 1",
+     "RunConfig(pairs=1000, fidelities=FidelityVector(f=0.7, f1=0.1, f2=0.1, f3=0.1), "
+     "dephase_p=0.0, homodyne_error=0.0, evil_bob_flip_p=0.0, seed=0, output_format='json', "
+     "out_path=None, transcript_path=None, sweep=None)"),
+    (RunConfig(), {"homodyne_error": 0.5}, r"homodyne_error 0.5 outside \[0, 0.5\)", None),
+]
+
+
+@pytest.mark.parametrize("record, change, message, text", CHECKED_RECORDS,
+                         ids=["FidelityVector", "DeviceParams", "RunConfig", "RunConfig device"])
+def test_records_check_every_instance_and_stay_immutable(record, change, message, text):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **change}.values())
+    with pytest.raises(ValueError, match=message):
+        type(record)(**{**record._asdict(), **change})
+    (name, value), = change.items()
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = value
+    assert text is None or repr(record) == text
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError, match=f"seed {seed} outside unsigned 64-bit range"):
@@ -168,7 +200,7 @@ def test_config_keys_match_the_run_flags():
     dests = {action.dest for action in _build_parser()._actions}
     assert set(CONFIG_KEY_TYPES) == dests - {"help", "config", "entropy", "sweep"}
     outputs = {"output_format", "out_path", "transcript_path", "sweep"}
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    fields = set(RunConfig._fields)
     assert fields - outputs == {name for name, _ in RUN_INPUTS}
 
 
@@ -187,7 +219,7 @@ def test_config_echoes_the_engine_version():
 @pytest.mark.parametrize("name, value", RUN_INPUTS)
 def test_every_run_input_changes_the_results(name, value):
     base = RunConfig(pairs=2000)
-    assert run_results(dataclasses.replace(base, **{name: value})) != run_results(base)
+    assert run_results(base._replace(**{name: value})) != run_results(base)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -601,7 +633,7 @@ def _fail_on_seed_one(failure):
             if failure is None:
                 os._exit(3)
             raise failure
-        return cli.execute_run(dataclasses.replace(args[0], seed=args[1], sweep=None))[0]
+        return cli.execute_run(args[0]._replace(seed=args[1], sweep=None))[0]
 
     return run
 
@@ -788,10 +820,11 @@ def test_package_serves_its_names_lazily_from_their_modules():
 
 
 def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    """Run ``code`` in a fresh interpreter that imports the package from where
+    this process imported it: ``src``, or the copy that a mutant was applied to."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
@@ -845,13 +878,110 @@ def test_sweep_coordinator_leaves_openssl_unloaded(tmp_path, seeds):
         "    assert exc.code == 0, exc.code\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
-        "loaded = {'_hashlib', 'hashlib', 'hmac', 'secrets', 'numpy.random'} & set(sys.modules)\n"
-        "assert not loaded, sorted(loaded)\n"
+        "found = loaded('_hashlib', 'hashlib', 'hmac', 'secrets', 'numpy.random')\n"
+        "assert not found, found\n"
         + ORACLE_UNLOADED
     )
-    result = run_python(code, str(tmp_path / "report.json"), str(seeds))
+    result = run_python(LOADED + code, str(tmp_path / "report.json"), str(seeds))
     assert result.returncode == 0, result.stderr
     assert len(json.loads((tmp_path / "report.json").read_text())["runs"]) == seeds
+
+
+#: Code that defines ``loaded(*names)``: the modules of ``names`` that this
+#: process has loaded, and "libcrypto" when ``/proc/self/maps`` shows
+#: OpenSSL mapped. A None entry in ``sys.modules`` blocks an import, so
+#: it is not a loaded module.
+LOADED = (
+    "import os, sys\n"
+    "def loaded(*names):\n"
+    "    found = [name for name in names if sys.modules.get(name) is not None]\n"
+    "    if os.path.exists('/proc/self/maps'):\n"
+    "        with open('/proc/self/maps') as fh:\n"
+    "            found += ['libcrypto'] * ('libcrypto' in fh.read())\n"
+    "    return found\n"
+)
+
+#: What no process of a run with a JSON report loads: OpenSSL, the
+#: dataclass machinery, the CSV writer and the transcript reader.
+UNUSED_BY_A_RUN = ("_hashlib", "dataclasses", "csv", "hyperdistill.reader")
+
+#: Code that runs the package as ``python -m hyperdistill`` does, with the
+#: process's arguments, and requires exit status 0.
+RUN_AS_PROGRAM = (
+    "import runpy\n"
+    "sys.argv = ['hyperdistill', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('hyperdistill', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+)
+
+
+def in_process_bytes(tmp_path, args, *outputs):
+    """The bytes that ``main`` called in this process writes to ``outputs``
+    given ``args``, in which each output's name stands for its path."""
+    paths = {name: str(tmp_path / f"in-process-{name}") for name in outputs}
+    assert main([paths.get(arg, arg) for arg in args]) == 0
+    return [Path(paths[name]).read_bytes() for name in outputs]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pairs", "1"],
+    ["--pairs", "20", "--dephase-p", "0.1", "--transcript", "t.log"],
+    ["--pairs", "20", "--entropy"],
+], ids=["pairs 1", "transcript", "entropy"])
+def test_program_run_loads_only_what_it_runs(tmp_path, flags):
+    # A run's one digest is run_id's sha256, from the builtin module that
+    # ``__main__`` leaves hashlib with, so its report is the report of the
+    # same run made in this process.
+    args = [*flags, "--out", "r.json"]
+    outputs = [name for name in ("r.json", "t.log") if name in args]
+    result = run_python(
+        LOADED + RUN_AS_PROGRAM
+        + f"found = loaded(*{UNUSED_BY_A_RUN!r})\nassert not found, found\n",
+        *[str(tmp_path / arg) if arg in outputs else arg for arg in args])
+    assert result.returncode == 0, result.stderr
+    if "--entropy" in args:
+        seed = result.stderr.splitlines()[0].removeprefix("entropy seed: ")
+        args = [arg for arg in args if arg != "--entropy"] + ["--seed", seed]
+    written = [(tmp_path / name).read_bytes() for name in outputs]
+    assert written == in_process_bytes(tmp_path, args, *outputs)
+
+
+def test_sweep_worker_loads_only_what_it_runs(tmp_path):
+    # Each forked worker checks what it has loaded once it has run its seed;
+    # a failed check is raised again in the coordinator.
+    code = (
+        LOADED
+        + "from hyperdistill import cli\n"
+        "run_seed = cli._sweep_single\n"
+        "def checked(job):\n"
+        "    report = run_seed(job)\n"
+        f"    found = loaded(*{UNUSED_BY_A_RUN!r})\n"
+        "    assert not found, found\n"
+        "    return report\n"
+        "cli._sweep_single = checked\n"
+        + RUN_AS_PROGRAM
+    )
+    args = ["--sweep", "2", "--pairs", "50", "--homodyne-error", "0.1", "--out", "r.json"]
+    result = run_python(code, *args[:-1], str(tmp_path / "r.json"))
+    assert result.returncode == 0, result.stderr
+    assert [(tmp_path / "r.json").read_bytes()] == in_process_bytes(tmp_path, args, "r.json")
+
+
+def test_program_without_the_builtin_sha256_runs_on_openssl(tmp_path):
+    # With no builtin sha256 module to fall back to, ``__main__`` leaves
+    # hashlib its OpenSSL digests, which give the same run id.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        + RUN_AS_PROGRAM
+        + "assert sys.modules.get('_hashlib') is not None\n"
+    )
+    result = run_python(code, "--pairs", "3", "--out", str(tmp_path / "r.json"))
+    assert result.returncode == 0, result.stderr
+    assert [(tmp_path / "r.json").read_bytes()] == in_process_bytes(
+        tmp_path, ["--pairs", "3", "--out", "r.json"], "r.json")
 
 
 def test_replay_leaves_the_oracle_unloaded(tmp_path):

@@ -69,7 +69,7 @@ def source_of(name):
     return (pathlib.Path(hyperdistill.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["wire", "render"])
+@pytest.mark.parametrize("name", ["wire", "render", "reader"])
 def test_wire_format_stands_below_the_engine(name):
     # The engine and the audit build on the wire format and its renderer,
     # not the other way round.
@@ -78,7 +78,7 @@ def test_wire_format_stands_below_the_engine(name):
 
 #: The modules the tensor oracle is built on, and those a run executes.
 ORACLE = {"linalg", "states", "qnd"}
-ENGINE = {"protocol", "cli", "wire", "render"}
+ENGINE = {"protocol", "cli", "wire", "render", "reader"}
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE | {"model"}))

@@ -45,7 +45,7 @@ from hyperdistill import (
     run_protocol,
     trace_distance,
 )
-from hyperdistill import protocol, render, wire
+from hyperdistill import protocol, reader, render, wire
 from hyperdistill.cli import RunConfig, execute_run, write_transcript
 from hyperdistill.linalg import EPS_ORACLE, StateVector
 from hyperdistill.model import CASES, ENSEMBLE_ORDER, OUTCOME_PAIRS, inverse_cdf
@@ -823,7 +823,7 @@ def reference_views(messages):
 @contextlib.contextmanager
 def sizes(read_bytes, block_lines):
     """Parse with these read and block sizes."""
-    with mock.patch.object(wire, "_READ_BYTES", read_bytes), mock.patch.object(
+    with mock.patch.object(reader, "_READ_BYTES", read_bytes), mock.patch.object(
         wire, "_BLOCK_LINES", block_lines
     ):
         yield
@@ -833,7 +833,7 @@ def sizes(read_bytes, block_lines):
 @given(
     mutated_transcripts(),
     st.sampled_from([1, 2, 5, wire._BLOCK_LINES]),
-    st.sampled_from([7, wire._READ_BYTES]),
+    st.sampled_from([7, reader._READ_BYTES]),
 )
 def test_from_lines_equals_message_parsing_on_mutated_runs(lines, block_lines, read_bytes):
     with sizes(read_bytes, block_lines):
@@ -865,7 +865,7 @@ def test_blank_lines_are_dropped_as_message_parsing_drops_them(blank, place, end
     assert transcript.to_bytes() == reference_bytes(expected)
     if not blank.strip("\n"):
         # An empty line leaves its block on the byte path.
-        assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
+        assert all(isinstance(b.payload, reader._Payloads) for b in transcript._blocks)
 
 
 def joined(lines):
@@ -885,7 +885,7 @@ def test_block_parser_takes_every_block_of_a_run(form):
     assert len(lines) > 2 * size
     for start in range(0, len(lines), size):
         chunk = lines[start:start + size]
-        block = wire._parse_block(*joined(chunk), start)
+        block = reader._parse_block(*joined(chunk), start)
         assert block is not None, start
         assert block.seq == range(start + 1, start + len(chunk) + 1)
     assert Transcript.from_lines(lines).to_bytes() == transcript.to_bytes()
@@ -893,9 +893,9 @@ def test_block_parser_takes_every_block_of_a_run(form):
 
 def test_block_too_long_for_int32_offsets_takes_the_line_parser():
     lines = run_protocol(2, MIXED, seed=3).transcript.to_lines()
-    assert wire._parse_block(*joined(lines), 0) is not None
-    with mock.patch.object(wire, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
-        assert wire._parse_block(*joined(lines), 0) is None
+    assert reader._parse_block(*joined(lines), 0) is not None
+    with mock.patch.object(reader, "_MAX_BLOCK_TEXT", len("".join(lines)) - 1):
+        assert reader._parse_block(*joined(lines), 0) is None
         assert views(Transcript.from_lines(lines)) == reference_views(reference_from_lines(lines))
 
 
@@ -947,7 +947,7 @@ def code_group_lines(lines):
 
 
 def assert_refused_as_message_parsing_refuses(lines):
-    assert wire._parse_block(*joined(lines), 0) is None
+    assert reader._parse_block(*joined(lines), 0) is None
     with pytest.raises(ValueError) as expected:
         reference_from_lines(lines)
     with pytest.raises(ValueError) as got:
@@ -958,7 +958,7 @@ def assert_refused_as_message_parsing_refuses(lines):
 @pytest.mark.parametrize("place", ["first group", "middle group", "last line"])
 @pytest.mark.parametrize("name", MIDDLE_DEFECTS)
 def test_bad_middle_is_refused_in_any_code_group(name, place):
-    assert wire._parse_block(*joined(SEVERAL_CODES), 0) is not None
+    assert reader._parse_block(*joined(SEVERAL_CODES), 0) is not None
     (bad_line,) = BAD_TRANSCRIPTS[name]
     bad_middle = bad_line.split("|", 1)[1].rsplit("|", 1)[0]
     lines = list(SEVERAL_CODES)
@@ -986,15 +986,15 @@ def test_block_of_every_valid_middle_stays_on_the_byte_path():
     assert len(middles) == 60
     order = np.random.default_rng(0).permutation(len(middles))
     lines = [f"{seq}|{middles[i]}|{seq}\n" for seq, i in enumerate(order.tolist(), 1)]
-    block = wire._parse_block(*joined(lines), 0)
-    assert block is not None and isinstance(block.payload, wire._Payloads)
+    block = reader._parse_block(*joined(lines), 0)
+    assert block is not None and isinstance(block.payload, reader._Payloads)
     # The parser's code, keyed by one byte per field, is the route's index
     # into ROUTES, as the line parser's _ROUTE_CODE has it.
     codes = [wire._ROUTE_CODE[VALID_ROUTES[i]] for i in order.tolist()]
     assert block.route.dtype == np.int8 and block.route.tolist() == codes
-    assert wire._block_of(wire._parse_messages(*joined(lines), 0)).route.tolist() == codes
+    assert reader._block_of(reader._parse_messages(*joined(lines), 0)).route.tolist() == codes
     transcript = Transcript.from_lines(lines)
-    assert all(isinstance(b.payload, wire._Payloads) for b in transcript._blocks)
+    assert all(isinstance(b.payload, reader._Payloads) for b in transcript._blocks)
     assert views(transcript) == reference_views(reference_from_lines(lines))
 
 
@@ -1020,7 +1020,7 @@ def test_seq_that_breaks_the_run_takes_the_line_parser(edit, place):
         lines[place:] = [
             f"{int(seq) + step}|{rest}" for seq, rest in (line.split("|", 1) for line in lines[place:])
         ]
-    assert wire._parse_block(*joined(lines), 0) is None
+    assert reader._parse_block(*joined(lines), 0) is None
     assert_parses_as_message_parsing_does(lines)
 
 
@@ -1032,7 +1032,7 @@ def test_seq_that_breaks_the_run_takes_the_line_parser(edit, place):
 )
 def test_seq_run_across_a_decade_parses_as_message_parsing_does(first, byte_path):
     lines = numbered(first)
-    block = wire._parse_block(*joined(lines), 0)
+    block = reader._parse_block(*joined(lines), 0)
     if byte_path:
         assert block is not None and block.seq == range(first, first + len(lines))
     else:
@@ -1054,7 +1054,7 @@ def test_run_with_a_message_per_audit_rule_stays_on_the_byte_path(tmp_path):
     with open(path, encoding="utf-8") as fh:
         tampered = Transcript.from_lines(fh)
     assert len(tampered._blocks) == -(-len(bodies) // size) == 3
-    assert all(isinstance(block.payload, wire._Payloads) for block in tampered._blocks)
+    assert all(isinstance(block.payload, reader._Payloads) for block in tampered._blocks)
     assert [(v.kind, v.seq) for v in audit(tampered).violations] == [
         (kind, slot + 1) for kind, slot in zip(RULE_BREAKING_BODIES, slots)
     ]
@@ -1181,7 +1181,7 @@ def handle_outcome(parse, open_handle, path):
 
 #: (read size, block size) pairs: several reads per line and several
 #: lines per read, then the program's own.
-SIZES = [(7, 2), (64, 3), (wire._READ_BYTES, wire._BLOCK_LINES)]
+SIZES = [(7, 2), (64, 3), (reader._READ_BYTES, wire._BLOCK_LINES)]
 
 
 @pytest.mark.parametrize("handle", sorted(HANDLES))
@@ -1233,7 +1233,7 @@ def test_text_file_that_parses_is_read_in_chunks(name):
 
 def test_run_of_several_blocks_is_read_in_chunks():
     data = run_protocol(wire._BLOCK_LINES // 3 + 1, MIXED, seed=6, **NOISY).transcript.to_bytes()
-    with mock.patch.object(wire, "_READ_BYTES", len(data) // 5):
+    with mock.patch.object(reader, "_READ_BYTES", len(data) // 5):
         transcript = Transcript.from_lines(ReadOnlyInChunks(data))
     assert transcript.to_bytes() == data
     assert [len(block.route) for block in transcript._blocks[:-1]] == [wire._BLOCK_LINES] * 2
@@ -1395,7 +1395,7 @@ def test_byte_render_writes_all_sixteen_angle_codes_in_one_block():
 def test_every_engine_block_is_written_from_byte_tables(tmp_path):
     run = run_protocol(5000, MIXED, seed=7, **NOISY)
     path = tmp_path / "t.log"
-    with mock.patch.object(wire, "_render", wraps=wire._render) as fstring:
+    with mock.patch.object(reader, "_render", wraps=reader._render) as fstring:
         write_transcript(protocol.run_wire(run.reported, run.signed_angle_index, run.a_bit),
                          str(path))
     fstring.assert_not_called()
@@ -1468,7 +1468,7 @@ def test_parsed_transcript_keeps_a_few_bytes_per_line(tmp_path):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(isinstance(block.payload, wire._Payloads) for block in parsed._blocks)
+    assert all(isinstance(block.payload, reader._Payloads) for block in parsed._blocks)
     assert kept <= 20 * lines
 
 
